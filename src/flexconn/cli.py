@@ -154,6 +154,9 @@ def _cmd_check(args) -> int:
     edges = payload.get("edges")
     if not isinstance(edges, list):
         raise InputError("solution file lacks an 'edges' list")
+    for eid in edges:
+        if type(eid) is not int:   # bool is an int subclass; 3.0 == 3 hashes alike
+            raise InputError(f"solution edge id {json.dumps(eid)} is not an integer")
     ok = check_solution(inst, set(edges))
     _emit(json.dumps({"problem": problem, "k": inst.k,
                       "size": len(set(edges)), "feasible": ok}) + "\n",

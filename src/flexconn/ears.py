@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import InputError, require
@@ -63,18 +64,34 @@ def _is_2vc(g: LabeledGraph) -> bool:
 
 def shortest_long_cycle(g: LabeledGraph) -> Tuple[int, ...]:
     """Shortest cycle of length >= 4, lexicographically smallest vertex
-    sequence among those of minimum length."""
+    sequence among those of minimum length.
+
+    The length comes from one breadth-first search per path a..b around a
+    vertex `mid` with neighbours a < b, avoiding `mid` and the edge ab; the
+    sequence then comes from `_lex_smallest_cycle`, so any exact way of
+    computing the length gives the same output.  Three prunings keep the
+    length exact (the idea of Itai and Rodeh, "Finding a minimum circuit in a
+    graph", SIAM J. Comput. 1978):
+
+    * every cycle is found at its smallest vertex, so `mid` pairs only
+      neighbours above it and the search walks only vertices above `mid`;
+    * with best length L so far, only paths of at most L - 3 edges can
+      improve it, so each search stops at that depth;
+    * skipping the edge ab leaves no a..b path shorter than 2 edges, so
+      every candidate has length >= 4 and the scan stops once L == 4.
+
+    A long sparse cycle costs O(n + m) instead of O(n^2); in general the
+    cost is at most one bounded search per (vertex, neighbour pair).
+    """
     best_len = None
-    for mid in range(g.n):
-        nbrs = g.neighbors(mid)
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1:]:
-                d = _dist_avoiding(g, a, b, forbidden={mid}, skip_edge=(a, b))
-                if d is None:
-                    continue
-                length = d + 2
-                if length >= 4 and (best_len is None or length < best_len):
-                    best_len = length
+    around = ((mid, a, b) for mid in range(g.n)
+              for a, b in combinations([x for x in g.neighbors(mid) if x > mid], 2))
+    for mid, a, b in around:
+        d = _dist_above(g, a, b, mid, None if best_len is None else best_len - 3)
+        if d is not None:
+            best_len = d + 2
+            if best_len == 4:
+                break
     if best_len is None:
         raise InputError("no cycle of length >= 4 exists")
     seq = _lex_smallest_cycle(g, best_len)
@@ -82,50 +99,35 @@ def shortest_long_cycle(g: LabeledGraph) -> Tuple[int, ...]:
     return seq
 
 
-def _dist_avoiding(g: LabeledGraph, a: int, b: int,
-                   forbidden: Set[int], skip_edge: Tuple[int, int]) -> Optional[int]:
-    skip = frozenset(skip_edge)
+def _dist_above(g: LabeledGraph, a: int, b: int, floor: int,
+                limit: Optional[int]) -> Optional[int]:
+    """Length of a shortest a..b path through vertices > floor that avoids
+    the edge ab, if it has at most `limit` edges (no cap when None)."""
     dist = {a: 0}
     queue = deque([a])
     while queue:
         x = queue.popleft()
-        if x == b:
-            return dist[x]
+        dx = dist[x]
+        if dx == limit:
+            return None
         for y in g.neighbors(x):
-            if y in forbidden or y in dist:
+            if y <= floor or y in dist or (x, y) == (a, b):
                 continue
-            if frozenset((x, y)) == skip:
-                continue
-            dist[y] = dist[x] + 1
+            if y == b:
+                return dx + 1
+            dist[y] = dx + 1
             queue.append(y)
     return None
 
 
 def _lex_smallest_cycle(g: LabeledGraph, length: int) -> Optional[Tuple[int, ...]]:
     """First cycle sequence of exactly `length` distinct vertices in
-    lexicographic DFS order (so the global lexicographic minimum)."""
-    path: List[int] = []
-    on_path: Set[int] = set()
+    lexicographic DFS order (so the global lexicographic minimum).
 
-    def rec(v: int, dist_home: Dict[int, int]) -> Optional[Tuple[int, ...]]:
-        path.append(v)
-        on_path.add(v)
-        if len(path) == length:
-            hit = tuple(path) if path[0] in g.neighbor_sets[v] else None
-            path.pop()
-            on_path.discard(v)
-            return hit
-        remaining = length - len(path)
-        for w in g.neighbors(v):
-            if w in on_path or dist_home.get(w, length + 1) > remaining:
-                continue
-            hit = rec(w, dist_home)
-            if hit is not None:
-                return hit
-        path.pop()
-        on_path.discard(v)
-        return None
-
+    The DFS keeps an explicit stack of neighbour iterators, one per path
+    vertex, so its depth is bounded by memory rather than the interpreter's
+    recursion limit; a vertex w is entered only if its distance home is at
+    most the number of path slots left."""
     for start in range(g.n):
         dist_home = {start: 0}
         queue = deque([start])
@@ -135,9 +137,25 @@ def _lex_smallest_cycle(g: LabeledGraph, length: int) -> Optional[Tuple[int, ...
                 if y not in dist_home:
                     dist_home[y] = dist_home[x] + 1
                     queue.append(y)
-        hit = rec(start, dist_home)
-        if hit is not None:
-            return hit
+        path = [start]
+        on_path = {start}
+        stack = [iter(g.neighbors(start))]
+        while stack:
+            remaining = length - len(path)
+            for w in stack[-1]:
+                if w in on_path or dist_home.get(w, length + 1) > remaining:
+                    continue
+                if remaining == 1:
+                    if start in g.neighbor_sets[w]:
+                        return tuple(path) + (w,)
+                    continue
+                path.append(w)
+                on_path.add(w)
+                stack.append(iter(g.neighbors(w)))
+                break
+            else:
+                stack.pop()
+                on_path.discard(path.pop())
     return None
 
 
@@ -246,13 +264,19 @@ def has_forbidden_cycle(g: LabeledGraph) -> bool:
 
 def find_forbidden_cycle(g: LabeledGraph) -> Optional[Tuple[int, int, int, int]]:
     """Lowest (w, z, u, v) with deg(w)=deg(z)=2, wz not an edge, and
-    N(w) = N(z) = {u, v}: the 4-cycle u-w-v-z, returned as (u, w, v, z)."""
-    deg2 = [v for v in range(g.n) if g.degree(v) == 2]
-    for i, w in enumerate(deg2):
-        for z in deg2[i + 1:]:
-            if z in g.neighbor_sets[w]:
-                continue
-            if g.neighbor_sets[w] == g.neighbor_sets[z]:
-                u, v = sorted(g.neighbor_sets[w])
-                return (u, w, v, z)
-    return None
+    N(w) = N(z) = {u, v}: the 4-cycle u-w-v-z, returned as (u, w, v, z).
+
+    Linear scan: degree-2 vertices are grouped by their neighbour pair, in
+    increasing order.  Two vertices with the same neighbours are never
+    adjacent, so the lowest pair is the first two members of some group.  A
+    degree-2 vertex on a doubled edge has one neighbour and is skipped."""
+    groups: Dict[Tuple[int, ...], List[int]] = {}
+    for v in range(g.n):
+        if g.degree(v) == 2:
+            groups.setdefault(g.neighbors(v), []).append(v)
+    best = min(((ws[0], ws[1], nbrs) for nbrs, ws in groups.items()
+                if len(ws) >= 2 and len(nbrs) == 2), default=None)
+    if best is None:
+        return None
+    w, z, (u, v) = best
+    return (u, w, v, z)

@@ -61,25 +61,31 @@ def preprocess(g: LabeledGraph) -> Tuple[List[LabeledGraph], ReconstructionPlan]
 
 
 def _reduce(g: LabeledGraph, pieces, forced, events) -> None:
-    if g.n < 5:
-        pieces.append(g)
-        return
-    cuts = sorted(cut_vertices(g))
-    unsafe_cuts = [v for v in cuts if not g.vertex_safe[v]]
-    if unsafe_cuts:
-        raise InfeasibleInstanceError(
-            f"unsafe cut vertex (local id {unsafe_cuts[0]}): instance infeasible")
-    if cuts:
-        x = cuts[0]
-        comps = connected_components(
-            set(range(g.n)) - {x},
-            [(e.eid, e.u, e.v) for e in g.edges if x not in (e.u, e.v)])
-        events.append(("split", g.n, len(comps)))
-        for comp in comps:
-            _reduce(g.induced(comp | {x}), pieces, forced, events)
-        return
-    fc = find_forbidden_cycle(g)
-    if fc is not None:
+    """Apply the reductions depth first, children in order, with an explicit
+    worklist so long chains of reductions cannot exhaust the call stack."""
+    todo = [g]
+    while todo:
+        g = todo.pop()
+        if g.n < 5:
+            pieces.append(g)
+            continue
+        cuts = sorted(cut_vertices(g))
+        unsafe_cuts = [v for v in cuts if not g.vertex_safe[v]]
+        if unsafe_cuts:
+            raise InfeasibleInstanceError(
+                f"unsafe cut vertex (local id {unsafe_cuts[0]}): instance infeasible")
+        if cuts:
+            x = cuts[0]
+            comps = connected_components(
+                set(range(g.n)) - {x},
+                [(e.eid, e.u, e.v) for e in g.edges if x not in (e.u, e.v)])
+            events.append(("split", g.n, len(comps)))
+            todo.extend(g.induced(comp | {x}) for comp in reversed(comps))
+            continue
+        fc = find_forbidden_cycle(g)
+        if fc is None:
+            pieces.append(g)
+            continue
         u, w, v, z = fc
         if not g.vertex_safe[u] and not g.vertex_safe[v]:
             e1 = g.edge_between(u, w)
@@ -87,17 +93,15 @@ def _reduce(g: LabeledGraph, pieces, forced, events) -> None:
             forced.add(e1.eid)
             forced.add(e2.eid)
             events.append(("forbidden_unsafe", e1.eid, e2.eid))
-            _reduce(g.induced(set(range(g.n)) - {w}), pieces, forced, events)
-            return
+            todo.append(g.induced(set(range(g.n)) - {w}))
+            continue
         if g.vertex_safe[u] and not g.vertex_safe[v]:
             u, v = v, u
         if g.vertex_safe[w] and not g.vertex_safe[z]:
             w, z = z, w
         doomed = g.edge_between(u, w)
         events.append(("forbidden_safe", doomed.eid))
-        _reduce(g.without_edges({doomed.eid}), pieces, forced, events)
-        return
-    pieces.append(g)
+        todo.append(g.without_edges({doomed.eid}))
 
 
 # ---------------------------------------------------------------------------

@@ -84,8 +84,13 @@ class LabeledGraph:
     def neighbor_sets(self) -> Dict[int, Set[int]]:
         return {v: {e.other(v) for e in self.adj[v]} for v in range(self.n)}
 
-    def neighbors(self, v: int) -> List[int]:
-        return sorted(self.neighbor_sets[v])
+    @cached_property
+    def _sorted_neighbors(self) -> Dict[int, Tuple[int, ...]]:
+        return {v: tuple(sorted(nbrs)) for v, nbrs in self.neighbor_sets.items()}
+
+    def neighbors(self, v: int) -> Tuple[int, ...]:
+        """Distinct neighbours of v in increasing order."""
+        return self._sorted_neighbors[v]
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

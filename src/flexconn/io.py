@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from .errors import InputError
 from .feasibility import Instance, Solution, check_fgc, check_fvc, check_kfgc
@@ -28,6 +28,7 @@ def parse_instance(text: str, problem: str = "fgc", k: Optional[int] = None) -> 
     vertex_flags: dict = {}
     pairs: List[Tuple[int, int]] = []
     edge_flags: List[bool] = []
+    seen: Set[Tuple[int, int]] = set()   # FVC only: endpoint pairs so far
     saw_unsafe_vertex = saw_unsafe_edge = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -75,9 +76,11 @@ def parse_instance(text: str, problem: str = "fgc", k: Optional[int] = None) -> 
             flag = fields[3] if len(fields) == 4 else "s"
             if flag not in ("s", "u"):
                 raise InputError(f"line {lineno}: bad edge flag {flag!r}")
-            if problem == "fvc" and (min(u, v), max(u, v)) in {
-                    (min(a, b), max(a, b)) for a, b in pairs}:
-                raise InputError(f"line {lineno}: duplicate edge {u}-{v} in an FVC instance")
+            if problem == "fvc":
+                key = (min(u, v), max(u, v))
+                if key in seen:
+                    raise InputError(f"line {lineno}: duplicate edge {u}-{v} in an FVC instance")
+                seen.add(key)
             pairs.append((u, v))
             edge_flags.append(flag == "s")
             saw_unsafe_edge |= flag == "u"

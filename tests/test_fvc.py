@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -299,3 +300,55 @@ class TestSolveFvc:
                     best = min(piece["apx1_size"], piece["apx2_size"])
                     assert Fraction(best) <= Fraction(11, 7) * piece["lower_bound"]
                     done += 1
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _diamond_necklace(k):
+    """k diamonds in a ring: hubs 0..k-1, and hubs i, i+1 (mod k) both joined
+    to the two degree-2 vertices k+2i and k+2i+1.  All vertices unsafe, so
+    each diamond is a forbidden 4-cycle whose reduction forces two edges."""
+    pairs = []
+    for i in range(k):
+        for w in (k + 2 * i, k + 2 * i + 1):
+            pairs += [(i, w), ((i + 1) % k, w)]
+    return build(3 * k, pairs, vertex_safe=[False] * (3 * k))
+
+
+class TestScale:
+    """Inputs whose size once exhausted the interpreter's recursion limit."""
+
+    def test_all_unsafe_2000_cycle(self):
+        n = 2000
+        g = build(n, [(i, (i + 1) % n) for i in range(n)], vertex_safe=[False] * n)
+        sol = solve_fvc(g)
+        assert sol.edge_ids == frozenset(range(n))
+        assert sol.meta["pieces"][0]["vd"] == n
+
+    def test_all_unsafe_600_rung_ladder(self):
+        k = 600
+        pairs = ([(i, i + 1) for i in range(k - 1)]
+                 + [(k + i, k + i + 1) for i in range(k - 1)]
+                 + [(i, k + i) for i in range(k)])
+        g = build(2 * k, pairs, vertex_safe=[False] * (2 * k))
+        sol = solve_fvc(g)
+        assert check_fvc(g, sol.edge_ids)
+        assert 7 * sol.size <= 11 * sol.meta["lower_bound"]
+
+    def test_diamond_necklace_reduces_without_deep_recursion(self):
+        g = _diamond_necklace(100)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 60)
+        try:
+            sol = solve_fvc(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        events = sol.meta["reduction_events"]
+        assert len(events) == 100
+        assert all(ev[0] == "forbidden_unsafe" for ev in events)
+        assert check_fvc(g, sol.edge_ids)

@@ -29,6 +29,12 @@ class TestParse:
             parse_instance(text, problem="fvc")
         assert parse_instance(text, problem="fgc").graph.m == 4
 
+    def test_duplicate_edge_message_names_line_and_pair(self):
+        text = "p flex 4 4\ne 0 1\ne 1 2\ne 2 3\ne 2 1\n"
+        with pytest.raises(InputError,
+                           match="^line 5: duplicate edge 2-1 in an FVC instance$"):
+            parse_instance(text, problem="fvc")
+
     def test_line_numbers_in_errors(self):
         with pytest.raises(InputError, match="line 3"):
             parse_instance("c x\np flex 2 1\ne 0 5\n")
@@ -109,6 +115,19 @@ class TestCli:
         bad = self._write(tmp_path, "bad.json",
                           json.dumps({"problem": "fgc", "k": 1, "edges": [1]}))
         assert main(["check", "-i", inst, "--solution", bad]) == 2
+
+    @pytest.mark.parametrize("edges, shown", [
+        ([0, 1, True], "true"),     # a bool would otherwise be read as edge 1
+        ([[0], 1], "[0]"),          # unhashable: must not end in a TypeError
+        ([0, 3.0], "3.0"),          # a float would otherwise be read as edge 3
+    ])
+    def test_check_rejects_non_integer_edge_ids(self, tmp_path, capsys, edges, shown):
+        inst = self._write(tmp_path, "tri.flex", TRIANGLE)
+        sol = self._write(tmp_path, "sol.json",
+                          json.dumps({"problem": "fgc", "k": 1, "edges": edges}))
+        assert main(["check", "-i", inst, "--solution", sol]) == 1
+        err = capsys.readouterr().err
+        assert f"solution edge id {shown} is not an integer" in err
 
     def test_gen_solve_pipeline(self, tmp_path):
         inst = str(tmp_path / "gen.flex")
