@@ -14,7 +14,7 @@ from typing import Optional
 from .errors import FlexconnError, InfeasibleInstanceError, InputError
 from .exact import exact_solve
 from .feasibility import Instance, Solution
-from .fgc import TwoEcssSolverHandle, solve_fgc
+from .fgc import default_twoecss_solver, solve_fgc
 from .fvc import solve_fvc
 from .harness import (ExperimentConfig, check_arithmetic_lemmas,
                       gen_random_instance, gen_safe_tree_family,
@@ -121,9 +121,7 @@ def _cmd_solve(args) -> int:
         sol = solve_fvc(g)
     elif inst.problem == "fgc":
         cap = args.exact_cap if args.exact_cap is not None else 12
-        solver = (TwoEcssSolverHandle(kind="exact", cap_n=cap, beta=1.0)
-                  if g.n <= cap else TwoEcssSolverHandle(kind="prune_heuristic", beta=2.0))
-        sol = solve_fgc(g, solver=solver)
+        sol = solve_fgc(g, solver=default_twoecss_solver(g.n, cap))
     else:
         sub = (None if args.exact_cap is None
                else KecssSolverHandle(kind="exact", cap_n=args.exact_cap))

@@ -192,25 +192,48 @@ def _find_nice_cycle(g: LabeledGraph, vd: Set[int], coarse: Sequence[_Part]):
 
 def _extend_cycle(coarse, cross, part_of, start_idx, start_exit,
                   path_edges, visited, cur_idx, cur_entry):
-    for a in _exit_choices(coarse[cur_idx], cur_entry):
-        for (c, eid, r) in cross[a]:
+    """Depth-first extension of a path of parts back to the start part.
+
+    Iterative, with one frame per part on the path, so a cycle through
+    thousands of parts cannot exhaust the recursion limit.  A frame walks
+    the exits of its part, and per exit its cross edges in order; each
+    step into an unvisited part opens a new frame, and an exhausted frame
+    takes its part off the path again.
+    """
+    big_start = len(coarse[start_idx].vertices) >= 2
+    path = list(path_edges)
+    visited = set(visited)
+    # frames: (move iterator of a part, that part's index)
+    stack = [(_moves(coarse, cross, cur_idx, cur_entry), cur_idx)]
+    while stack:
+        for a, (c, eid, r) in stack[-1][0]:
             if r == start_idx:
-                big_start = len(coarse[start_idx].vertices) >= 2
                 if big_start and c == start_exit:
                     continue
                 if not big_start and c != start_exit:
                     continue
-                if len(path_edges) == 1 and eid == path_edges[0][0]:
+                if len(path) == 1 and eid == path[0][0]:
                     continue
-                edges = path_edges + [(eid, a, c)]
-                return [(e, u, v) for e, u, v in edges]
+                return path + [(eid, a, c)]
             if r in visited:
                 continue
-            found = _extend_cycle(coarse, cross, part_of, start_idx, start_exit,
-                                  path_edges + [(eid, a, c)], visited | {r}, r, c)
-            if found is not None:
-                return found
+            path.append((eid, a, c))
+            visited.add(r)
+            stack.append((_moves(coarse, cross, r, c), r))
+            break
+        else:
+            _, idx = stack.pop()
+            if stack:
+                path.pop()
+                visited.discard(idx)
     return None
+
+
+def _moves(coarse, cross, idx: int, entry: int):
+    """(exit vertex, cross edge) pairs leaving part idx entered at `entry`."""
+    for a in _exit_choices(coarse[idx], entry):
+        for step in cross[a]:
+            yield a, step
 
 
 def _exit_choices(part: _Part, entry: int):

@@ -16,8 +16,8 @@ from typing import Callable, FrozenSet, Iterable, Optional, Set
 from .errors import InfeasibleInstanceError, InputError, require
 from .exact import exact_2ecss
 from .feasibility import Solution, check_fgc, prune_minimal
-from .graph import (Edge, LabeledGraph, blocks, edge_connectivity_at_least,
-                    is_connected, is_k_edge_connected)
+from .graph import (Edge, LabeledGraph, blocks, is_connected,
+                    is_k_edge_connected, subset_k_edge_connected)
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,10 @@ class F1SolverHandle:
         return out
 
 
-def default_twoecss_solver(n_doubled: int) -> TwoEcssSolverHandle:
-    if n_doubled <= 12:
-        return TwoEcssSolverHandle(kind="exact", cap_n=12, beta=1.0)
+def default_twoecss_solver(n_doubled: int, cap: int = 12) -> TwoEcssSolverHandle:
+    """Exact 2ECSS up to `cap` vertices, the prune heuristic above it."""
+    if n_doubled <= cap:
+        return TwoEcssSolverHandle(kind="exact", cap_n=cap, beta=1.0)
     return TwoEcssSolverHandle(kind="prune_heuristic", beta=2.0)
 
 
@@ -69,12 +70,8 @@ def twoecss_prune_heuristic(g: LabeledGraph) -> Solution:
     """Inclusion-minimal 2ECSS by ascending-id pruning; at most 2n-2 edges."""
     if not is_k_edge_connected(g, 2):
         raise InputError("graph is not 2-edge-connected")
-
-    def two_ec(graph: LabeledGraph, eids: Iterable[int]) -> bool:
-        triples = [(e, graph.edge_by_id[e].u, graph.edge_by_id[e].v) for e in eids]
-        return edge_connectivity_at_least(range(graph.n), triples, 2)
-
-    kept = prune_minimal(g, set(g.edge_by_id), two_ec)
+    kept = prune_minimal(g, set(g.edge_by_id),
+                         lambda gg, s: subset_k_edge_connected(gg, s, 2))
     require(len(kept) <= max(0, 2 * g.n - 2), "minimal 2ECSS above 2n-2 edges")
     return Solution(edge_ids=kept, meta={"apx_size": len(kept), "exact": False})
 

@@ -306,15 +306,24 @@ def edge_connectivity_at_least(vertices: Sequence[int],
                                k: int) -> bool:
     """True iff the multigraph's global min edge cut has >= k edges.
 
-    Max-flow (unit capacity per edge copy) from a fixed source to every other
-    vertex, with augmentation capped at k, so each s-t test costs O(k * m).
-    A single-vertex graph counts as k-edge-connected for every k.
+    Self-loops are skipped; parallel edges count once per copy.  A
+    single-vertex graph counts as k-edge-connected for every k.  By k:
+    - k = 2: one iterative low-link DFS, O(n + m).  Edges are told apart by
+      position, not by endpoints, so a parallel copy of the tree edge is a
+      back edge.  The graph fails if some vertex is never reached or some
+      tree edge (parent, child) has low[child] > disc[parent], i.e. is a
+      bridge.
+    - otherwise: max-flow (unit capacity per edge copy) from a fixed source
+      to every other vertex, with augmentation capped at k, so each s-t test
+      costs O(k * m).
     """
     verts = sorted(set(vertices))
     if len(verts) <= 1:
         return True
     if k <= 0:
         return True
+    if k == 2:
+        return _two_edge_connected(verts, edges)
     cap: Dict[Tuple[int, int], int] = {}
     adj: Dict[int, List[int]] = {v: [] for v in verts}
     for _, u, v in edges:
@@ -332,6 +341,48 @@ def edge_connectivity_at_least(vertices: Sequence[int],
         if _max_flow_at_least(adj, dict(cap), s, t, k) < k:
             return False
     return True
+
+
+def _two_edge_connected(verts: List[int], edges: Sequence[EdgeTriple]) -> bool:
+    """Connected and bridgeless, by one DFS from verts[0]; len(verts) >= 2."""
+    adj: Dict[int, List[Tuple[int, int]]] = {v: [] for v in verts}
+    for i, (_, u, v) in enumerate(edges):
+        if u != v:
+            adj[u].append((v, i))
+            adj[v].append((u, i))
+    root = verts[0]
+    disc = {root: 0}
+    low = {root: 0}
+    # frames: (vertex, position of the tree edge into it, incidence iterator)
+    stack = [(root, -1, iter(adj[root]))]
+    while stack:
+        v, in_edge, incident = stack[-1]
+        for w, i in incident:
+            if i == in_edge:
+                continue
+            if w in disc:
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                disc[w] = low[w] = len(disc)
+                stack.append((w, i, iter(adj[w])))
+                break
+        else:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                if low[v] > disc[parent]:
+                    return False
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+    return len(disc) == len(verts)
+
+
+def subset_k_edge_connected(g: LabeledGraph, eids: Iterable[int], k: int) -> bool:
+    """True iff the spanning subgraph (V(g), eids) is k-edge-connected."""
+    by_id = g.edge_by_id
+    triples = [(e, by_id[e].u, by_id[e].v) for e in eids]
+    return edge_connectivity_at_least(range(g.n), triples, k)
 
 
 def _max_flow_at_least(adj: Dict[int, List[int]],

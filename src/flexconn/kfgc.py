@@ -11,13 +11,13 @@ is false for k >= 3 (see the safe-spanning-tree family in the harness).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional
+from typing import FrozenSet, Optional
 
 from .errors import InfeasibleInstanceError, InputError, require
 from .exact import exact_kecss
 from .feasibility import Solution, check_kfgc, prune_minimal
 from .graph import (LabeledGraph, UnionFind, contract_edges,
-                    edge_connectivity_at_least, is_k_edge_connected)
+                    is_k_edge_connected, subset_k_edge_connected)
 
 
 def max_safe_forest(g: LabeledGraph) -> FrozenSet[int]:
@@ -30,17 +30,12 @@ def max_safe_forest(g: LabeledGraph) -> FrozenSet[int]:
     return frozenset(out)
 
 
-def _subset_kec(g: LabeledGraph, eids: Iterable[int], k: int) -> bool:
-    triples = [(e, g.edge_by_id[e].u, g.edge_by_id[e].v) for e in eids]
-    return edge_connectivity_at_least(range(g.n), triples, k)
-
-
 def kecss_prune_heuristic(g: LabeledGraph, k: int) -> FrozenSet[int]:
     """Inclusion-minimal k-edge-connected spanning subgraph; at most nk edges
     (a minimal solution splits into k forests)."""
     if not is_k_edge_connected(g, k):
         raise InputError(f"graph is not {k}-edge-connected")
-    kept = prune_minimal(g, set(g.edge_by_id), lambda gg, s: _subset_kec(gg, s, k))
+    kept = prune_minimal(g, set(g.edge_by_id), lambda gg, s: subset_k_edge_connected(gg, s, k))
     require(len(kept) <= g.n * k, "minimal solution above the nk bound")
     return kept
 
@@ -87,7 +82,7 @@ def solve_kfgc(g: LabeledGraph, k: int,
     else:
         core = sub.solve(core_graph, k + 1)
         core = prune_minimal(core_graph, core,
-                             lambda gg, s: _subset_kec(gg, s, k + 1))
+                             lambda gg, s: subset_k_edge_connected(gg, s, k + 1))
     alg = frozenset(forest | core)
     require(check_kfgc(g, alg, k), "k-FGC result failed the checker")
     meta = {

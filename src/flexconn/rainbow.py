@@ -56,10 +56,6 @@ class RainbowSolution:
     alpha_large: int
     singletons: FrozenSet[int]
 
-    def components(self, vd: Iterable[int]) -> List[Set[int]]:
-        from .graph import connected_components
-        return connected_components(vd, [(p, p.a, p.b) for p in self.chosen])
-
 
 def _component_count(vd: Sequence[int], chosen: Iterable[PseudoEdge]) -> int:
     uf = UnionFind(vd)

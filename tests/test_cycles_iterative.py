@@ -1,0 +1,116 @@
+"""The iterative nice-cycle extension against the recursive one it replaced.
+
+`reference_extend_cycle` is the recursive `cycles._extend_cycle`, kept
+verbatim.  Every call the library makes while finding good cycles on random
+2-vertex-connected graphs is answered by both, and the answers must agree.
+A ring of 300 two-vertex parts needs a path through all of them, which the
+recursive version cannot build under a tight recursion limit.
+"""
+
+import random
+import sys
+
+from flexconn import cycles
+from flexconn.cycles import find_good_cycle, is_good_cycle
+from flexconn.graph import cut_vertices, is_connected
+
+from conftest import build, random_connected
+
+
+DEAD_ENDS = []   # parts at which the reference gave up, at any depth
+
+
+def reference_extend_cycle(coarse, cross, part_of, start_idx, start_exit,
+                           path_edges, visited, cur_idx, cur_entry):
+    for a in cycles._exit_choices(coarse[cur_idx], cur_entry):
+        for (c, eid, r) in cross[a]:
+            if r == start_idx:
+                big_start = len(coarse[start_idx].vertices) >= 2
+                if big_start and c == start_exit:
+                    continue
+                if not big_start and c != start_exit:
+                    continue
+                if len(path_edges) == 1 and eid == path_edges[0][0]:
+                    continue
+                edges = path_edges + [(eid, a, c)]
+                return [(e, u, v) for e, u, v in edges]
+            if r in visited:
+                continue
+            found = reference_extend_cycle(coarse, cross, part_of, start_idx, start_exit,
+                                           path_edges + [(eid, a, c)], visited | {r}, r, c)
+            if found is not None:
+                return found
+    DEAD_ENDS.append(cur_idx)
+    return None
+
+
+def _random_connected_partition(rng, g):
+    """Parts grown from random seeds, so every part is connected."""
+    seeds = rng.sample(range(g.n), rng.randint(2, max(2, g.n - 1)))
+    owner = {s: i for i, s in enumerate(seeds)}
+    frontier = list(seeds)
+    while len(owner) < g.n:
+        v = rng.choice(frontier)
+        nxt = [w for w in g.neighbors(v) if w not in owner]
+        if not nxt:
+            frontier.remove(v)
+            continue
+        w = rng.choice(nxt)
+        owner[w] = owner[v]
+        frontier.append(w)
+    parts = {}
+    for v, i in owner.items():
+        parts.setdefault(i, set()).add(v)
+    return [frozenset(p) for p in parts.values()]
+
+
+def test_same_cycle_as_recursive_reference(monkeypatch):
+    iterative = cycles._extend_cycle
+    results = []
+
+    def both(*args):
+        got = iterative(*args)
+        assert got == reference_extend_cycle(*args)
+        results.append(got is not None)
+        return got
+
+    monkeypatch.setattr(cycles, "_extend_cycle", both)
+    DEAD_ENDS.clear()
+    rng = random.Random(31)
+    found = 0
+    while found < 300:
+        g = random_connected(rng, rng.randint(8, 16), rng.uniform(0.15, 0.35))
+        if g.n < 3 or cut_vertices(g):
+            continue
+        parts = _random_connected_partition(rng, g)
+        cyc = find_good_cycle(g, set(range(g.n)), parts)
+        if cyc is not None:
+            triples = [(e, g.edge_by_id[e].u, g.edge_by_id[e].v) for e in sorted(cyc)]
+            assert is_good_cycle(parts, triples)
+            found += 1
+    # calls that fail, and calls that backtrack out of dead ends, were compared
+    assert results.count(True) >= 300 and results.count(False) >= 1
+    assert len(DEAD_ENDS) >= 100, len(DEAD_ENDS)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_ring_of_300_parts_without_deep_recursion():
+    # parts {2i, 2i+1}; edge 2i joins them, edge 2i+1 leads to the next part
+    k = 300
+    n = 2 * k
+    g = build(n, [(i, (i + 1) % n) for i in range(n)])
+    assert is_connected(range(n), [(e.eid, e.u, e.v) for e in g.edges])
+    parts = [frozenset({2 * i, 2 * i + 1}) for i in range(k)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        cyc = find_good_cycle(g, set(range(n)), parts)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cyc == {2 * i + 1 for i in range(k)}

@@ -1,0 +1,254 @@
+"""Differential tests of the k-edge-connectivity predicate and of the exact
+kECSS search.
+
+`edge_connectivity_at_least` (one low-link DFS at k = 2, max-flow
+otherwise) is compared with `networkx.edge_connectivity`.
+networkx counts a parallel edge once, so each multigraph is first blown up
+into a simple graph: every vertex becomes a clique of `BLOW` vertices, and
+the c-th copy of an edge uv joins the c-th vertices of the two cliques.  A
+cut that splits no clique crosses exactly the edges of the matching cut of
+the multigraph; a cut that splits a clique crosses at least BLOW - 1 of its
+edges.  So min(lambda(H), BLOW - 1) = min(lambda(G), BLOW - 1), which
+decides every k <= BLOW - 1.
+
+`exact_kecss` orders parallel twins; `reference_minimum_feasible` below is
+the unordered search it replaced, kept verbatim.  Both must return the same
+edge set.
+"""
+
+import math
+import random
+from collections import defaultdict
+
+import pytest
+
+from flexconn.exact import exact_kecss
+from flexconn.graph import (LabeledGraph, edge_connectivity_at_least,
+                            is_connected, is_k_edge_connected,
+                            subset_k_edge_connected)
+
+from conftest import build
+
+nx = pytest.importorskip("networkx")
+
+BLOW = 5          # decides k <= 4
+KS = (1, 2, 3, 4)
+
+
+def nx_edge_connectivity_capped(vertices, triples):
+    """min(edge connectivity, BLOW - 1) of a keyed multigraph, via networkx."""
+    h = nx.Graph()
+    for v in vertices:
+        clique = [(v, i) for i in range(BLOW)]
+        h.add_nodes_from(clique)
+        h.add_edges_from((a, b) for i, a in enumerate(clique) for b in clique[i + 1:])
+    copies = defaultdict(int)
+    for _, u, v in triples:
+        if u == v:
+            continue
+        pair = (min(u, v), max(u, v))
+        c = copies[pair]
+        copies[pair] += 1
+        assert c < BLOW, "multiplicity above the blow-up size"
+        h.add_edge((u, c), (v, c))
+    return min(nx.edge_connectivity(h), BLOW - 1)
+
+
+def random_keyed_multigraph(rng):
+    """Vertices with non-contiguous labels; int or tuple keys; parallel
+    edges up to three copies; some self-loops; sometimes disconnected."""
+    n = rng.choice((2, 3, 3, 4, 4, 5, 5, 6, 7, 8))
+    labels = rng.sample(range(3, 60), n)
+    p = rng.uniform(0.15, 1.0)
+    tuple_keys = rng.random() < 0.5
+    triples = []
+    for i, u in enumerate(labels):
+        for v in labels[i + 1:]:
+            if rng.random() < p:
+                for _ in range(rng.choice((1, 1, 2, 3))):
+                    triples.append((u, v) if rng.random() < 0.5 else (v, u))
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        w = rng.choice(labels)
+        triples.append((w, w))
+    rng.shuffle(triples)
+    keyed = [((("p", i, u, v) if tuple_keys else 1000 + 7 * i), u, v)
+             for i, (u, v) in enumerate(triples)]
+    order = list(labels)
+    rng.shuffle(order)
+    return order, keyed
+
+
+class TestEdgeConnectivityAgainstNetworkx:
+    def test_random_multigraphs(self):
+        rng = random.Random(20261018)
+        true_counts = dict.fromkeys(KS, 0)
+        parallel = disconnected = looped = tupled = 0
+        for _ in range(600):
+            vertices, triples = random_keyed_multigraph(rng)
+            lam = nx_edge_connectivity_capped(vertices, triples)
+            for k in KS:
+                got = edge_connectivity_at_least(vertices, triples, k)
+                assert got == (lam >= k), (vertices, triples, k, lam)
+                true_counts[k] += got
+            pairs = [frozenset((u, v)) for _, u, v in triples if u != v]
+            parallel += len(pairs) != len(set(pairs))
+            disconnected += lam == 0
+            looped += any(u == v for _, u, v in triples)
+            tupled += any(isinstance(key, tuple) for key, _, _ in triples)
+        # the draw exercises every answer and every special case
+        assert min(true_counts.values()) >= 40, true_counts
+        assert min(600 - c for c in true_counts.values()) >= 40, true_counts
+        assert min(parallel, disconnected, looped, tupled) >= 40
+
+    def test_simple_graphs_match_plain_networkx(self):
+        # the blow-up is exact where networkx needs no help
+        rng = random.Random(5)
+        for _ in range(60):
+            n = rng.randint(2, 7)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < 0.6]
+            triples = [(i, u, v) for i, (u, v) in enumerate(pairs)]
+            g = nx.Graph()
+            g.add_nodes_from(range(n))
+            g.add_edges_from(pairs)
+            lam = min(nx.edge_connectivity(g), BLOW - 1)
+            assert nx_edge_connectivity_capped(range(n), triples) == lam
+            for k in KS:
+                assert edge_connectivity_at_least(range(n), triples, k) == (lam >= k)
+
+
+class TestEdgeConnectivityCases:
+    def test_single_vertex_and_empty(self):
+        for k in KS:
+            assert edge_connectivity_at_least([9], [], k)
+            assert edge_connectivity_at_least([9], [("loop", 9, 9)], k)
+            assert edge_connectivity_at_least([], [], k)
+
+    def test_parallel_pair_is_two_edge_connected(self):
+        edges = [(("a",), 4, 11), (("b",), 11, 4)]
+        assert edge_connectivity_at_least([11, 4], edges, 2)
+        assert not edge_connectivity_at_least([11, 4], edges, 3)
+        assert not edge_connectivity_at_least([11, 4], edges[:1], 2)
+
+    def test_self_loops_are_skipped(self):
+        edges = [(0, 1, 2), (1, 2, 2), (2, 2, 2), (3, 1, 1)]
+        assert edge_connectivity_at_least([1, 2], edges, 1)
+        assert not edge_connectivity_at_least([1, 2], edges, 2)
+
+    def test_disconnected_bridgeless_parts_fail(self):
+        # two triangles, each 2-edge-connected, no edge between them
+        edges = [(i, u, v) for i, (u, v) in enumerate(
+            [(0, 1), (1, 2), (2, 0), (5, 6), (6, 7), (7, 5)])]
+        assert not edge_connectivity_at_least([0, 1, 2, 5, 6, 7], edges, 2)
+        assert not edge_connectivity_at_least([0, 1, 2, 5, 6, 7], edges, 1)
+
+    def test_bridge_between_cycles_fails(self):
+        edges = [(i, u, v) for i, (u, v) in enumerate(
+            [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])]
+        assert edge_connectivity_at_least(range(6), edges, 1)
+        assert not edge_connectivity_at_least(range(6), edges, 2)
+
+    def test_deep_path_and_cycle(self):
+        # iterative DFS: a 5000-vertex cycle passes, the path fails
+        n = 5000
+        path = [(i, i, i + 1) for i in range(n - 1)]
+        assert not edge_connectivity_at_least(range(n), path, 2)
+        assert edge_connectivity_at_least(range(n), path + [(n, n - 1, 0)], 2)
+
+    def test_subset_helper(self):
+        g = build(3, [(0, 1), (1, 2), (2, 0), (0, 1)])
+        assert subset_k_edge_connected(g, {0, 1, 2}, 2)
+        assert not subset_k_edge_connected(g, {0, 1, 3}, 2)
+        assert subset_k_edge_connected(g, {0, 1}, 1)
+        assert not subset_k_edge_connected(g, {0, 1, 2, 3}, 3)
+
+
+# ---------------------------------------------------------------------------
+# exact_kecss: twin-ordered search against the unordered one
+# ---------------------------------------------------------------------------
+
+def reference_minimum_feasible(g, predicate, lower_bound):
+    eids = sorted(g.edge_by_id)
+    m = len(eids)
+    if not predicate(set(eids)):
+        return None
+    lb = max(0, lower_bound)
+
+    def search(s):
+        chosen = []
+
+        def rec(idx, available):
+            if len(chosen) == s:
+                return list(chosen) if predicate(set(chosen)) else None
+            if len(chosen) + (m - idx) < s:
+                return None
+            eid = eids[idx]
+            chosen.append(eid)
+            hit = rec(idx + 1, available)
+            if hit is not None:
+                return hit
+            chosen.pop()
+            available.discard(eid)
+            if predicate(set(chosen) | available):
+                hit = rec(idx + 1, available)
+                if hit is not None:
+                    return hit
+            available.add(eid)
+            return None
+
+        return rec(0, set(eids))
+
+    for s in range(lb, m + 1):
+        hit = search(s)
+        if hit is not None:
+            return set(hit)
+    return None
+
+
+def reference_exact_kecss(g, k):
+    lb = max(g.n - 1, math.ceil(g.n * k / 2))
+
+    def predicate(s):
+        triples = [(e, g.edge_by_id[e].u, g.edge_by_id[e].v) for e in s]
+        return (is_connected(range(g.n), triples)
+                and edge_connectivity_at_least(range(g.n), triples, k))
+
+    return reference_minimum_feasible(g, predicate, lb)
+
+
+def random_multigraph(rng, n):
+    """Connected simple base graph, each edge repeated 1-3 times, the copies
+    shuffled so twins get scattered ids."""
+    while True:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 0.55]
+        if is_connected(range(n), [(i, u, v) for i, (u, v) in enumerate(pairs)]):
+            break
+    copies = [pair for pair in pairs for _ in range(rng.choice((1, 1, 2, 2, 3)))]
+    rng.shuffle(copies)
+    return build(n, copies, edge_safe=[rng.random() < 0.5 for _ in copies])
+
+
+@pytest.mark.parametrize("k, want, n_max", [(2, 200, 6), (3, 120, 5)])
+def test_exact_kecss_twin_order_matches_unordered_search(k, want, n_max):
+    rng = random.Random(7000 + k)
+    done = with_twins = 0
+    while done < want:
+        g = random_multigraph(rng, rng.randint(2, n_max))
+        if not is_k_edge_connected(g, k):
+            continue
+        sol = exact_kecss(g, k)
+        assert set(sol.edge_ids) == reference_exact_kecss(g, k)
+        assert sol.meta == {"apx_size": sol.size, "exact": True, "k_ec": k}
+        done += 1
+        with_twins += not g.is_simple
+    assert with_twins >= want // 2
+
+
+def test_exact_kecss_on_doubled_graph_keeps_lowest_twins():
+    # a doubled triangle: the optimum takes the lower id of every twin pair
+    g = build(3, [(0, 1), (1, 2), (0, 2), (0, 1), (1, 2), (0, 2)])
+    assert set(exact_kecss(g, 2).edge_ids) == {0, 1, 2}
+    assert set(exact_kecss(g, 3).edge_ids) == reference_exact_kecss(g, 3)
+    g4 = LabeledGraph.build(2, [(0, 1)] * 4)
+    assert set(exact_kecss(g4, 3).edge_ids) == {0, 1, 2}
