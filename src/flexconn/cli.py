@@ -7,20 +7,20 @@ success, 2 for infeasible instances, 1 for usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
 
 from .errors import FlexconnError, InfeasibleInstanceError, InputError
 from .exact import exact_solve
-from .feasibility import Instance, Solution
+from .feasibility import Instance, Solution, checker_for
 from .fgc import default_twoecss_solver, solve_fgc
 from .fvc import solve_fvc
 from .harness import (ExperimentConfig, check_arithmetic_lemmas,
                       gen_random_instance, gen_safe_tree_family,
                       lemma_report_text, run_ratio_experiment)
-from .io import (check_solution, parse_instance, write_error, write_instance,
-                 write_solution)
+from .io import parse_instance, write_error, write_instance, write_solution
 from .kfgc import KecssSolverHandle, solve_kfgc
 
 EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE = 0, 1, 2
@@ -126,7 +126,7 @@ def _cmd_solve(args) -> int:
         sub = (None if args.exact_cap is None
                else KecssSolverHandle(kind="exact", cap_n=args.exact_cap))
         sol = solve_kfgc(g, inst.k, sub=sub)
-    sol.meta["feasible"] = check_solution(inst, sol.edge_ids)
+    sol.meta["feasible"] = checker_for(inst)(g, sol.edge_ids)
     _emit(write_solution(sol), args.output)
     return EXIT_OK
 
@@ -155,7 +155,7 @@ def _cmd_check(args) -> int:
     for eid in edges:
         if type(eid) is not int:   # bool is an int subclass; 3.0 == 3 hashes alike
             raise InputError(f"solution edge id {json.dumps(eid)} is not an integer")
-    ok = check_solution(inst, set(edges))
+    ok = checker_for(inst)(inst.graph, set(edges))
     _emit(json.dumps({"problem": problem, "k": inst.k,
                       "size": len(set(edges)), "feasible": ok}) + "\n",
           args.output)
@@ -200,9 +200,14 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: `parse_args` keeps no state."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except InfeasibleInstanceError as exc:

@@ -3,19 +3,24 @@
 FGC: (V,F) connected and no unsafe edge of F is a bridge.
 FVC: (V,F) connected and no unsafe vertex is a cut vertex.
 k-FGC: (V,F) connected and it survives the simultaneous removal of any k
-unsafe edges; equivalently (and this is the polynomial fast path) the
-contraction of (V,F) by its safe edges is (k+1)-edge-connected.
+unsafe edges; equivalently the contraction of (V,F) by its safe edges is
+(k+1)-edge-connected.
+
+`check_fgc` and `check_fvc` run one low-link DFS over F (`graph.low_link`):
+it reaches every vertex iff (V,F) is connected, and the same pass yields the
+bridges and the cut vertices.  `check_kfgc` decides the contraction form
+only.  The literal form, removing every k-subset of the unsafe edges, is
+compared with it in `tests/test_feasibility.py` (every edge subset of small
+graphs, sampled subsets of larger ones).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, FrozenSet, Iterable, Set
 
-from .errors import InputError, require
-from .graph import (LabeledGraph, UnionFind, block_decomposition_edges,
-                    edge_connectivity_at_least, is_connected)
+from .errors import InputError
+from .graph import LabeledGraph, UnionFind, edge_connectivity_at_least, low_link
 
 PROBLEMS = ("fgc", "fvc", "kfgc")
 
@@ -47,76 +52,45 @@ class Solution:
 
 def _edge_set(g: LabeledGraph, eids: Iterable[int]) -> Set[int]:
     chosen = set(eids)
-    unknown = chosen - set(g.edge_by_id)
-    if unknown:
-        raise InputError(f"unknown edge ids {sorted(unknown)}")
+    if not g.edge_by_id.keys() >= chosen:
+        raise InputError(f"unknown edge ids {sorted(chosen - g.edge_by_id.keys())}")
     return chosen
 
 
 def check_fgc(g: LabeledGraph, eids: Iterable[int]) -> bool:
-    chosen = _edge_set(g, eids)
-    triples = [(eid, g.edge_by_id[eid].u, g.edge_by_id[eid].v) for eid in chosen]
-    if not is_connected(range(g.n), triples):
-        return False
-    bridges = _bridge_ids(g.n, triples)
-    return all(g.edge_by_id[eid].safe for eid in bridges)
-
-
-def _bridge_ids(n: int, triples) -> Set[int]:
-    # a bridge is a block consisting of a single edge
-    bl, _ = block_decomposition_edges(range(n), triples)
-    return {comp[0] for comp in bl if len(comp) == 1}
+    reached, _, bridges = low_link(range(g.n), g.edge_ends, _edge_set(g, eids))
+    return reached == g.n and all(g.edge_by_id[eid].safe for eid in bridges)
 
 
 def check_fvc(g: LabeledGraph, eids: Iterable[int]) -> bool:
-    chosen = _edge_set(g, eids)
-    triples = [(eid, g.edge_by_id[eid].u, g.edge_by_id[eid].v) for eid in chosen]
-    if not is_connected(range(g.n), triples):
-        return False
-    _, cut = block_decomposition_edges(range(g.n), triples)
-    return all(g.vertex_safe[v] for v in cut)
+    reached, cut, _ = low_link(range(g.n), g.edge_ends, _edge_set(g, eids))
+    return reached == g.n and all(g.vertex_safe[v] for v in cut)
 
 
 def check_kfgc(g: LabeledGraph, eids: Iterable[int], k: int) -> bool:
+    """Contract the chosen safe edges, then ask for (k+1)-edge-connectivity.
+
+    (k+1 >= 2)-edge-connectivity of the contraction implies that it is
+    connected, and so is (V, F): each vertex lies in one contracted class.
+    """
     if k < 1:
         raise InputError("k must be a positive integer")
     chosen = _edge_set(g, eids)
-    triples = [(eid, g.edge_by_id[eid].u, g.edge_by_id[eid].v) for eid in chosen]
-    if not is_connected(range(g.n), triples):
-        return False
-    fast = _kfgc_fast_path(g, chosen, k)
-    unsafe_chosen = [eid for eid in chosen if not g.edge_by_id[eid].safe]
-    if k <= 2 and len(unsafe_chosen) <= 12:
-        literal = _kfgc_literal(g, chosen, unsafe_chosen, k)
-        require(fast == literal,
-                "k-FGC fast path disagrees with literal enumeration")
-    return fast
-
-
-def _kfgc_fast_path(g: LabeledGraph, chosen: Set[int], k: int) -> bool:
-    """Contract chosen safe edges, then ask for (k+1)-edge-connectivity."""
+    by_id, ends = g.edge_by_id, g.edge_ends
     uf = UnionFind(range(g.n))
+    unsafe = []
     for eid in chosen:
-        e = g.edge_by_id[eid]
-        if e.safe:
-            uf.union(e.u, e.v)
-    comp = {v: uf.find(v) for v in range(g.n)}
-    verts = sorted(set(comp.values()))
+        if by_id[eid].safe:
+            uf.union(*ends[eid])
+        else:
+            unsafe.append(eid)
+    comp = [uf.find(v) for v in range(g.n)]
     contracted = []
-    for eid in chosen:
-        e = g.edge_by_id[eid]
-        if not e.safe and comp[e.u] != comp[e.v]:
-            contracted.append((eid, comp[e.u], comp[e.v]))
-    return edge_connectivity_at_least(verts, contracted, k + 1)
-
-
-def _kfgc_literal(g: LabeledGraph, chosen: Set[int], unsafe_chosen, k: int) -> bool:
-    for removed in itertools.combinations(sorted(unsafe_chosen), min(k, len(unsafe_chosen))):
-        keep = chosen - set(removed)
-        triples = [(eid, g.edge_by_id[eid].u, g.edge_by_id[eid].v) for eid in keep]
-        if not is_connected(range(g.n), triples):
-            return False
-    return True
+    for eid in unsafe:
+        u, v = ends[eid]
+        if comp[u] != comp[v]:
+            contracted.append((eid, comp[u], comp[v]))
+    return edge_connectivity_at_least(set(comp), contracted, k + 1)
 
 
 def checker_for(instance: Instance) -> Callable[[LabeledGraph, Iterable[int]], bool]:

@@ -70,6 +70,11 @@ class LabeledGraph:
         return {e.eid: e for e in self.edges}
 
     @cached_property
+    def edge_ends(self) -> Dict[int, Tuple[int, int]]:
+        """Endpoint pair (u, v) per edge id."""
+        return {e.eid: (e.u, e.v) for e in self.edges}
+
+    @cached_property
     def adj(self) -> Dict[int, List[Edge]]:
         """Incident edges per vertex, sorted by (other endpoint, eid)."""
         a: Dict[int, List[Edge]] = {v: [] for v in range(self.n)}
@@ -308,11 +313,9 @@ def edge_connectivity_at_least(vertices: Sequence[int],
 
     Self-loops are skipped; parallel edges count once per copy.  A
     single-vertex graph counts as k-edge-connected for every k.  By k:
-    - k = 2: one iterative low-link DFS, O(n + m).  Edges are told apart by
-      position, not by endpoints, so a parallel copy of the tree edge is a
-      back edge.  The graph fails if some vertex is never reached or some
-      tree edge (parent, child) has low[child] > disc[parent], i.e. is a
-      bridge.
+    - k = 2: one `low_link` DFS, O(n + m), with edges told apart by
+      position.  The graph fails if some vertex is never reached or some
+      edge is a bridge.
     - otherwise: max-flow (unit capacity per edge copy) from a fixed source
       to every other vertex, with augmentation capped at k, so each s-t test
       costs O(k * m).
@@ -323,7 +326,9 @@ def edge_connectivity_at_least(vertices: Sequence[int],
     if k <= 0:
         return True
     if k == 2:
-        return _two_edge_connected(verts, edges)
+        ends = [(u, v) for _, u, v in edges]
+        reached, _, bridges = low_link(verts, ends, range(len(ends)))
+        return reached == len(verts) and not bridges
     cap: Dict[Tuple[int, int], int] = {}
     adj: Dict[int, List[int]] = {v: [] for v in verts}
     for _, u, v in edges:
@@ -343,45 +348,72 @@ def edge_connectivity_at_least(vertices: Sequence[int],
     return True
 
 
-def _two_edge_connected(verts: List[int], edges: Sequence[EdgeTriple]) -> bool:
-    """Connected and bridgeless, by one DFS from verts[0]; len(verts) >= 2."""
-    adj: Dict[int, List[Tuple[int, int]]] = {v: [] for v in verts}
-    for i, (_, u, v) in enumerate(edges):
-        if u != v:
-            adj[u].append((v, i))
-            adj[v].append((u, i))
-    root = verts[0]
+def low_link(vertices: Iterable[int],
+             ends,
+             eids: Iterable[Hashable]) -> Tuple[int, Set[int], Set[Hashable]]:
+    """One iterative low-link DFS (Hopcroft and Tarjan, CACM 1973).
+
+    The graph has the given vertices and the edges `eids`; `ends[e]` is the
+    endpoint pair of edge e (a mapping by id, or a list by position).  The
+    DFS starts at the first vertex and returns (reached, cut, bridges): the
+    number of vertices it reached, and the cut vertices and bridge ids of
+    the component it explored.  The graph is connected iff reached equals
+    the vertex count.  Edges are told apart by id, so a parallel copy of a
+    tree edge is a back edge and neither copy is a bridge; a self-loop is
+    never a tree edge and changes nothing.
+    """
+    adj: Dict[int, List[Tuple[int, Hashable]]] = {v: [] for v in vertices}
+    for e in eids:
+        u, v = ends[e]
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    cut: Set[int] = set()
+    bridges: Set[Hashable] = set()
+    if not adj:
+        return 0, cut, bridges
+    root = next(iter(adj))
     disc = {root: 0}
-    low = {root: 0}
-    # frames: (vertex, position of the tree edge into it, incidence iterator)
-    stack = [(root, -1, iter(adj[root]))]
+    low = [0]             # by discovery number
+    root_children = 0
+    # frames: (vertex, its discovery number, tree edge into it, incidence iterator)
+    stack = [(root, 0, None, iter(adj[root]))]
     while stack:
-        v, in_edge, incident = stack[-1]
-        for w, i in incident:
-            if i == in_edge:
+        v, dv, in_edge, incident = stack[-1]
+        for w, e in incident:
+            if e == in_edge:
                 continue
-            if w in disc:
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-            else:
-                disc[w] = low[w] = len(disc)
-                stack.append((w, i, iter(adj[w])))
+            dw = disc.get(w)
+            if dw is None:
+                dw = disc[w] = len(low)
+                low.append(dw)
+                stack.append((w, dw, e, iter(adj[w])))
                 break
+            if dw < low[dv]:
+                low[dv] = dw
         else:
             stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                if low[v] > disc[parent]:
-                    return False
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-    return len(disc) == len(verts)
+            if not stack:
+                break
+            dp = stack[-1][1]
+            lv = low[dv]
+            if lv < low[dp]:
+                low[dp] = lv
+            if lv > dp:
+                bridges.add(in_edge)
+            if lv >= dp:
+                if len(stack) > 1:
+                    cut.add(stack[-1][0])
+                else:
+                    root_children += 1
+    if root_children > 1:
+        cut.add(root)
+    return len(low), cut, bridges
 
 
 def subset_k_edge_connected(g: LabeledGraph, eids: Iterable[int], k: int) -> bool:
     """True iff the spanning subgraph (V(g), eids) is k-edge-connected."""
-    by_id = g.edge_by_id
-    triples = [(e, by_id[e].u, by_id[e].v) for e in eids]
+    ends = g.edge_ends
+    triples = [(e, *ends[e]) for e in eids]
     return edge_connectivity_at_least(range(g.n), triples, k)
 
 

@@ -17,11 +17,10 @@ from typing import List, Tuple
 
 from .errors import InputError
 from .exact import exact_solve
-from .feasibility import Instance, Solution
+from .feasibility import Instance, Solution, checker_for
 from .fgc import default_twoecss_solver, solve_fgc
 from .fvc import solve_fvc
 from .graph import LabeledGraph, is_connected
-from .io import check_solution
 from .kfgc import solve_kfgc
 
 ELEVEN_SEVENTHS = Fraction(11, 7)
@@ -102,7 +101,7 @@ def _feasible_instance(cfg: ExperimentConfig, row: int) -> Tuple[Instance, int]:
         inst = gen_random_instance(n, cfg.p, cfg.edge_safe_prob,
                                    cfg.vertex_safe_prob, cfg.problem, cfg.k,
                                    seed=sub_seed)
-        if check_solution(inst, set(inst.graph.edge_by_id)):
+        if checker_for(inst)(inst.graph, set(inst.graph.edge_by_id)):
             return inst, sub_seed
     raise InputError("could not sample a feasible instance; adjust config")
 
@@ -129,7 +128,7 @@ def run_ratio_experiment(cfg: ExperimentConfig) -> str:
         t0 = time.perf_counter()
         sol = _solve(cfg, inst)
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        feasible = check_solution(inst, sol.edge_ids)
+        feasible = checker_for(inst)(inst.graph, sol.edge_ids)
         opt_txt = ratio_opt_txt = ""
         if g.n <= cfg.exact_cap:
             opt = exact_solve(inst, cap_n=cfg.exact_cap).size

@@ -18,7 +18,7 @@ import warnings
 from typing import List, Optional, Set, Tuple
 
 from .errors import InputError
-from .feasibility import Instance, Solution, check_fgc, check_fvc, check_kfgc
+from .feasibility import Instance, Solution
 from .graph import LabeledGraph
 
 
@@ -140,11 +140,3 @@ def write_solution(sol: Solution) -> str:
 
 def write_error(code: str, message: str) -> str:
     return json.dumps({"error": {"code": code, "message": message}}, indent=2) + "\n"
-
-
-def check_solution(inst: Instance, edge_ids) -> bool:
-    if inst.problem == "fgc":
-        return check_fgc(inst.graph, edge_ids)
-    if inst.problem == "fvc":
-        return check_fvc(inst.graph, edge_ids)
-    return check_kfgc(inst.graph, edge_ids, inst.k)

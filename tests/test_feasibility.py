@@ -88,6 +88,58 @@ def _literal_kfgc(g, chosen, k):
     return True
 
 
+def _random_multigraph(rng, n, m):
+    """m edges with endpoints drawn with replacement, so parallel edges and
+    disconnected graphs both occur; about half the edges are safe."""
+    pairs = [tuple(rng.sample(range(n), 2)) for _ in range(m)] if n >= 2 else []
+    return build(n, pairs, edge_safe=[rng.random() < 0.5 for _ in pairs])
+
+
+class TestKfgcLiteralForm:
+    """`check_kfgc` decides the contraction form only.  These compare it with
+    the literal definition, `_literal_kfgc`, for k = 1, 2: on every edge
+    subset of graphs with m <= 10, and on sampled subsets with up to 12
+    unsafe edges of larger graphs."""
+
+    def test_every_subset_of_small_graphs(self):
+        rng = random.Random(4242)
+        subsets = 0
+        for i in range(150):
+            n = i % 7
+            g = _random_multigraph(rng, n, rng.randint(0, 10) if n >= 2 else 0)
+            eids = sorted(g.edge_by_id)
+            assert len(eids) <= 10
+            for r in range(len(eids) + 1):
+                for combo in itertools.combinations(eids, r):
+                    chosen = set(combo)
+                    subsets += 1
+                    for k in (1, 2):
+                        assert check_kfgc(g, chosen, k) == _literal_kfgc(g, chosen, k), \
+                            (g, chosen, k)
+        assert subsets > 15000
+
+    def test_sampled_subsets_of_larger_graphs(self):
+        rng = random.Random(4343)
+        sampled = 0
+        for _ in range(40):
+            n = rng.randint(6, 10)
+            base = random_connected(rng, n, rng.uniform(0.3, 0.7),
+                                    edge_safe_prob=rng.uniform(0.2, 0.7))
+            extra = [e.pair() for e in base.edges if rng.random() < 0.2]
+            pairs = [(e.u, e.v) for e in base.edges] + extra
+            g = build(n, pairs, edge_safe=[e.safe for e in base.edges]
+                      + [rng.random() < 0.5 for _ in extra])
+            for _ in range(25):
+                chosen = {e.eid for e in g.edges if rng.random() < 0.85}
+                unsafe = sorted(e for e in chosen if not g.edge_by_id[e].safe)
+                chosen -= set(rng.sample(unsafe, max(0, len(unsafe) - 12)))
+                sampled += 1
+                for k in (1, 2):
+                    assert check_kfgc(g, chosen, k) == _literal_kfgc(g, chosen, k), \
+                        (g, chosen, k)
+        assert sampled == 1000
+
+
 class TestPruneMinimal:
     def test_fgc_c4_all_safe(self):
         g = build(4, [(0, 1), (1, 2), (2, 3), (3, 0)])

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from flexconn import cli
 from flexconn.cli import main
 from flexconn.errors import InputError
 from flexconn.feasibility import Instance, Solution
@@ -158,3 +159,46 @@ class TestCli:
         out = str(tmp_path / "lem.txt")
         assert main(["lemmas", "--samples", "500", "--seed", "1", "-o", out]) == 0
         assert "violations=0" in open(out).read()
+
+    def test_cached_parser_matches_fresh_parsers(self, tmp_path, capsys, monkeypatch):
+        """`main` reuses one parser per process; a run of calls over every
+        subcommand, with usage errors between them, must print and exit
+        exactly as the same calls each made with a newly built parser."""
+        tri = self._write(tmp_path, "tri.flex", TRIANGLE)
+        sol = self._write(tmp_path, "sol.json",
+                          json.dumps({"problem": "fgc", "k": 1, "edges": [0, 1]}))
+        calls = [
+            ["gen", "--problem", "kfgc", "--n", "6", "--p", "0.7", "--k", "2",
+             "--seed", "4"],
+            ["solve", "--problem", "kfgc", "--k", "2", "-i", tri],
+            ["solve", "--problem", "fgc", "-i", tri],
+            ["solve", "--problem", "steiner", "-i", tri],
+            ["exact", "--problem", "fvc", "-i", tri],
+            ["check", "-i", tri, "--solution", sol],
+            ["check", "-i", tri, "--solution", sol, "--problem", "fvc"],
+            ["frobnicate"],
+            ["solve", "--problem", "fgc", "-i", str(tmp_path / "missing.flex")],
+            [],
+            ["exact", "--problem", "kfgc", "-i", tri, "--cap", "2"],
+            ["lemmas", "--samples", "50", "--seed", "2"],
+            ["gen", "--family", "safe-tree", "--n", "5", "--k", "3"],
+            ["solve", "--problem", "fvc", "-i", tri],
+        ]
+
+        def run_all():
+            results = []
+            for argv in calls:
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                results.append((code, captured.out, captured.err))
+            return results
+
+        cli._parser.cache_clear()
+        cached = run_all()
+        assert cli._parser.cache_info().misses == 1
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert cached == run_all()
+        assert {code for code, _, _ in cached} == {0, 1, 2}

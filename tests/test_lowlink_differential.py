@@ -1,0 +1,149 @@
+"""Differential tests of `graph.low_link` and of the checkers built on it.
+
+The reference is networkx (test-only): `articulation_points` and `bridges` of
+the underlying simple graph, restricted to the component of the first
+vertex, which is the one the DFS explores.  On a multigraph the cut vertices
+are those of the simple graph, since a parallel copy adds no new path, and
+an edge is a bridge iff its endpoint pair has multiplicity 1 and is a bridge
+of the simple graph.  Self-loops are left out of the reference: they change
+nothing.
+
+`check_fvc` and `check_fgc` are also compared with their earlier
+definitions, a union-find connectivity test followed by a block
+decomposition, copied below.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from flexconn.errors import InputError
+from flexconn.feasibility import check_fgc, check_fvc
+from flexconn.graph import (LabeledGraph, block_decomposition_edges,
+                            is_connected, low_link)
+
+nx = pytest.importorskip("networkx")
+
+
+def _reference(vertices, ends, eids):
+    vertices = list(vertices)
+    if not vertices:
+        return 0, set(), set()
+    simple = nx.Graph()
+    simple.add_nodes_from(vertices)
+    simple.add_edges_from(ends[e] for e in eids if ends[e][0] != ends[e][1])
+    component = nx.node_connected_component(simple, vertices[0])
+    sub = simple.subgraph(component)
+    multiplicity = Counter(frozenset(ends[e]) for e in eids)
+    simple_bridges = {frozenset(b) for b in nx.bridges(sub)}
+    bridges = {e for e in eids
+               if frozenset(ends[e]) in simple_bridges
+               and multiplicity[frozenset(ends[e])] == 1}
+    return len(component), set(nx.articulation_points(sub)), bridges
+
+
+def _random_labeled(rng, n):
+    """A multigraph on 0..n-1 with ids 0..m-1: parallel edges, any density,
+    often disconnected."""
+    m = rng.randint(0, 3 * n) if n >= 2 else 0
+    pairs = [tuple(rng.sample(range(n), 2)) for _ in range(m)]
+    for _ in range(rng.randint(0, 3) if pairs else 0):
+        pairs.append(rng.choice(pairs))
+    rng.shuffle(pairs)
+    return LabeledGraph.build(n, pairs,
+                              vertex_safe=[rng.random() < 0.5 for _ in range(n)],
+                              edge_safe=[rng.random() < 0.5 for _ in pairs])
+
+
+class TestAgainstNetworkx:
+    def test_labeled_graphs_on_chosen_subsets(self):
+        """400 graphs, n 0-12; the DFS runs on a random subset of the ids,
+        so the ids it sees are not contiguous."""
+        rng = random.Random(9001)
+        seen_parallel = seen_disconnected = 0
+        for i in range(400):
+            g = _random_labeled(rng, i % 13)
+            keep = rng.uniform(0.4, 1.0)
+            chosen = {e for e in g.edge_by_id if rng.random() < keep}
+            got = low_link(range(g.n), g.edge_ends, chosen)
+            assert got == _reference(range(g.n), g.edge_ends, chosen), (g, chosen)
+            seen_parallel += not g.is_simple
+            seen_disconnected += got[0] < g.n
+        assert seen_parallel > 50 and seen_disconnected > 50
+
+    def test_general_labels_and_positional_ends(self):
+        """200 graphs as `edge_connectivity_at_least` passes them: arbitrary
+        vertex labels, endpoints listed by position, a few self-loops."""
+        rng = random.Random(9002)
+        for i in range(200):
+            n = i % 10
+            labels = rng.sample(range(100), n)
+            m = rng.randint(0, 3 * n) if n else 0
+            ends = [(rng.choice(labels), rng.choice(labels)) for _ in range(m)]
+            got = low_link(labels, ends, range(m))
+            assert got == _reference(labels, ends, range(m)), (labels, ends)
+
+    def test_long_cycle_and_path(self):
+        n = 5000
+        cycle = {i: (i, (i + 1) % n) for i in range(n)}
+        assert low_link(range(n), cycle, cycle) == (n, set(), set())
+        path = {i: (i, i + 1) for i in range(n - 1)}
+        reached, cut, bridges = low_link(range(n), path, path)
+        assert (reached, cut, bridges) == (n, set(range(1, n - 1)), set(path))
+        # the DFS starts at the first vertex given, here the middle one
+        middle = [n // 2] + [v for v in range(n) if v != n // 2]
+        assert low_link(middle, path, path) == (n, set(range(1, n - 1)), set(path))
+
+    def test_small_cases(self):
+        assert low_link([], {}, []) == (0, set(), set())
+        assert low_link([7], {}, []) == (1, set(), set())
+        assert low_link([0, 1], {}, []) == (1, set(), set())
+        assert low_link([0, 1], {5: (0, 1)}, [5]) == (2, set(), {5})
+        assert low_link([0, 1], {5: (0, 1), 8: (1, 0)}, [5, 8]) == (2, set(), set())
+        assert low_link([0, 1, 2], {0: (0, 1), 1: (1, 2)}, [0, 1]) == (3, {1}, {0, 1})
+
+
+# The checkers as they were defined before `low_link`.
+
+def _old_edge_triples(g, eids):
+    return [(eid, g.edge_by_id[eid].u, g.edge_by_id[eid].v) for eid in set(eids)]
+
+
+def _old_check_fgc(g, eids):
+    triples = _old_edge_triples(g, eids)
+    if not is_connected(range(g.n), triples):
+        return False
+    bl, _ = block_decomposition_edges(range(g.n), triples)
+    bridges = {comp[0] for comp in bl if len(comp) == 1}
+    return all(g.edge_by_id[eid].safe for eid in bridges)
+
+
+def _old_check_fvc(g, eids):
+    triples = _old_edge_triples(g, eids)
+    if not is_connected(range(g.n), triples):
+        return False
+    _, cut = block_decomposition_edges(range(g.n), triples)
+    return all(g.vertex_safe[v] for v in cut)
+
+
+class TestCheckersAgainstOldDefinitions:
+    def test_random_subsets(self):
+        rng = random.Random(9003)
+        answers = Counter()
+        for i in range(300):
+            g = _random_labeled(rng, 1 + i % 9)
+            for _ in range(8):
+                keep = rng.uniform(0.5, 1.0)
+                chosen = {e for e in g.edge_by_id if rng.random() < keep}
+                fgc, fvc = check_fgc(g, chosen), check_fvc(g, chosen)
+                assert fgc == _old_check_fgc(g, chosen), (g, chosen)
+                assert fvc == _old_check_fvc(g, chosen), (g, chosen)
+                answers[fgc, fvc] += 1
+        assert len(answers) == 4
+
+    def test_unknown_ids_rejected(self):
+        g = LabeledGraph.build(3, [(0, 1), (1, 2)])
+        for checker in (check_fgc, check_fvc):
+            with pytest.raises(InputError, match=r"unknown edge ids \[7, 9\]"):
+                checker(g, {0, 9, 7})
