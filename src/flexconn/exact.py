@@ -20,17 +20,29 @@ subsets in the same relative order, stops at the same set.  The prune
 stays sound: no twin-ordered completion of the branch uses the dropped
 twins, and the predicate is monotone.  `exact_solve` does not order twins:
 its checkers tell parallel edges apart by their safety.
+
+Degree and component bounds (both searches).  `req[v]` is a degree that
+every feasible set gives v (`_required_degrees`; k everywhere for kECSS),
+and every feasible set is connected.  A node with r edges still to pick
+and chosen set C is pruned when 2r < sum_v max(0, req[v] - deg_C(v)) or
+when (V, C) has more than r + 1 components: one more edge raises the
+degree of two vertices by one and joins at most two components, so no
+s-subset below the node is feasible.  An excluded edge is also pruned when
+one of its endpoints has fewer than req edges left in the optimistic
+graph, which no subset of that graph can then repair.  The same bounds
+give the first size tried, max(ceil(sum req / 2), n - 1).  Every pruned
+subtree holds no feasible s-subset, so the include-first order stops at
+the same first hit as the search without them, and the twin argument
+above is unchanged.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .errors import InfeasibleInstanceError, InputError
 from .feasibility import Instance, Solution, checker_for
-from .graph import (LabeledGraph, is_connected, is_k_edge_connected,
-                    subset_k_edge_connected)
+from .graph import LabeledGraph, is_k_edge_connected, subset_k_edge_connected
 
 DEFAULT_CAP_N = 10
 
@@ -38,92 +50,148 @@ DEFAULT_CAP_N = 10
 def _minimum_feasible(g: LabeledGraph,
                       predicate: Callable[[Set[int]], bool],
                       lower_bound: int,
+                      req: List[int],
                       next_twin: Optional[Dict[int, int]] = None) -> Optional[Set[int]]:
     """Smallest, then lexicographically first, edge set passing `predicate`.
 
-    `next_twin` maps an edge id to the next higher id of an edge the
-    predicate treats as interchangeable with it (see the module docstring);
-    such an edge is used only after its lower twin.
+    The caller checks that the full edge set passes.  `req[v]` is a degree
+    every feasible set gives v, and every feasible set is connected (the
+    degree and component bounds in the module docstring).  `next_twin` maps
+    an edge id to the next higher id of an edge the predicate treats as
+    interchangeable with it; such an edge is used only after its lower twin.
     """
     next_twin = next_twin or {}
+    n = g.n
     eids = sorted(g.edge_by_id)
     m = len(eids)
-    if not predicate(set(eids)):
-        return None
-    lb = max(0, lower_bound)
+    ends = g.edge_ends
+    tails = [ends[e][0] for e in eids]
+    heads = [ends[e][1] for e in eids]
+    room = [0] * n            # degree in the optimistic graph
+    for u, v in ends.values():
+        room[u] += 1
+        room[v] += 1
+    deg = [0] * n             # degree in the chosen set
+    parent = list(range(n))   # union-find over the chosen set, undone on pop
+    size = [1] * n
+
+    def root(x: int) -> int:
+        p = parent[x]
+        while p != x:
+            x = p
+            p = parent[x]
+        return x
 
     def search(s: int) -> Optional[List[int]]:
         chosen: List[int] = []
+        available = set(eids)
 
-        def rec(idx: int, available: Set[int]) -> Optional[List[int]]:
-            if len(chosen) == s:
+        def rec(idx: int, deficit: int, comps: int) -> Optional[List[int]]:
+            picked = len(chosen)
+            if picked == s:
                 return list(chosen) if predicate(set(chosen)) else None
-            if len(chosen) + (m - idx) < s:
+            if picked + (m - idx) < s:
                 return None
             eid = eids[idx]
             if eid not in available:
                 # a lower twin was excluded, and with it this edge
-                return rec(idx + 1, available)
-            # include first: lexicographically smallest solution wins
-            chosen.append(eid)
-            hit = rec(idx + 1, available)
-            if hit is not None:
-                return hit
-            chosen.pop()
+                return rec(idx + 1, deficit, comps)
+            u, v = tails[idx], heads[idx]
+            du, dv = deg[u], deg[v]
+            left = s - picked - 1
+            # include first: lexicographically smallest solution wins.  The
+            # bounds skip the subtree when the edges left cannot make up
+            # the degree deficit or join the components.
+            d = deficit - (du < req[u]) - (dv < req[v])
+            if 2 * left >= d:
+                ru, rv = root(u), root(v)
+                merge = ru != rv
+                c = comps - merge
+                if c - 1 <= left:
+                    chosen.append(eid)
+                    deg[u], deg[v] = du + 1, dv + 1
+                    if merge:
+                        if size[ru] < size[rv]:
+                            ru, rv = rv, ru
+                        parent[rv] = ru
+                        size[ru] += size[rv]
+                    hit = rec(idx + 1, d, c)
+                    if hit is not None:
+                        return hit
+                    if merge:
+                        parent[rv] = rv
+                        size[ru] -= size[rv]
+                    deg[u], deg[v] = du, dv
+                    chosen.pop()
             dropped = [eid]
             twin = next_twin.get(eid)
             while twin is not None:
                 dropped.append(twin)
                 twin = next_twin.get(twin)
             available.difference_update(dropped)
-            # optimistic graph shrank; prune if it can no longer be feasible
-            if predicate(set(chosen) | available):
-                hit = rec(idx + 1, available)
+            room[u] -= len(dropped)
+            room[v] -= len(dropped)
+            # the optimistic graph (available, a superset of chosen) shrank;
+            # prune if its degrees or the predicate rule it out
+            if room[u] >= req[u] and room[v] >= req[v] and predicate(available):
+                hit = rec(idx + 1, deficit, comps)
                 if hit is not None:
                     return hit
+            room[u] += len(dropped)
+            room[v] += len(dropped)
             available.update(dropped)
             return None
 
-        return rec(0, set(eids))
+        return rec(0, sum(req), n)
 
-    for s in range(lb, m + 1):
+    start = max(lower_bound, (sum(req) + 1) // 2, n - 1)
+    for s in range(start, m + 1):
         hit = search(s)
         if hit is not None:
             return set(hit)
     return None
 
 
-def _degree_lower_bound(g: LabeledGraph, required: Callable[[int], int]) -> int:
-    if g.n == 0:
-        return 0
-    return math.ceil(sum(required(v) for v in range(g.n)) / 2)
+def _required_degrees(inst: Instance) -> List[int]:
+    """Per vertex, a degree that every feasible edge set F gives it.
+
+    With n >= 2, F is connected, so every degree is at least 1.  Higher,
+    computed in one pass over the edges:
+    - FVC, n >= 3: 2 if v has no safe neighbour, since v's one neighbour
+      in F would be a cut vertex;
+    - FGC: 2 if v has no safe edge, since v's one edge in F would be a
+      bridge;
+    - k-FGC: k + 1 if v has no safe edge, since removing v's at most k
+      edges in F would cut v off.
+    """
+    g = inst.graph
+    n = g.n
+    if n <= 1:
+        return [0] * n
+    if inst.problem == "fvc" and n == 2:
+        return [1, 1]
+    covered = [False] * n
+    if inst.problem == "fvc":
+        safe = g.vertex_safe
+        for e in g.edges:
+            if safe[e.v]:
+                covered[e.u] = True
+            if safe[e.u]:
+                covered[e.v] = True
+    else:
+        for e in g.edges:
+            if e.safe:
+                covered[e.u] = covered[e.v] = True
+    high = inst.k + 1 if inst.problem == "kfgc" else 2
+    return [1 if c else high for c in covered]
 
 
 def _fvc_lower_bound(g: LabeledGraph) -> int:
+    """n - 1 when a spanning tree is feasible, else n (for n >= 3)."""
     from .fvc import solve_tree_case  # cycle-free: fvc imports exact lazily
-    if g.n <= 1:
-        return 0
-    if solve_tree_case(g) is not None:
+    if g.n <= 2 or solve_tree_case(g) is not None:
         return g.n - 1
-    if g.n == 2:
-        return 1
-
-    def req(v: int) -> int:
-        # a degree-1 vertex hangs off a cut vertex, which must then be safe
-        has_safe_nbr = any(g.vertex_safe[w] for w in g.neighbor_sets[v])
-        return 1 if has_safe_nbr else 2
-
-    return max(g.n, _degree_lower_bound(g, req))
-
-
-def _fgc_lower_bound(g: LabeledGraph) -> int:
-    if g.n <= 1:
-        return 0
-
-    def req(v: int) -> int:
-        return 1 if any(e.safe for e in g.adj[v]) else 2
-
-    return max(g.n - 1, _degree_lower_bound(g, req))
+    return g.n
 
 
 def _kfgc_lower_bound(g: LabeledGraph, k: int) -> int:
@@ -144,10 +212,10 @@ def exact_solve(inst: Instance, cap_n: int = DEFAULT_CAP_N) -> Solution:
     if inst.problem == "fvc":
         lb = _fvc_lower_bound(g)
     elif inst.problem == "fgc":
-        lb = _fgc_lower_bound(g)
+        lb = 0   # the search's own degree and component bounds
     else:
         lb = _kfgc_lower_bound(g, inst.k)
-    best = _minimum_feasible(g, lambda s: checker(g, s), lb)
+    best = _minimum_feasible(g, lambda s: checker(g, s), lb, _required_degrees(inst))
     if best is None:
         raise InfeasibleInstanceError("instance is infeasible")
     return Solution(edge_ids=frozenset(best),
@@ -167,7 +235,6 @@ def exact_kecss(g: LabeledGraph, k: int, cap_n: int = DEFAULT_CAP_N) -> Solution
         raise InputError(f"exact_kecss: graph is not {k}-edge-connected")
     if g.n <= 1:
         return Solution(edge_ids=frozenset(), meta={"apx_size": 0, "exact": True, "k_ec": k})
-    lb = max(g.n - 1, math.ceil(g.n * k / 2))
     next_twin: Dict[int, int] = {}
     last: Dict[Tuple[int, int], int] = {}
     for eid in sorted(g.edge_by_id):
@@ -175,11 +242,10 @@ def exact_kecss(g: LabeledGraph, k: int, cap_n: int = DEFAULT_CAP_N) -> Solution
         if pair in last:
             next_twin[last[pair]] = eid
         last[pair] = eid
-    best = _minimum_feasible(
-        g,
-        lambda s: is_connected(range(g.n), [(e, g.edge_by_id[e].u, g.edge_by_id[e].v) for e in s])
-        and subset_k_edge_connected(g, s, k),
-        lb, next_twin)
+    # k >= 1, so k-edge-connectivity includes connectivity; the lower bound
+    # max(n - 1, ceil(nk / 2)) is the search's own, from degree k everywhere
+    best = _minimum_feasible(g, lambda s: subset_k_edge_connected(g, s, k),
+                             0, [k] * g.n, next_twin)
     if best is None:
         raise InputError("exact_kecss: unexpectedly found no solution")
     return Solution(edge_ids=frozenset(best),

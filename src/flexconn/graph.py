@@ -451,6 +451,31 @@ def _triples(g: LabeledGraph) -> List[EdgeTriple]:
     return [(e.eid, e.u, e.v) for e in g.edges]
 
 
+def _contract_classes(g: LabeledGraph, cls: Sequence[Hashable]) -> ContractionResult:
+    """Merge the vertices with equal class `cls[v]`; loops are dropped.
+
+    Merged vertices are numbered by first appearance over 0..n-1, that is
+    by their smallest member.  A merged vertex is safe iff all its members
+    are.  Cross-edge multiplicity and edge ids are preserved.
+    """
+    index: Dict[Hashable, int] = {}
+    vertex_map = {v: index.setdefault(cls[v], len(index)) for v in range(g.n)}
+    vsafe = [True] * len(index)
+    for v in range(g.n):
+        if not g.vertex_safe[v]:
+            vsafe[vertex_map[v]] = False
+    new_edges = []
+    edge_map: Dict[int, int] = {}
+    for e in g.edges:
+        nu, nv = vertex_map[e.u], vertex_map[e.v]
+        if nu == nv:
+            continue
+        new_edges.append(Edge(e.eid, nu, nv, e.safe))
+        edge_map[e.eid] = e.eid
+    graph = LabeledGraph(len(index), tuple(vsafe), tuple(new_edges))
+    return ContractionResult(graph=graph, vertex_map=vertex_map, edge_map=edge_map)
+
+
 def contract_vertices(g: LabeledGraph, group: Iterable[int]) -> ContractionResult:
     """Contract the vertex set `group` into one vertex; loops are dropped.
 
@@ -464,22 +489,7 @@ def contract_vertices(g: LabeledGraph, group: Iterable[int]) -> ContractionResul
     if any(not (0 <= v < g.n) for v in members):
         raise InputError("contract_vertices: vertex out of range")
     anchor = min(members)
-    kept = [v for v in range(g.n) if v not in members or v == anchor]
-    vmap_kept = {v: i for i, v in enumerate(kept)}
-    vertex_map = {v: vmap_kept[anchor] if v in members else vmap_kept[v]
-                  for v in range(g.n)}
-    merged_safe = all(g.vertex_safe[v] for v in members)
-    vsafe = tuple(merged_safe if v == anchor else g.vertex_safe[v] for v in kept)
-    new_edges = []
-    edge_map: Dict[int, int] = {}
-    for e in g.edges:
-        nu, nv = vertex_map[e.u], vertex_map[e.v]
-        if nu == nv:
-            continue
-        new_edges.append(Edge(e.eid, nu, nv, e.safe))
-        edge_map[e.eid] = e.eid
-    graph = LabeledGraph(len(kept), vsafe, tuple(new_edges))
-    return ContractionResult(graph=graph, vertex_map=vertex_map, edge_map=edge_map)
+    return _contract_classes(g, [anchor if v in members else v for v in range(g.n)])
 
 
 def contract_edges(g: LabeledGraph, eids: Iterable[int]) -> ContractionResult:
@@ -489,29 +499,10 @@ def contract_edges(g: LabeledGraph, eids: Iterable[int]) -> ContractionResult:
     if unknown:
         raise InputError(f"contract_edges: unknown edge ids {sorted(unknown)}")
     uf = UnionFind(range(g.n))
+    ends = g.edge_ends
     for eid in chosen:
-        e = g.edge_by_id[eid]
-        uf.union(e.u, e.v)
-    roots = sorted({uf.find(v) for v in range(g.n)}, key=lambda r: min(
-        v for v in range(g.n) if uf.find(v) == r))
-    comp_index = {}
-    for i, r in enumerate(roots):
-        comp_index[r] = i
-    vertex_map = {v: comp_index[uf.find(v)] for v in range(g.n)}
-    members: Dict[int, List[int]] = {}
-    for v in range(g.n):
-        members.setdefault(vertex_map[v], []).append(v)
-    vsafe = tuple(all(g.vertex_safe[v] for v in members[i]) for i in range(len(roots)))
-    new_edges = []
-    edge_map: Dict[int, int] = {}
-    for e in g.edges:
-        nu, nv = vertex_map[e.u], vertex_map[e.v]
-        if nu == nv:
-            continue
-        new_edges.append(Edge(e.eid, nu, nv, e.safe))
-        edge_map[e.eid] = e.eid
-    graph = LabeledGraph(len(roots), vsafe, tuple(new_edges))
-    return ContractionResult(graph=graph, vertex_map=vertex_map, edge_map=edge_map)
+        uf.union(*ends[eid])
+    return _contract_classes(g, [uf.find(v) for v in range(g.n)])
 
 
 def blocks(g: LabeledGraph) -> BlockDecomposition:

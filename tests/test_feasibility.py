@@ -57,8 +57,8 @@ class TestCheckKfgc:
             assert check_kfgc(g, {0, 1, 2}, k)
 
     def test_fast_path_equals_literal(self):
-        # the checker cross-checks internally (k <= 2, few unsafe edges);
-        # here we recompute the literal form outside as well
+        # the checker decides the contraction form only; compare it with
+        # the literal form (remove every k-subset of the unsafe edges)
         rng = random.Random(5)
         for _ in range(40):
             g = random_connected(rng, rng.randint(2, 7), 0.6, edge_safe_prob=0.5)

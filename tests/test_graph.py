@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flexconn.errors import InputError
-from flexconn.graph import (LabeledGraph, blocks, contract_edges,
-                            contract_vertices, cut_vertices,
-                            find_block_reducing_edge, is_k_edge_connected)
+from flexconn.graph import (ContractionResult, Edge, LabeledGraph, UnionFind,
+                            blocks, contract_edges, contract_vertices,
+                            cut_vertices, find_block_reducing_edge,
+                            is_k_edge_connected)
 
 from conftest import (brute_force_blocks, brute_force_k_edge_connected, build,
                       random_connected)
@@ -73,6 +74,69 @@ class TestContraction:
             for eid in res.edge_map:
                 e = g.edge_by_id[eid]
                 assert res.vertex_map[e.u] != res.vertex_map[e.v]
+
+
+    def test_matches_previous_relabelling(self):
+        # both contractions now share one first-seen relabel pass; compare
+        # them with the separate routines they replaced, kept below
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < 0.5 for _ in range(rng.choice((1, 1, 2)))]
+            rng.shuffle(pairs)
+            g = build(n, pairs, vertex_safe=[rng.random() < 0.6 for _ in range(n)],
+                      edge_safe=[rng.random() < 0.5 for _ in pairs])
+            chosen = {eid for eid in g.edge_by_id if rng.random() < 0.4}
+            assert _same(contract_edges(g, chosen), _old_contract_edges(g, chosen))
+            group = set(rng.sample(range(n), rng.randint(1, n)))
+            assert _same(contract_vertices(g, group), _old_contract_vertices(g, group))
+
+
+def _same(a, b):
+    return ((a.graph.n, a.graph.vertex_safe, a.graph.edges, a.vertex_map, a.edge_map)
+            == (b.graph.n, b.graph.vertex_safe, b.graph.edges, b.vertex_map, b.edge_map))
+
+
+def _old_contract_vertices(g, group):
+    members = set(group)
+    anchor = min(members)
+    kept = [v for v in range(g.n) if v not in members or v == anchor]
+    vmap_kept = {v: i for i, v in enumerate(kept)}
+    vertex_map = {v: vmap_kept[anchor] if v in members else vmap_kept[v]
+                  for v in range(g.n)}
+    merged_safe = all(g.vertex_safe[v] for v in members)
+    vsafe = tuple(merged_safe if v == anchor else g.vertex_safe[v] for v in kept)
+    return _old_relabelled(g, len(kept), vsafe, vertex_map)
+
+
+def _old_contract_edges(g, eids):
+    uf = UnionFind(range(g.n))
+    for eid in eids:
+        e = g.edge_by_id[eid]
+        uf.union(e.u, e.v)
+    roots = sorted({uf.find(v) for v in range(g.n)}, key=lambda r: min(
+        v for v in range(g.n) if uf.find(v) == r))
+    comp_index = {r: i for i, r in enumerate(roots)}
+    vertex_map = {v: comp_index[uf.find(v)] for v in range(g.n)}
+    members = {}
+    for v in range(g.n):
+        members.setdefault(vertex_map[v], []).append(v)
+    vsafe = tuple(all(g.vertex_safe[v] for v in members[i]) for i in range(len(roots)))
+    return _old_relabelled(g, len(roots), vsafe, vertex_map)
+
+
+def _old_relabelled(g, n, vsafe, vertex_map):
+    new_edges = []
+    edge_map = {}
+    for e in g.edges:
+        nu, nv = vertex_map[e.u], vertex_map[e.v]
+        if nu == nv:
+            continue
+        new_edges.append(Edge(e.eid, nu, nv, e.safe))
+        edge_map[e.eid] = e.eid
+    return ContractionResult(graph=LabeledGraph(n, vsafe, tuple(new_edges)),
+                             vertex_map=vertex_map, edge_map=edge_map)
 
 
 class TestBlocks:

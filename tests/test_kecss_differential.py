@@ -13,7 +13,8 @@ decides every k <= BLOW - 1.
 
 `exact_kecss` orders parallel twins; `reference_minimum_feasible` below is
 the unordered search it replaced, kept verbatim.  Both must return the same
-edge set.
+edge set.  The same reference, which prunes only by the predicate, checks
+the degree and component bounds of `exact_solve` on FVC, FGC and k-FGC.
 """
 
 import math
@@ -22,7 +23,9 @@ from collections import defaultdict
 
 import pytest
 
-from flexconn.exact import exact_kecss
+from flexconn.errors import InfeasibleInstanceError
+from flexconn.exact import _fvc_lower_bound, _kfgc_lower_bound, exact_kecss, exact_solve
+from flexconn.feasibility import Instance, checker_for
 from flexconn.graph import (LabeledGraph, edge_connectivity_at_least,
                             is_connected, is_k_edge_connected,
                             subset_k_edge_connected)
@@ -252,3 +255,65 @@ def test_exact_kecss_on_doubled_graph_keeps_lowest_twins():
     assert set(exact_kecss(g, 3).edge_ids) == reference_exact_kecss(g, 3)
     g4 = LabeledGraph.build(2, [(0, 1)] * 4)
     assert set(exact_kecss(g4, 3).edge_ids) == {0, 1, 2}
+
+
+# ---------------------------------------------------------------------------
+# exact_solve: degree- and component-bounded search against the reference
+# ---------------------------------------------------------------------------
+
+def reference_exact_solve(inst):
+    """The reference search with exact_solve's checker and its lower bounds,
+    which do not depend on the required degrees."""
+    g = inst.graph
+    if inst.problem == "fvc":
+        lb = _fvc_lower_bound(g)
+    elif inst.problem == "fgc":
+        lb = g.n - 1
+    else:
+        lb = _kfgc_lower_bound(g, inst.k)
+    checker = checker_for(inst)
+    return reference_minimum_feasible(g, lambda s: checker(g, s), lb)
+
+
+def random_instance(rng, problem, k):
+    """(instance, family): a tree, all-unsafe, or G(n, p) instance, n 1-8;
+    FGC and k-FGC graphs with n <= 6 get some parallel edges (the reference
+    search takes seconds on the n = 8 ones)."""
+    n = rng.choice((1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 8))
+    family = rng.choice(("tree", "unsafe", "gnp", "gnp"))
+    if family == "tree":
+        pairs = [(rng.randrange(v), v) for v in range(1, n)]
+    else:
+        p = rng.uniform(0.4, 0.9) if problem == "kfgc" else rng.uniform(0.35, 0.7)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    if problem != "fvc" and n <= 6 and (n == 2 or rng.random() < 0.3):
+        pairs += [pair for pair in pairs if rng.random() < 0.4]
+    rng.shuffle(pairs)
+    safe_prob = 0.0 if family == "unsafe" else rng.uniform(0.2, 0.8)
+    g = build(n, pairs,
+              vertex_safe=[problem != "fvc" or rng.random() < safe_prob for _ in range(n)],
+              edge_safe=[problem == "fvc" or rng.random() < safe_prob for _ in pairs])
+    return Instance(graph=g, problem=problem, k=k), family
+
+
+@pytest.mark.parametrize("problem, k, want", [
+    ("fvc", 1, 200), ("fgc", 1, 200),
+    ("kfgc", 1, 70), ("kfgc", 2, 70), ("kfgc", 3, 70)])
+def test_exact_solve_bounds_match_unbounded_search(problem, k, want):
+    rng = random.Random(f"bounds:{problem}:{k}")
+    seen = defaultdict(int)
+    while seen["feasible"] < want:
+        inst, family = random_instance(rng, problem, k)
+        expected = reference_exact_solve(inst)
+        if expected is None:
+            with pytest.raises(InfeasibleInstanceError):
+                exact_solve(inst)
+            seen["infeasible"] += 1
+            continue
+        assert set(exact_solve(inst).edge_ids) == expected, (inst, family)
+        seen["feasible"] += 1
+        seen[family] += 1
+        seen[f"n={min(inst.graph.n, 3)}"] += 1
+    # every family and the n = 1, n = 2 corner cases are covered
+    assert min(seen[f] for f in ("tree", "unsafe", "gnp")) >= want // 10, dict(seen)
+    assert min(seen["n=1"], seen["n=2"]) >= want // 20, dict(seen)

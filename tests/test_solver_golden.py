@@ -138,6 +138,24 @@ def test_exact_outputs_match_golden_digests():
     assert not mismatched, f"golden digests differ for instances {mismatched}"
 
 
+# n = 9, m = 26, 15 safe edges: the 35th feasible draw of the FGC small slice
+# of `_draw_corpus` when that slice drew n from 3-9.  The exact 2ECSS on its
+# doubled graph (41 edges) finishes in milliseconds only with the search's
+# degree and component bounds; without them it takes about 11 s.
+FGC_N9_EDGES = [
+    (0, 1, 1), (0, 4, 1), (0, 6, 1), (0, 7, 1), (0, 8, 0), (1, 2, 1), (1, 4, 0),
+    (1, 5, 1), (1, 6, 1), (1, 8, 0), (2, 3, 1), (2, 4, 1), (2, 5, 0), (2, 6, 1),
+    (2, 7, 1), (2, 8, 0), (3, 4, 0), (3, 5, 0), (3, 6, 1), (3, 7, 0), (3, 8, 0),
+    (4, 6, 1), (4, 8, 1), (5, 7, 0), (5, 8, 1), (6, 7, 0)]
+FGC_N9_SHA256 = "71de00c87c13f28339759350c358efb8bbfa12a59143189335079da717ba3471"
+
+
+def test_fgc_n9_doubling_instance():
+    g = build(9, [(u, v) for u, v, _ in FGC_N9_EDGES],
+              edge_safe=[bool(s) for _, _, s in FGC_N9_EDGES])
+    assert _digest("solve", Instance(graph=g, problem="fgc")) == FGC_N9_SHA256
+
+
 if __name__ == "__main__":
     instances = _draw_corpus()
     with open(GOLDEN, "w") as fh:
