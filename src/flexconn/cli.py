@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from typing import Optional
 
 from .errors import FlexconnError, InfeasibleInstanceError, InputError
@@ -111,7 +112,14 @@ def _read(path: str) -> str:
 
 
 def _load_instance(args, problem: str, k) -> Instance:
-    return parse_instance(_read(args.input), problem=problem, k=k)
+    """Parse the input file; its warnings go to stderr on every call, not
+    once per call site as the default warning filter would show them."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        inst = parse_instance(_read(args.input), problem=problem, k=k)
+    for w in caught:
+        sys.stderr.write(f"flexconn: warning: {w.message}\n")
+    return inst
 
 
 def _cmd_solve(args) -> int:
@@ -144,6 +152,8 @@ def _cmd_exact(args) -> int:
 
 def _cmd_check(args) -> int:
     payload = json.loads(_read(args.solution))
+    if not isinstance(payload, dict):
+        raise InputError("solution file must hold a JSON object")
     problem = args.problem or payload.get("problem")
     if problem not in ("fgc", "fvc", "kfgc"):
         raise InputError(f"cannot determine problem (got {problem!r})")

@@ -29,20 +29,39 @@ when (V, C) has more than r + 1 components: one more edge raises the
 degree of two vertices by one and joins at most two components, so no
 s-subset below the node is feasible.  An excluded edge is also pruned when
 one of its endpoints has fewer than req edges left in the optimistic
-graph, which no subset of that graph can then repair.  The same bounds
-give the first size tried, max(ceil(sum req / 2), n - 1).  Every pruned
+graph, which no subset of that graph can then repair.  The degree bound
+also makes the first size tried at least ceil(sum req / 2).  Every pruned
 subtree holds no feasible s-subset, so the include-first order stops at
 the same first hit as the search without them, and the twin argument
 above is unchanged.
+
+Spanning-tree level (`exact_solve` only).  Every feasible set is
+connected, so none has fewer than n - 1 edges, and the feasible
+(n-1)-sets are the spanning trees that the problem allows:
+- FGC and k-FGC: every edge of a tree is a bridge, and removing an unsafe
+  one disconnects the tree, so the feasible trees are the spanning trees
+  of the safe edges, the bases of their graphic matroid;
+- FVC with n >= 3: the cut vertices of a tree are its non-leaves, so every
+  unsafe vertex is a leaf, hung on a safe vertex.  The feasible trees are
+  a spanning tree of the safe vertices plus one edge from each unsafe
+  vertex to a safe one: the bases of the direct sum of the graphic matroid
+  of the safe-safe edges and the partition matroid that takes at most one
+  edge per unsafe vertex.  With n <= 2 every spanning tree is feasible.
+Kruskal's greedy in ascending id returns a basis whose i-th smallest id is
+at most the i-th smallest id of every other basis (Edmonds, "Matroids and
+the greedy algorithm", 1971).  That basis is the lexicographically first
+(n-1)-set, which is where the include-first search stops at that size.  If
+the greedy set has fewer than n - 1 edges, the matroid's rank is below
+n - 1, no (n-1)-set is feasible, and the search starts at size n.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .errors import InfeasibleInstanceError, InputError
 from .feasibility import Instance, Solution, checker_for
-from .graph import LabeledGraph, is_k_edge_connected, subset_k_edge_connected
+from .graph import LabeledGraph, UnionFind, is_k_edge_connected, subset_k_edge_connected
 
 DEFAULT_CAP_N = 10
 
@@ -186,36 +205,48 @@ def _required_degrees(inst: Instance) -> List[int]:
     return [1 if c else high for c in covered]
 
 
-def _fvc_lower_bound(g: LabeledGraph) -> int:
-    """n - 1 when a spanning tree is feasible, else n (for n >= 3)."""
-    from .fvc import solve_tree_case  # cycle-free: fvc imports exact lazily
-    if g.n <= 2 or solve_tree_case(g) is not None:
-        return g.n - 1
-    return g.n
-
-
-def _kfgc_lower_bound(g: LabeledGraph, k: int) -> int:
-    from .kfgc import _kfgc_lower_bound as bound, max_safe_forest
-    forest = max_safe_forest(g)
-    # contracting a spanning forest leaves one vertex per tree
-    return bound(g.n, len(forest), g.n - len(forest), k)
+def _fvc_tree(g: LabeledGraph) -> FrozenSet[int]:
+    """Kruskal's greedy, ascending id, in the FVC tree matroid (module
+    docstring): safe-safe edges that join two trees, and the first edge
+    from each unsafe vertex to a safe one.  n - 1 edges iff some spanning
+    tree is feasible."""
+    safe = g.vertex_safe if g.n >= 3 else (True,) * g.n
+    uf = UnionFind(range(g.n))
+    hung = [False] * g.n
+    tree = set()
+    for eid in sorted(g.edge_by_id):
+        u, v = g.edge_ends[eid]
+        if safe[u] and safe[v]:
+            if uf.union(u, v):
+                tree.add(eid)
+        elif safe[u] or safe[v]:
+            leaf = v if safe[u] else u
+            if not hung[leaf]:
+                hung[leaf] = True
+                tree.add(eid)
+    return frozenset(tree)
 
 
 def exact_solve(inst: Instance, cap_n: int = DEFAULT_CAP_N) -> Solution:
-    """Minimum-cardinality feasible edge set, or an error if none exists."""
+    """Minimum-cardinality, then lexicographically first, feasible edge set,
+    or an error if none exists.  A spanning-tree optimum comes from one
+    greedy pass (module docstring); otherwise the search starts at n."""
+    from .kfgc import _kfgc_lower_bound, max_safe_forest  # kfgc imports exact
     g = inst.graph
     if g.n > cap_n:
         raise InputError(f"exact_solve: n={g.n} exceeds cap {cap_n}")
     checker = checker_for(inst)
     if not checker(g, set(g.edge_by_id)):
         raise InfeasibleInstanceError("instance is infeasible even with all edges")
-    if inst.problem == "fvc":
-        lb = _fvc_lower_bound(g)
-    elif inst.problem == "fgc":
-        lb = 0   # the search's own degree and component bounds
+    tree = _fvc_tree(g) if inst.problem == "fvc" else max_safe_forest(g)
+    if len(tree) == g.n - 1:
+        best: Optional[Set[int]] = set(tree)
     else:
-        lb = _kfgc_lower_bound(g, inst.k)
-    best = _minimum_feasible(g, lambda s: checker(g, s), lb, _required_degrees(inst))
+        lb = g.n
+        if inst.problem == "kfgc":
+            # contracting a spanning forest leaves one vertex per tree
+            lb = max(lb, _kfgc_lower_bound(g.n, len(tree), g.n - len(tree), inst.k))
+        best = _minimum_feasible(g, lambda s: checker(g, s), lb, _required_degrees(inst))
     if best is None:
         raise InfeasibleInstanceError("instance is infeasible")
     return Solution(edge_ids=frozenset(best),

@@ -34,8 +34,8 @@ class Instance:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise InputError(f"unknown problem {self.problem!r}")
-        if self.k < 1:
-            raise InputError("k must be a positive integer")
+        if type(self.k) is not int or self.k < 1:   # bool is an int subclass
+            raise InputError(f"k must be a positive integer (got {self.k!r})")
         if self.problem == "fvc" and not self.graph.is_simple:
             raise InputError("FVC instances must be simple graphs")
 

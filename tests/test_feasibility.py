@@ -178,3 +178,8 @@ class TestInstance:
     def test_unknown_problem(self, c4):
         with pytest.raises(InputError):
             Instance(graph=c4, problem="steiner")
+
+    @pytest.mark.parametrize("k", [0, -1, True, 2.0, 2.5, "2", None])
+    def test_k_must_be_a_positive_int(self, c4, k):
+        with pytest.raises(InputError, match="k must be a positive integer"):
+            Instance(graph=c4, problem="kfgc", k=k)

@@ -130,6 +130,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"solution edge id {shown} is not an integer" in err
 
+    @pytest.mark.parametrize("payload, shown", [
+        ([0, 1], "must hold a JSON object"),
+        ({"problem": "fgc", "k": "2", "edges": [0, 1]}, "got '2'"),
+        ({"problem": "fgc", "k": True, "edges": [0, 1]}, "got True"),
+        ({"problem": "kfgc", "k": 2.5, "edges": [0, 1]}, "got 2.5"),
+        ({"problem": "kfgc", "k": 0, "edges": [0, 1]}, "got 0"),
+    ])
+    def test_check_rejects_bad_payload_and_k(self, tmp_path, capsys, payload, shown):
+        inst = self._write(tmp_path, "tri.flex", TRIANGLE)
+        sol = self._write(tmp_path, "sol.json", json.dumps(payload))
+        assert main(["check", "-i", inst, "--solution", sol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert shown in captured.err
+
+    def test_ignored_flag_notice_on_every_call(self, tmp_path, capsys):
+        inst = self._write(tmp_path, "tri.flex", TRIANGLE)
+        for _ in range(2):
+            assert main(["solve", "--problem", "fgc", "-i", inst]) == 0
+            err = capsys.readouterr().err
+            assert err == "flexconn: warning: vertex safety flags are ignored for FGC\n"
+
     def test_gen_solve_pipeline(self, tmp_path):
         inst = str(tmp_path / "gen.flex")
         assert main(["gen", "--problem", "fvc", "--n", "6", "--p", "0.8",

@@ -14,7 +14,8 @@ decides every k <= BLOW - 1.
 `exact_kecss` orders parallel twins; `reference_minimum_feasible` below is
 the unordered search it replaced, kept verbatim.  Both must return the same
 edge set.  The same reference, which prunes only by the predicate, checks
-the degree and component bounds of `exact_solve` on FVC, FGC and k-FGC.
+the degree and component bounds of `exact_solve` on FVC, FGC and k-FGC, and
+its greedy spanning-tree level: the reference enumerates that level too.
 """
 
 import math
@@ -24,11 +25,13 @@ from collections import defaultdict
 import pytest
 
 from flexconn.errors import InfeasibleInstanceError
-from flexconn.exact import _fvc_lower_bound, _kfgc_lower_bound, exact_kecss, exact_solve
+from flexconn.exact import exact_kecss, exact_solve
 from flexconn.feasibility import Instance, checker_for
+from flexconn.fvc import solve_tree_case
 from flexconn.graph import (LabeledGraph, edge_connectivity_at_least,
                             is_connected, is_k_edge_connected,
                             subset_k_edge_connected)
+from flexconn.kfgc import _kfgc_lower_bound, max_safe_forest
 
 from conftest import build
 
@@ -258,19 +261,22 @@ def test_exact_kecss_on_doubled_graph_keeps_lowest_twins():
 
 
 # ---------------------------------------------------------------------------
-# exact_solve: degree- and component-bounded search against the reference
+# exact_solve: greedy tree level and bounded search against the reference
 # ---------------------------------------------------------------------------
 
 def reference_exact_solve(inst):
-    """The reference search with exact_solve's checker and its lower bounds,
-    which do not depend on the required degrees."""
+    """The reference search with exact_solve's checker and lower bounds that
+    do not depend on the required degrees or on the greedy tree level: the
+    reference enumerates the (n-1)-subsets whenever a feasible tree exists."""
     g = inst.graph
     if inst.problem == "fvc":
-        lb = _fvc_lower_bound(g)
+        # a feasible tree exists iff solve_tree_case finds one
+        lb = g.n - 1 if g.n <= 2 or solve_tree_case(g) is not None else g.n
     elif inst.problem == "fgc":
         lb = g.n - 1
     else:
-        lb = _kfgc_lower_bound(g, inst.k)
+        forest = max_safe_forest(g)
+        lb = _kfgc_lower_bound(g.n, len(forest), g.n - len(forest), inst.k)
     checker = checker_for(inst)
     return reference_minimum_feasible(g, lambda s: checker(g, s), lb)
 
@@ -314,6 +320,21 @@ def test_exact_solve_bounds_match_unbounded_search(problem, k, want):
         seen["feasible"] += 1
         seen[family] += 1
         seen[f"n={min(inst.graph.n, 3)}"] += 1
+        g = inst.graph
+        if len(expected) == g.n - 1:
+            seen["tree_opt"] += 1
+            # solve_tree_case hangs each unsafe vertex on its smallest-numbered
+            # safe neighbour, the greedy on its smallest-id safe edge
+            if problem == "fvc" and set(solve_tree_case(g)) != expected:
+                seen["tree_case_differs"] += 1
+        if problem != "fvc" and len(max_safe_forest(g)) < g.n - 1:
+            seen["safe_not_spanning"] += 1
     # every family and the n = 1, n = 2 corner cases are covered
     assert min(seen[f] for f in ("tree", "unsafe", "gnp")) >= want // 10, dict(seen)
     assert min(seen["n=1"], seen["n=2"]) >= want // 20, dict(seen)
+    # the greedy tree level answers often, and so does the search from n
+    assert seen["tree_opt"] >= want // 4, dict(seen)
+    if problem == "fvc":
+        assert seen["tree_case_differs"] >= want // 20, dict(seen)
+    else:
+        assert seen["safe_not_spanning"] >= want // 20, dict(seen)
