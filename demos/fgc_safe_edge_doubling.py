@@ -8,10 +8,10 @@ path the doubled copies collapse to a plain spanning path.
 
 from flexconn import LabeledGraph, exact_solve, solve_fgc
 from flexconn.feasibility import Instance
-from flexconn.fgc import (TwoEcssSolverHandle, alg2_double_and_solve,
-                          double_safe_edges, solve_2ecss_blockwise)
+from flexconn.fgc import alg2_double_and_solve, double_safe_edges
+from flexconn.kfgc import KecssSolverHandle
 
-exact = TwoEcssSolverHandle(kind="exact", cap_n=12, beta=1.0)
+exact = KecssSolverHandle(cap_n=12)
 
 cycle = LabeledGraph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0)],
                            edge_safe=[True, False, False, False])
@@ -28,8 +28,3 @@ print("note:", sol.meta["guarantee_note"])
 
 path = LabeledGraph.build(3, [(0, 1), (1, 2)], edge_safe=[True, True])
 print("safe path of two edges ->", sorted(alg2_double_and_solve(path, exact).edge_ids))
-
-bowtie = LabeledGraph.build(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
-blockwise = solve_2ecss_blockwise(bowtie, exact)
-print("blockwise 2ECSS of the bowtie:", blockwise.size,
-      "edges (each triangle solved on its own)")

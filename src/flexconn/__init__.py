@@ -14,15 +14,14 @@ from .graph import (BlockDecomposition, ContractionResult, Edge, LabeledGraph,
                     blocks, contract_edges, contract_vertices, cut_vertices,
                     find_block_reducing_edge, is_k_edge_connected)
 from .ears import EarDecomposition, build_long_ear_decomposition, find_potential_open_ear_ge4
-from .exact import exact_2ecss, exact_kecss, exact_solve
+from .exact import exact_kecss, exact_solve
 from .fvc import (KPartition, algorithm1_buy_good_cycles, algorithm2_make_2vc,
                   algorithm3_make_feasible, build_apx1, build_pseudo_edges,
                   partition_k_sets, preprocess, realize_sp, solve_fvc,
                   solve_tree_case)
 from .rainbow import PseudoEdge, PseudoEdgeSet, RainbowSolution, solve_rainbow
 from .cycles import find_good_cycle, is_good_cycle
-from .fgc import (F1SolverHandle, TwoEcssSolverHandle, alg2_double_and_solve,
-                  solve_2ecss_blockwise, solve_fgc, twoecss_prune_heuristic)
+from .fgc import F1SolverHandle, alg2_double_and_solve, solve_fgc
 from .kfgc import (KecssSolverHandle, kecss_prune_heuristic, max_safe_forest,
                    solve_kfgc)
 from .io import parse_instance, write_instance, write_solution

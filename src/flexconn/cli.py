@@ -16,7 +16,7 @@ from typing import Optional
 from .errors import FlexconnError, InfeasibleInstanceError, InputError
 from .exact import exact_solve
 from .feasibility import Instance, Solution, checker_for
-from .fgc import default_twoecss_solver, solve_fgc
+from .fgc import solve_fgc
 from .fvc import solve_fvc
 from .harness import (ExperimentConfig, check_arithmetic_lemmas,
                       gen_random_instance, gen_safe_tree_family,
@@ -46,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--problem", required=True, choices=("fgc", "fvc", "kfgc"))
     p_solve.add_argument("--k", type=int, default=None)
     p_solve.add_argument("--exact-cap", type=int, default=None,
-                         help="cap for exact subsolvers inside fgc/kfgc")
+                         help="fgc/kfgc: exact kECSS subsolver up to this many "
+                              "vertices, prune heuristic above (defaults 12 / 10)")
     add_io(p_solve)
 
     p_exact = sub.add_parser("exact", help="force the brute-force oracle")
@@ -125,14 +126,12 @@ def _load_instance(args, problem: str, k) -> Instance:
 def _cmd_solve(args) -> int:
     inst = _load_instance(args, args.problem, args.k)
     g = inst.graph
+    sub = None if args.exact_cap is None else KecssSolverHandle(cap_n=args.exact_cap)
     if inst.problem == "fvc":
         sol = solve_fvc(g)
     elif inst.problem == "fgc":
-        cap = args.exact_cap if args.exact_cap is not None else 12
-        sol = solve_fgc(g, solver=default_twoecss_solver(g.n, cap))
+        sol = solve_fgc(g, solver=sub)
     else:
-        sub = (None if args.exact_cap is None
-               else KecssSolverHandle(kind="exact", cap_n=args.exact_cap))
         sol = solve_kfgc(g, inst.k, sub=sub)
     sol.meta["feasible"] = checker_for(inst)(g, sol.edge_ids)
     _emit(write_solution(sol), args.output)

@@ -254,11 +254,6 @@ def exact_solve(inst: Instance, cap_n: int = DEFAULT_CAP_N) -> Solution:
                           "apx_size": len(best), "exact": True})
 
 
-def exact_2ecss(g: LabeledGraph, cap_n: int = DEFAULT_CAP_N) -> Solution:
-    """Minimum 2-edge-connected spanning subgraph of a 2EC (multi)graph."""
-    return exact_kecss(g, 2, cap_n)
-
-
 def exact_kecss(g: LabeledGraph, k: int, cap_n: int = DEFAULT_CAP_N) -> Solution:
     if g.n > cap_n:
         raise InputError(f"exact_kecss: n={g.n} exceeds cap {cap_n}")

@@ -25,6 +25,13 @@ from .graph import LabeledGraph, UnionFind, edge_connectivity_at_least, low_link
 PROBLEMS = ("fgc", "fvc", "kfgc")
 
 
+def require_positive_k(k) -> None:
+    """k must be an int >= 1.  The type test also refuses True (bool is an
+    int subclass), 2.5 and "2"."""
+    if type(k) is not int or k < 1:
+        raise InputError(f"k must be a positive integer (got {k!r})")
+
+
 @dataclass(frozen=True)
 class Instance:
     graph: LabeledGraph
@@ -34,8 +41,7 @@ class Instance:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise InputError(f"unknown problem {self.problem!r}")
-        if type(self.k) is not int or self.k < 1:   # bool is an int subclass
-            raise InputError(f"k must be a positive integer (got {self.k!r})")
+        require_positive_k(self.k)
         if self.problem == "fvc" and not self.graph.is_simple:
             raise InputError("FVC instances must be simple graphs")
 
@@ -73,8 +79,7 @@ def check_kfgc(g: LabeledGraph, eids: Iterable[int], k: int) -> bool:
     (k+1 >= 2)-edge-connectivity of the contraction implies that it is
     connected, and so is (V, F): each vertex lies in one contracted class.
     """
-    if k < 1:
-        raise InputError("k must be a positive integer")
+    require_positive_k(k)
     chosen = _edge_set(g, eids)
     by_id, ends = g.edge_by_id, g.edge_ends
     uf = UnionFind(range(g.n))

@@ -2,41 +2,21 @@
 
 Two branches: F1 comes from a pluggable subroutine (the cited construction
 is external; the built-in fallback prunes the full edge set to minimality),
-F2 from duplicating every safe edge and running a 2ECSS solver on the
-doubled multigraph.  The driver returns the smaller.  The headline 10/7
-guarantee holds only when a genuine F1 oracle with
+F2 from duplicating every safe edge and running the kECSS subsolver with
+k = 2 on the doubled multigraph.  The driver returns the smaller.  The
+headline 10/7 guarantee holds only when a genuine F1 oracle with
 |F1| <= |OPT_S| + 3/2 |OPT_U| is plugged in; the fallback gives 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Iterable, Optional, Set
+from typing import Callable, FrozenSet, Iterable, Optional
 
 from .errors import InfeasibleInstanceError, InputError, require
-from .exact import exact_2ecss
 from .feasibility import Solution, check_fgc, prune_minimal
-from .graph import (Edge, LabeledGraph, blocks, is_connected,
-                    is_k_edge_connected, subset_k_edge_connected)
-
-
-@dataclass(frozen=True)
-class TwoEcssSolverHandle:
-    kind: str = "exact"          # "exact" | "prune_heuristic"
-    cap_n: int = 12
-    beta: Optional[float] = None  # declared approximation guarantee, if any
-
-    def __post_init__(self):
-        if self.kind not in ("exact", "prune_heuristic"):
-            raise InputError(f"unknown 2ECSS solver kind {self.kind!r}")
-
-    def solve(self, g: LabeledGraph) -> Solution:
-        if self.kind == "exact":
-            if g.n > self.cap_n:
-                raise InputError(
-                    f"exact 2ECSS solver refuses n={g.n} above its cap {self.cap_n}")
-            return exact_2ecss(g, cap_n=self.cap_n)
-        return twoecss_prune_heuristic(g)
+from .graph import Edge, LabeledGraph
+from .kfgc import KecssSolverHandle
 
 
 @dataclass(frozen=True)
@@ -59,48 +39,6 @@ class F1SolverHandle:
         return out
 
 
-def default_twoecss_solver(n_doubled: int, cap: int = 12) -> TwoEcssSolverHandle:
-    """Exact 2ECSS up to `cap` vertices, the prune heuristic above it."""
-    if n_doubled <= cap:
-        return TwoEcssSolverHandle(kind="exact", cap_n=cap, beta=1.0)
-    return TwoEcssSolverHandle(kind="prune_heuristic", beta=2.0)
-
-
-def twoecss_prune_heuristic(g: LabeledGraph) -> Solution:
-    """Inclusion-minimal 2ECSS by ascending-id pruning; at most 2n-2 edges."""
-    if not is_k_edge_connected(g, 2):
-        raise InputError("graph is not 2-edge-connected")
-    kept = prune_minimal(g, set(g.edge_by_id),
-                         lambda gg, s: subset_k_edge_connected(gg, s, 2))
-    require(len(kept) <= max(0, 2 * g.n - 2), "minimal 2ECSS above 2n-2 edges")
-    return Solution(edge_ids=kept, meta={"apx_size": len(kept), "exact": False})
-
-
-def solve_2ecss_blockwise(g: LabeledGraph, per_block: TwoEcssSolverHandle) -> Solution:
-    """Solve 2ECSS independently inside each block and take the union.
-
-    Valid because an edge set is a 2ECSS of the whole graph iff its
-    restriction to every block is a 2ECSS of that block.
-    """
-    if not is_connected(range(g.n), [(e.eid, e.u, e.v) for e in g.edges]):
-        raise InputError("blockwise 2ECSS needs a connected graph")
-    decomposition = blocks(g)
-    out: Set[int] = set()
-    for blk in decomposition.blocks:
-        verts = set()
-        for eid in blk:
-            e = g.edge_by_id[eid]
-            verts.update((e.u, e.v))
-        sub = g.induced(verts)
-        if sub.m == 1:
-            raise InputError("a bridge block cannot be 2-edge-connected")
-        out |= set(per_block.solve(sub).edge_ids)
-    require(is_k_edge_connected(LabeledGraph(g.n, g.vertex_safe,
-                                             tuple(e for e in g.edges if e.eid in out)), 2),
-            "blockwise union is not 2-edge-connected")
-    return Solution(edge_ids=frozenset(out), meta={"apx_size": len(out)})
-
-
 def double_safe_edges(g: LabeledGraph) -> LabeledGraph:
     """Add a parallel copy of every safe edge; copies get fresh ids that map
     back to the original by subtracting the offset."""
@@ -115,7 +53,7 @@ def undouble(g: LabeledGraph, eids: Iterable[int]) -> FrozenSet[int]:
     return frozenset(eid % offset if offset else eid for eid in eids)
 
 
-def alg2_double_and_solve(g: LabeledGraph, solver: TwoEcssSolverHandle) -> Solution:
+def alg2_double_and_solve(g: LabeledGraph, solver: KecssSolverHandle) -> Solution:
     """The safe-edge doubling branch: 2ECSS on the doubled multigraph, then
     duplicate copies collapse back onto the original edges."""
     if not check_fgc(g, set(g.edge_by_id)):
@@ -123,23 +61,22 @@ def alg2_double_and_solve(g: LabeledGraph, solver: TwoEcssSolverHandle) -> Solut
     if g.n <= 1:
         return Solution(edge_ids=frozenset(), meta={"apx_size": 0, "doubled_opt": 0})
     doubled = double_safe_edges(g)
-    inner = solver.solve(doubled)
-    f2 = undouble(g, inner.edge_ids)
+    inner = solver.solve(doubled, 2)
+    f2 = undouble(g, inner)
     require(check_fgc(g, f2), "doubling branch produced an infeasible solution")
     return Solution(edge_ids=f2,
                     meta={"apx_size": len(f2),
-                          "doubled_size": len(inner.edge_ids),
-                          "solver_kind": solver.kind,
-                          "solver_beta": solver.beta})
+                          "doubled_size": len(inner),
+                          "solver_kind": solver.kind(doubled.n)})
 
 
 def solve_fgc(g: LabeledGraph,
               f1: Optional[F1SolverHandle] = None,
-              solver: Optional[TwoEcssSolverHandle] = None) -> Solution:
+              solver: Optional[KecssSolverHandle] = None) -> Solution:
     if not check_fgc(g, set(g.edge_by_id)):
         raise InfeasibleInstanceError("FGC instance is infeasible")
     f1 = f1 or F1SolverHandle()
-    solver = solver or default_twoecss_solver(g.n)
+    solver = solver or KecssSolverHandle(cap_n=12)
     f1_edges = f1.solve(g)
     f2_sol = alg2_double_and_solve(g, solver)
     f2_edges = f2_sol.edge_ids
@@ -151,7 +88,7 @@ def solve_fgc(g: LabeledGraph,
         "f1_size": len(f1_edges),
         "f2_size": len(f2_edges),
         "f1_kind": f1.kind,
-        "twoecss_kind": solver.kind,
+        "twoecss_kind": solver.kind(g.n),
         "lower_bound": max(g.n - 1, 1) if g.n > 1 else 0,
         "guarantee_note": ("10/7 requires an external F1 satisfying "
                            "|F1| <= |OPT_S| + 3/2 |OPT_U|; the fallback prune "

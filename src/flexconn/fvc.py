@@ -16,7 +16,7 @@ from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .cycles import find_good_cycle
 from .ears import (EarDecomposition, build_long_ear_decomposition,
-                   find_forbidden_cycle, leftover_is_matching)
+                   find_forbidden_cycle)
 from .errors import InfeasibleInstanceError, InputError, require
 from .feasibility import Instance, Solution, check_fvc
 from .graph import (LabeledGraph, block_count, block_vertex_labels,
@@ -511,8 +511,6 @@ def _solve_piece(g: LabeledGraph) -> Solution:
                         meta={"branch": "tree", "n": g.n,
                               "apx_size": len(tree), "lower_bound": g.n - 1})
     dec = build_long_ear_decomposition(g)
-    require(leftover_is_matching(g, dec.vertices),
-            "preprocessed piece must leave a matching outside the ears")
     kp = partition_k_sets(g, dec)
     apx1 = build_apx1(g, dec, kp)
     meta = {

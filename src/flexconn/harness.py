@@ -18,7 +18,7 @@ from typing import List, Tuple
 from .errors import InputError
 from .exact import exact_solve
 from .feasibility import Instance, Solution, checker_for
-from .fgc import default_twoecss_solver, solve_fgc
+from .fgc import solve_fgc
 from .fvc import solve_fvc
 from .graph import LabeledGraph, is_connected
 from .kfgc import solve_kfgc
@@ -110,8 +110,7 @@ def _solve(cfg: ExperimentConfig, inst: Instance) -> Solution:
     if cfg.problem == "fvc":
         return solve_fvc(inst.graph)
     if cfg.problem == "fgc":
-        return solve_fgc(inst.graph,
-                         solver=default_twoecss_solver(inst.graph.n))
+        return solve_fgc(inst.graph)
     return solve_kfgc(inst.graph, inst.k)
 
 

@@ -2,10 +2,10 @@
 
 Compute a maximum safe spanning forest, contract it (loops dropped, parallel
 unsafe edges kept), solve (k+1)ECSS on the contraction with a pluggable
-subsolver, prune to minimality, and return forest plus core.  The corrected
-size analysis gives |ALG| <= 2 OPT - |forest| whenever the subsolver is
-exact; the older claim 2 OPT - k|forest| >= |forest| + (k+1)(n - |forest|)
-is false for k >= 3 (see the safe-spanning-tree family in the harness).
+subsolver, and return forest plus core.  The corrected size analysis gives
+|ALG| <= 2 OPT - |forest| whenever the subsolver is exact; the older claim
+2 OPT - k|forest| >= |forest| + (k+1)(n - |forest|) is false for k >= 3
+(see the safe-spanning-tree family in the harness).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import FrozenSet, Optional
 
 from .errors import InfeasibleInstanceError, InputError, require
 from .exact import exact_kecss
-from .feasibility import Solution, check_kfgc, prune_minimal
+from .feasibility import Solution, check_kfgc, prune_minimal, require_positive_k
 from .graph import (LabeledGraph, UnionFind, contract_edges,
                     is_k_edge_connected, subset_k_edge_connected)
 
@@ -31,43 +31,36 @@ def max_safe_forest(g: LabeledGraph) -> FrozenSet[int]:
 
 
 def kecss_prune_heuristic(g: LabeledGraph, k: int) -> FrozenSet[int]:
-    """Inclusion-minimal k-edge-connected spanning subgraph; at most nk edges
-    (a minimal solution splits into k forests)."""
+    """Inclusion-minimal k-edge-connected spanning subgraph by ascending-id
+    pruning.  A minimal kECSS is a union of k forests (Nagamochi and
+    Ibaraki, Algorithmica 1992), so it keeps at most k(n-1) edges."""
     if not is_k_edge_connected(g, k):
         raise InputError(f"graph is not {k}-edge-connected")
     kept = prune_minimal(g, set(g.edge_by_id), lambda gg, s: subset_k_edge_connected(gg, s, k))
-    require(len(kept) <= g.n * k, "minimal solution above the nk bound")
+    require(len(kept) <= k * max(0, g.n - 1), "minimal kECSS above the k(n-1) bound")
     return kept
 
 
 @dataclass(frozen=True)
 class KecssSolverHandle:
-    kind: str = "exact"      # "exact" | "prune_heuristic"
+    """The kECSS subsolver of both drivers: FGC solves 2ECSS on the doubled
+    graph, k-FGC solves (k+1)ECSS on the contracted core.  Exact search up
+    to `cap_n` vertices, the prune heuristic above; either way the result
+    is inclusion-minimal (an optimum, or a pruned set)."""
     cap_n: int = 10
 
-    def __post_init__(self):
-        if self.kind not in ("exact", "prune_heuristic"):
-            raise InputError(f"unknown kECSS solver kind {self.kind!r}")
+    def kind(self, n: int) -> str:
+        return "exact" if n <= self.cap_n else "prune_heuristic"
 
     def solve(self, g: LabeledGraph, k: int) -> FrozenSet[int]:
-        if self.kind == "exact":
-            if g.n > self.cap_n:
-                raise InputError(
-                    f"exact kECSS solver refuses n={g.n} above its cap {self.cap_n}")
-            return frozenset(exact_kecss(g, k, cap_n=self.cap_n).edge_ids)
+        if self.kind(g.n) == "exact":
+            return frozenset(exact_kecss(g, k, self.cap_n).edge_ids)
         return kecss_prune_heuristic(g, k)
-
-
-def default_kecss_solver(n_contracted: int) -> KecssSolverHandle:
-    if n_contracted <= 10:
-        return KecssSolverHandle(kind="exact", cap_n=10)
-    return KecssSolverHandle(kind="prune_heuristic")
 
 
 def solve_kfgc(g: LabeledGraph, k: int,
                sub: Optional[KecssSolverHandle] = None) -> Solution:
-    if k < 1:
-        raise InputError("k must be a positive integer")
+    require_positive_k(k)
     if not check_kfgc(g, set(g.edge_by_id), k):
         raise InfeasibleInstanceError("k-FGC instance is infeasible")
     forest = max_safe_forest(g)
@@ -76,13 +69,8 @@ def solve_kfgc(g: LabeledGraph, k: int,
     # the forest is maximum, so every safe edge became a loop and was dropped
     require(all(not e.safe for e in core_graph.edges),
             "contracted core must contain only unsafe edges")
-    sub = sub or default_kecss_solver(core_graph.n)
-    if core_graph.n <= 1:
-        core: FrozenSet[int] = frozenset()
-    else:
-        core = sub.solve(core_graph, k + 1)
-        core = prune_minimal(core_graph, core,
-                             lambda gg, s: subset_k_edge_connected(gg, s, k + 1))
+    sub = sub or KecssSolverHandle(cap_n=10)
+    core = sub.solve(core_graph, k + 1) if core_graph.n > 1 else frozenset()
     alg = frozenset(forest | core)
     require(check_kfgc(g, alg, k), "k-FGC result failed the checker")
     meta = {
@@ -91,7 +79,7 @@ def solve_kfgc(g: LabeledGraph, k: int,
         "forest_size": len(forest),
         "core_size": len(core),
         "contracted_n": core_graph.n,
-        "subsolver_kind": sub.kind,
+        "subsolver_kind": sub.kind(core_graph.n),
         "lower_bound": _kfgc_lower_bound(g.n, len(forest), core_graph.n, k),
     }
     return Solution(edge_ids=alg, meta=meta)

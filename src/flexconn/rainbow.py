@@ -223,16 +223,3 @@ def _minimize_singletons(vd, picks: List[PseudoEdge], by_colour, alpha: int) -> 
             if improved:
                 break
     return sorted(current)
-
-
-def brute_force_rainbow_components(pe: PseudoEdgeSet, vd: Sequence[int]) -> int:
-    """Exhaustive one-edge-per-colour minimum of the component count; the
-    independent oracle for rainbow optimality (use only for few colours)."""
-    import itertools
-    by_colour = pe.by_colour()
-    best = None
-    for combo in itertools.product(*by_colour.values()):
-        c = _component_count(sorted(vd), combo)
-        if best is None or c < best:
-            best = c
-    return best

@@ -3,7 +3,10 @@ import random
 
 import pytest
 
-from flexconn.graph import LabeledGraph, is_connected
+from flexconn.errors import InputError
+from flexconn.feasibility import Solution
+from flexconn.graph import (LabeledGraph, UnionFind, blocks, is_connected,
+                            is_k_edge_connected)
 
 
 def build(n, pairs, vertex_safe=None, edge_safe=None):
@@ -116,3 +119,40 @@ def brute_force_k_edge_connected(g, k):
         if not is_connected(range(g.n), [(e, g.edge_by_id[e].u, g.edge_by_id[e].v) for e in keep]):
             return False
     return True
+
+
+def brute_force_rainbow_components(pe, vd):
+    """Exhaustive one-edge-per-colour minimum of the component count; the
+    independent oracle for rainbow optimality (use only for few colours)."""
+    best = None
+    for combo in itertools.product(*pe.by_colour().values()):
+        uf = UnionFind(sorted(vd))
+        for p in combo:
+            uf.union(p.a, p.b)
+        c = uf.component_count()
+        if best is None or c < best:
+            best = c
+    return best
+
+
+def solve_2ecss_blockwise(g, per_block):
+    """Solve 2ECSS independently inside each block and take the union.
+
+    Valid because an edge set is a 2ECSS of the whole graph iff its
+    restriction to every block is a 2ECSS of that block.
+    """
+    if not is_connected(range(g.n), [(e.eid, e.u, e.v) for e in g.edges]):
+        raise InputError("blockwise 2ECSS needs a connected graph")
+    out = set()
+    for blk in blocks(g).blocks:
+        verts = set()
+        for eid in blk:
+            e = g.edge_by_id[eid]
+            verts.update((e.u, e.v))
+        sub = g.induced(verts)
+        if sub.m == 1:
+            raise InputError("a bridge block cannot be 2-edge-connected")
+        out |= per_block.solve(sub, 2)
+    assert is_k_edge_connected(LabeledGraph(g.n, g.vertex_safe,
+                                            tuple(e for e in g.edges if e.eid in out)), 2)
+    return Solution(edge_ids=frozenset(out), meta={"apx_size": len(out)})

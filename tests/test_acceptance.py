@@ -17,17 +17,17 @@ from flexconn.cli import main
 from flexconn.cycles import find_good_cycle, is_good_cycle
 from flexconn.ears import (build_long_ear_decomposition, find_forbidden_cycle,
                            leftover_is_matching)
-from flexconn.exact import exact_2ecss, exact_solve
+from flexconn.exact import exact_kecss, exact_solve
 from flexconn.feasibility import Instance, check_fgc, check_fvc, check_kfgc
-from flexconn.fgc import TwoEcssSolverHandle, solve_2ecss_blockwise, solve_fgc
+from flexconn.fgc import solve_fgc
 from flexconn.fvc import preprocess, solve_fvc, solve_tree_case
 from flexconn.graph import cut_vertices, is_connected, is_k_edge_connected
 from flexconn.harness import check_arithmetic_lemmas, gen_safe_tree_family
 from flexconn.kfgc import KecssSolverHandle, max_safe_forest, solve_kfgc
-from flexconn.rainbow import (PseudoEdge, PseudoEdgeSet,
-                              brute_force_rainbow_components, solve_rainbow)
+from flexconn.rainbow import PseudoEdge, PseudoEdgeSet, solve_rainbow
 
-from conftest import FIX_A_PAIRS, FIX_A_SAFE, build, random_connected
+from conftest import (FIX_A_PAIRS, FIX_A_SAFE, brute_force_rainbow_components,
+                      build, random_connected, solve_2ecss_blockwise)
 
 ELEVEN_SEVENTHS = Fraction(11, 7)
 
@@ -217,7 +217,7 @@ def test_criterion_7_arithmetic_lemmas():
 
 def test_criterion_8_fgc_with_exact_subsolvers():
     rng = random.Random(8008)
-    solver = TwoEcssSolverHandle(kind="exact", cap_n=12, beta=1.0)
+    solver = KecssSolverHandle(cap_n=12)
     done = 0
     while done < 120:
         g = random_connected(rng, rng.randint(3, 8), rng.uniform(0.35, 0.55),
@@ -240,13 +240,13 @@ def test_criterion_8_fgc_with_exact_subsolvers():
 
 def test_criterion_9_2ecss_bounds_and_blockwise():
     rng = random.Random(9009)
-    solver = TwoEcssSolverHandle(kind="exact", cap_n=12, beta=1.0)
+    solver = KecssSolverHandle(cap_n=12)
     done = 0
     while done < 200:
         g = random_connected(rng, rng.randint(3, 9), rng.uniform(0.4, 0.7))
         if not is_k_edge_connected(g, 2):
             continue
-        opt = exact_2ecss(g, cap_n=9).size
+        opt = exact_kecss(g, 2, cap_n=9).size
         x = opt - g.n
         assert Fraction(opt) <= Fraction(4, 3) * g.n + Fraction(2, 3) * (x - 1)
         done += 1
@@ -260,7 +260,7 @@ def test_criterion_9_2ecss_bounds_and_blockwise():
         pairs = [(e.u, e.v) for e in g1.edges]
         pairs += [(e.u + offset, e.v + offset) for e in g2.edges]
         g = build(g1.n + g2.n - 1, pairs)
-        assert solve_2ecss_blockwise(g, solver).size == exact_2ecss(g, cap_n=12).size
+        assert solve_2ecss_blockwise(g, solver).size == exact_kecss(g, 2, cap_n=12).size
         chains += 1
     report(9, "2ECSS 4/3 n + 2/3 (x-1) bound (200x) + blockwise = whole-graph",
            True, f"graphs={done} chains={chains}")
@@ -268,7 +268,7 @@ def test_criterion_9_2ecss_bounds_and_blockwise():
 
 def test_criterion_10_kfgc():
     rng = random.Random(101010)
-    sub = KecssSolverHandle(kind="exact", cap_n=10)
+    sub = KecssSolverHandle(cap_n=10)
     counts = {1: 0, 2: 0, 3: 0}
     while min(counts.values()) < 15:
         k = min(counts, key=lambda kk: counts[kk])

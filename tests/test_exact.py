@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from flexconn.errors import InfeasibleInstanceError, InputError
-from flexconn.exact import exact_2ecss, exact_kecss, exact_solve
+from flexconn.exact import exact_kecss, exact_solve
 from flexconn.feasibility import Instance, check_fvc, checker_for
 from flexconn.graph import is_k_edge_connected
 
@@ -73,16 +73,16 @@ class TestExactSolve:
 
 class TestExact2Ecss:
     def test_k4(self, k4):
-        assert exact_2ecss(k4).size == 4
+        assert exact_kecss(k4, 2).size == 4
 
     def test_c5(self):
         g = build(5, [(i, (i + 1) % 5) for i in range(5)])
-        assert exact_2ecss(g).size == 5
+        assert exact_kecss(g, 2).size == 5
 
     def test_rejects_non_2ec(self):
         g = build(3, [(0, 1), (1, 2)])
         with pytest.raises(InputError):
-            exact_2ecss(g)
+            exact_kecss(g, 2)
 
     def test_size_bounds(self):
         rng = random.Random(31)
@@ -91,7 +91,7 @@ class TestExact2Ecss:
             g = random_connected(rng, rng.randint(3, 8), 0.55)
             if not is_k_edge_connected(g, 2):
                 continue
-            opt = exact_2ecss(g).size
+            opt = exact_kecss(g, 2).size
             x = opt - g.n
             assert opt <= 2 * g.n - 2
             assert Fraction(opt) <= Fraction(4, 3) * g.n + Fraction(2, 3) * (x - 1)

@@ -3,17 +3,16 @@ import random
 import pytest
 
 from flexconn.errors import InfeasibleInstanceError, InputError
-from flexconn.exact import exact_2ecss, exact_solve
+from flexconn.exact import exact_kecss, exact_solve
 from flexconn.feasibility import Instance, check_fgc
-from flexconn.fgc import (F1SolverHandle, TwoEcssSolverHandle,
-                          alg2_double_and_solve, default_twoecss_solver,
-                          double_safe_edges, solve_2ecss_blockwise, solve_fgc,
-                          twoecss_prune_heuristic)
+from flexconn.fgc import (F1SolverHandle, alg2_double_and_solve,
+                          double_safe_edges, solve_fgc)
 from flexconn.graph import is_k_edge_connected
+from flexconn.kfgc import KecssSolverHandle, kecss_prune_heuristic
 
-from conftest import build, random_connected
+from conftest import build, random_connected, solve_2ecss_blockwise
 
-EXACT = TwoEcssSolverHandle(kind="exact", cap_n=12, beta=1.0)
+EXACT = KecssSolverHandle(cap_n=12)
 
 
 def fgc_opt(g):
@@ -52,13 +51,13 @@ class TestDoubling:
 
 class TestPruneHeuristic:
     def test_k4_hamiltonian(self, k4):
-        sol = twoecss_prune_heuristic(k4)
-        assert sol.size == 4
-        assert sorted(sol.edge_ids) == [1, 2, 3, 4]  # 02, 03, 12, 13
+        kept = kecss_prune_heuristic(k4, 2)
+        assert len(kept) == 4
+        assert sorted(kept) == [1, 2, 3, 4]  # 02, 03, 12, 13
 
     def test_c5_nothing_removable(self):
         g = build(5, [(i, (i + 1) % 5) for i in range(5)])
-        assert twoecss_prune_heuristic(g).size == 5
+        assert len(kecss_prune_heuristic(g, 2)) == 5
 
     def test_within_twice_optimum(self):
         rng = random.Random(61)
@@ -67,8 +66,8 @@ class TestPruneHeuristic:
             g = random_connected(rng, rng.randint(3, 8), 0.55)
             if not is_k_edge_connected(g, 2):
                 continue
-            heur = twoecss_prune_heuristic(g).size
-            opt = exact_2ecss(g).size
+            heur = len(kecss_prune_heuristic(g, 2))
+            opt = exact_kecss(g, 2).size
             assert heur <= 2 * opt
             assert heur <= 2 * g.n - 2
             done += 1
@@ -76,7 +75,7 @@ class TestPruneHeuristic:
     def test_rejects_bridges(self):
         g = build(3, [(0, 1), (1, 2)])
         with pytest.raises(InputError):
-            twoecss_prune_heuristic(g)
+            kecss_prune_heuristic(g, 2)
 
 
 class TestBlockwise:
@@ -85,7 +84,7 @@ class TestBlockwise:
         assert sol.size == 6
 
     def test_single_block_matches_direct(self, k4):
-        assert solve_2ecss_blockwise(k4, EXACT).size == exact_2ecss(k4).size
+        assert solve_2ecss_blockwise(k4, EXACT).size == exact_kecss(k4, 2).size
 
     def test_bridge_block_rejected(self):
         g = build(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
@@ -106,7 +105,7 @@ class TestBlockwise:
             pairs += [(e.u + offset, e.v + offset) for e in g2.edges]
             g = build(g1.n + g2.n - 1, pairs)
             blockwise = solve_2ecss_blockwise(g, EXACT).size
-            direct = exact_2ecss(g, cap_n=12).size
+            direct = exact_kecss(g, 2, cap_n=12).size
             assert blockwise == direct
             done += 1
 

@@ -152,6 +152,21 @@ class TestCli:
             err = capsys.readouterr().err
             assert err == "flexconn: warning: vertex safety flags are ignored for FGC\n"
 
+    @pytest.mark.parametrize("problem, kind_key", [
+        ("fgc", "twoecss_kind"), ("kfgc", "subsolver_kind")])
+    def test_exact_cap_falls_back_above_the_cap(self, tmp_path, problem, kind_key):
+        # all-unsafe K5: the doubled graph and the contracted core both have
+        # 5 vertices, above the cap of 3
+        text = "p flex 5 10 1\n" + "".join(
+            f"e {u} {v} u\n" for u in range(5) for v in range(u + 1, 5))
+        inst = self._write(tmp_path, "k5.flex", text)
+        out = str(tmp_path / "sol.json")
+        assert main(["solve", "--problem", problem, "--exact-cap", "3",
+                     "-i", inst, "-o", out]) == 0
+        payload = json.loads(open(out).read())
+        assert payload["feasible"] is True
+        assert payload["meta"][kind_key] == "prune_heuristic"
+
     def test_gen_solve_pipeline(self, tmp_path):
         inst = str(tmp_path / "gen.flex")
         assert main(["gen", "--problem", "fvc", "--n", "6", "--p", "0.8",

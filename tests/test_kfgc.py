@@ -64,6 +64,26 @@ class TestKecssPrune:
                 done += 1
 
 
+class TestKecssSolverHandle:
+    # n = 5: ascending-id pruning keeps 6 edges, the optimum has 5
+    PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)]
+
+    def test_exact_at_or_below_the_cap(self):
+        g = build(5, self.PAIRS)
+        handle = KecssSolverHandle(cap_n=5)
+        assert handle.kind(5) == "exact"
+        assert handle.solve(g, 2) == frozenset({0, 1, 4, 5, 6})
+        assert handle.solve(g, 2) == exact_kecss(g, 2).edge_ids
+
+    def test_prune_heuristic_above_the_cap(self):
+        g = build(5, self.PAIRS)
+        handle = KecssSolverHandle(cap_n=4)
+        assert handle.kind(5) == "prune_heuristic"
+        assert handle.kind(4) == "exact"
+        assert handle.solve(g, 2) == frozenset({1, 2, 3, 4, 5, 6})
+        assert handle.solve(g, 2) == kecss_prune_heuristic(g, 2)
+
+
 class TestSolveKfgc:
     def test_safe_tree_family(self):
         for n, k in ((5, 3), (6, 1), (7, 4)):
@@ -85,6 +105,15 @@ class TestSolveKfgc:
         g = build(3, [(0, 1), (1, 2)], edge_safe=[False, False])
         with pytest.raises(InfeasibleInstanceError):
             solve_kfgc(g, 1)
+
+    @pytest.mark.parametrize("k", [True, 2.5, 1.5, "2", 0])
+    def test_k_must_be_a_positive_int(self, k):
+        g = build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+                  edge_safe=[False] * 6)
+        with pytest.raises(InputError, match="k must be a positive integer"):
+            solve_kfgc(g, k)
+        with pytest.raises(InputError, match="k must be a positive integer"):
+            check_kfgc(g, set(g.edge_by_id), k)
 
     def test_random_vs_oracle(self):
         rng = random.Random(91)

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from flexconn.errors import InputError
-from flexconn.rainbow import (PseudoEdge, PseudoEdgeSet, brute_force_rainbow_components,
-                              solve_rainbow)
+from flexconn.rainbow import PseudoEdge, PseudoEdgeSet, solve_rainbow
+
+from conftest import brute_force_rainbow_components
 
 
 def make(edges):
