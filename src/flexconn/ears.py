@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import InputError, require
-from .graph import LabeledGraph, cut_vertices, is_connected
+from .graph import LabeledGraph, low_link
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,8 @@ class EarDecomposition:
 def _is_2vc(g: LabeledGraph) -> bool:
     if g.n < 3:
         return False
-    if not is_connected(range(g.n), [(e.eid, e.u, e.v) for e in g.edges]):
-        return False
-    return not cut_vertices(g)
+    reached, cut, _ = low_link(range(g.n), g.edge_ends, g.edge_ends)
+    return reached == g.n and not cut
 
 
 def shortest_long_cycle(g: LabeledGraph) -> Tuple[int, ...]:

@@ -12,14 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from itertools import combinations
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .cycles import find_good_cycle
 from .ears import (EarDecomposition, build_long_ear_decomposition,
                    find_forbidden_cycle)
 from .errors import InfeasibleInstanceError, InputError, require
 from .feasibility import Instance, Solution, check_fvc
-from .graph import (LabeledGraph, block_count, block_vertex_labels,
+from .graph import (LabeledGraph, block_decomposition_edges,
                     connected_components, cut_vertices, is_connected)
 from .rainbow import PseudoEdge, PseudoEdgeSet, RainbowSolution, solve_rainbow
 
@@ -386,6 +387,19 @@ def algorithm1_buy_good_cycles(g: LabeledGraph, vd: FrozenSet[int],
     return x1, frozenset(s1), a
 
 
+def _block_labels(cur: Set[int], triples) -> Tuple[int, Dict[int, Set[int]]]:
+    """Block count of (cur, triples) plus, per vertex, the indices of the
+    blocks that contain it."""
+    ends = {key: (u, v) for key, u, v in triples}
+    bl, _ = block_decomposition_edges(cur, triples)
+    touching: Dict[int, Set[int]] = {v: set() for v in cur}
+    for i, block in enumerate(bl):
+        for key in block:
+            for x in ends[key]:
+                touching[x].add(i)
+    return len(bl), touching
+
+
 def algorithm2_make_2vc(g: LabeledGraph, vd: FrozenSet[int],
                         rainbow: RainbowSolution, s1: FrozenSet[int],
                         a: FrozenSet[int]) -> Tuple[FrozenSet[int], FrozenSet[int]]:
@@ -394,6 +408,16 @@ def algorithm2_make_2vc(g: LabeledGraph, vd: FrozenSet[int],
     First phase pulls in outside vertices (plus two attachment edges each)
     while the induced-plus-pseudo graph has several blocks; second phase adds
     single block-reducing edges to the bought graph until it has one block.
+
+    Both graphs are connected: the pseudo-edges and S1 lie inside A and
+    connect it, and each pulled vertex brings two edges.  In a connected
+    graph, adding an edge uw lowers the block count iff u and w share no
+    block.  Adding a vertex with neighbours S lowers it iff two members of S
+    share no block: otherwise, as subtrees of the block-cut tree have the
+    Helly property, all of S lies in one block.  So one decomposition per
+    round decides: phase 1 takes the first v in sorted(vd - cur) whose
+    neighbours in cur hold such a pair, phase 2 the first edge by id whose
+    ends share no block.
     """
     pseudo = _pseudo_triples(rainbow.chosen)
     cur: Set[int] = set(a)
@@ -403,35 +427,30 @@ def algorithm2_make_2vc(g: LabeledGraph, vd: FrozenSet[int],
         return pseudo + [(eid, g.edge_by_id[eid].u, g.edge_by_id[eid].v)
                          for eid in sorted(s1 | s2)]
 
-    while block_count(cur, _induced_triples(g, cur) + pseudo) > 1:
-        base = block_count(cur, _induced_triples(g, cur) + pseudo)
-        pick = None
-        for v in sorted(set(vd) - cur):
-            trial = cur | {v}
-            if block_count(trial, _induced_triples(g, trial) + pseudo) < base:
-                pick = v
-                break
-        require(pick is not None, "no block-reducing vertex found")
-        v = pick
-        _, touching = block_vertex_labels(cur, bought_triples())
+    while True:
+        count, touching = _block_labels(cur, _induced_triples(g, cur) + pseudo)
+        if count <= 1:
+            break
+        v = next((v for v in sorted(set(vd) - cur)
+                  if any(not (touching[u] & touching[w])
+                         for u, w in combinations(g.neighbor_sets[v] & cur, 2))), None)
+        require(v is not None, "no block-reducing vertex found")
+        _, touching = _block_labels(cur, bought_triples())
         incident = sorted((e.eid, e.other(v)) for e in g.adj[v] if e.other(v) in cur)
-        chosen_pair = None
-        for i, (eid1, u) in enumerate(incident):
-            for eid2, w in incident[i + 1:]:
-                if u != w and not (touching[u] & touching[w]):
-                    chosen_pair = (eid1, eid2)
-                    break
-            if chosen_pair:
-                break
-        require(chosen_pair is not None, "no block-reducing edge pair found")
+        pair = next(((eid1, eid2) for i, (eid1, u) in enumerate(incident)
+                     for eid2, w in incident[i + 1:]
+                     if u != w and not (touching[u] & touching[w])), None)
+        require(pair is not None, "no block-reducing edge pair found")
         cur.add(v)
-        s2.update(chosen_pair)
+        s2.update(pair)
 
-    from .graph import find_block_reducing_key
-    while block_count(cur, bought_triples()) > 1:
-        candidates = [(e.eid, e.u, e.v) for e in g.edges
-                      if e.u in cur and e.v in cur and e.eid not in (s1 | s2)]
-        key = find_block_reducing_key(cur, bought_triples(), sorted(candidates))
+    while True:
+        count, touching = _block_labels(cur, bought_triples())
+        if count <= 1:
+            break
+        key = min((e.eid for e in g.edges
+                   if e.u in cur and e.v in cur and e.eid not in s1 and e.eid not in s2
+                   and not (touching[e.u] & touching[e.v])), default=None)
         require(key is not None, "a block-reducing edge must exist")
         s2.add(key)
 

@@ -8,7 +8,6 @@ function returning new values.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -164,7 +163,9 @@ class BlockDecomposition:
 # ---------------------------------------------------------------------------
 # Low-level routines over keyed edge lists.  These work on arbitrary vertex
 # collections and arbitrary hashable edge keys, so the FVC pipeline can run
-# them on multigraphs mixing real edges and pseudo-edges.
+# them on multigraphs mixing real edges and pseudo-edges.  `low_link` is the
+# one block DFS: it gives the reached count, the cut vertices and the bridges,
+# and on request the blocks as lists of edge keys.
 # ---------------------------------------------------------------------------
 
 EdgeTriple = Tuple[Hashable, int, int]   # (key, u, v)
@@ -220,90 +221,27 @@ def is_connected(vertices: Iterable[int], edges: Iterable[EdgeTriple]) -> bool:
 
 def block_decomposition_edges(vertices: Iterable[int],
                               edges: Iterable[EdgeTriple]) -> Tuple[List[List[Hashable]], Set[int]]:
-    """Blocks (as lists of edge keys) and cut vertices of a multigraph.
+    """Blocks (as lists of edge keys) and cut vertices of a multigraph, from
+    one `low_link` per connected component.
 
-    Parallel edges land in one block: the second copy is a back edge closing
-    a length-2 cycle.  Iterative Hopcroft-Tarjan so deep graphs cannot blow
-    the recursion limit.
+    Parallel edges land in one block; self-loops lie in no block.
     """
-    verts = sorted(set(vertices))
-    adj: Dict[int, List[Tuple[int, Hashable]]] = {v: [] for v in verts}
+    edges = list(edges)
+    uf = UnionFind(vertices)
+    for _, u, v in edges:
+        uf.union(u, v)
+    comps: Dict[int, Tuple[List[int], List[Hashable]]] = {}
+    for x in uf.parent:
+        comps.setdefault(uf.find(x), ([], []))[0].append(x)
+    ends: Dict[Hashable, Tuple[int, int]] = {}
     for key, u, v in edges:
-        adj[u].append((v, key))
-        adj[v].append((u, key))
-    for v in verts:
-        adj[v].sort(key=lambda t: (t[0], repr(t[1])))
-
-    disc: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    blocks: List[List[Hashable]] = []
+        ends[key] = (u, v)
+        comps[uf.find(u)][1].append(key)
+    bl: List[List[Hashable]] = []
     cut: Set[int] = set()
-    timer = itertools.count()
-
-    for root in verts:
-        if root in disc:
-            continue
-        stack: List[Tuple[int, Optional[Hashable], int]] = [(root, None, 0)]
-        edge_stack: List[Tuple[Hashable, int, int]] = []
-        root_children = 0
-        disc[root] = low[root] = next(timer)
-        while stack:
-            v, in_key, idx = stack[-1]
-            if idx < len(adj[v]):
-                stack[-1] = (v, in_key, idx + 1)
-                w, key = adj[v][idx]
-                if key == in_key:
-                    continue
-                if w not in disc:
-                    disc[w] = low[w] = next(timer)
-                    edge_stack.append((key, v, w))
-                    stack.append((w, key, 0))
-                elif disc[w] < disc[v]:
-                    edge_stack.append((key, v, w))
-                    low[v] = min(low[v], disc[w])
-            else:
-                stack.pop()
-                if not stack:
-                    break
-                parent = stack[-1][0]
-                low[parent] = min(low[parent], low[v])
-                if parent == root:
-                    root_children += 1
-                if low[v] >= disc[parent]:
-                    # parent closes off the component hanging at v
-                    comp: List[Hashable] = []
-                    while edge_stack:
-                        key, a, b = edge_stack[-1]
-                        if disc[a] >= disc[v] or disc[b] >= disc[v]:
-                            comp.append(key)
-                            edge_stack.pop()
-                        else:
-                            break
-                    blocks.append(comp)
-                    if parent != root:
-                        cut.add(parent)
-        if root_children >= 2:
-            cut.add(root)
-    return blocks, cut
-
-
-def block_count(vertices: Iterable[int], edges: Iterable[EdgeTriple]) -> int:
-    bl, _ = block_decomposition_edges(vertices, edges)
-    return len(bl)
-
-
-def block_vertex_labels(vertices: Iterable[int],
-                        edges: Sequence[EdgeTriple]) -> Tuple[int, Dict[int, Set[int]]]:
-    """Block count plus, per vertex, the set of block indices touching it."""
-    by_key = {key: (u, v) for key, u, v in edges}
-    bl, _ = block_decomposition_edges(vertices, edges)
-    touching: Dict[int, Set[int]] = {v: set() for v in set(vertices)}
-    for i, comp in enumerate(bl):
-        for key in comp:
-            u, v = by_key[key]
-            touching[u].add(i)
-            touching[v].add(i)
-    return len(bl), touching
+    for comp, keys in comps.values():
+        cut |= low_link(comp, ends, keys, bl)[1]
+    return bl, cut
 
 
 def edge_connectivity_at_least(vertices: Sequence[int],
@@ -350,7 +288,9 @@ def edge_connectivity_at_least(vertices: Sequence[int],
 
 def low_link(vertices: Iterable[int],
              ends,
-             eids: Iterable[Hashable]) -> Tuple[int, Set[int], Set[Hashable]]:
+             eids: Iterable[Hashable],
+             blocks: Optional[List[List[Hashable]]] = None
+             ) -> Tuple[int, Set[int], Set[Hashable]]:
     """One iterative low-link DFS (Hopcroft and Tarjan, CACM 1973).
 
     The graph has the given vertices and the edges `eids`; `ends[e]` is the
@@ -361,6 +301,13 @@ def low_link(vertices: Iterable[int],
     the vertex count.  Edges are told apart by id, so a parallel copy of a
     tree edge is a back edge and neither copy is a bridge; a self-loop is
     never a tree edge and changes nothing.
+
+    If `blocks` is a list, the blocks of the explored component are appended
+    to it, each as a list of edge ids, and a self-loop lies in no block.
+    The DFS then keeps an edge stack of the tree edges and the back edges to
+    an ancestor; when a child v closes off its parent (low[v] >= disc[parent])
+    the stack from the tree edge into v up is one block.  The stack is
+    opt-in since it slows the DFS, and the checkers do not need it.
     """
     adj: Dict[int, List[Tuple[int, Hashable]]] = {v: [] for v in vertices}
     for e in eids:
@@ -375,6 +322,8 @@ def low_link(vertices: Iterable[int],
     disc = {root: 0}
     low = [0]             # by discovery number
     root_children = 0
+    edge_stack: List[Hashable] = []
+    block_start = [0]     # by discovery number: edge stack height at the tree edge in
     # frames: (vertex, its discovery number, tree edge into it, incidence iterator)
     stack = [(root, 0, None, iter(adj[root]))]
     while stack:
@@ -386,10 +335,15 @@ def low_link(vertices: Iterable[int],
             if dw is None:
                 dw = disc[w] = len(low)
                 low.append(dw)
+                if blocks is not None:
+                    block_start.append(len(edge_stack))
+                    edge_stack.append(e)
                 stack.append((w, dw, e, iter(adj[w])))
                 break
             if dw < low[dv]:
                 low[dv] = dw
+            if blocks is not None and dw < dv:
+                edge_stack.append(e)
         else:
             stack.pop()
             if not stack:
@@ -401,6 +355,10 @@ def low_link(vertices: Iterable[int],
             if lv > dp:
                 bridges.add(in_edge)
             if lv >= dp:
+                if blocks is not None:
+                    i = block_start[dv]
+                    blocks.append(edge_stack[i:])
+                    del edge_stack[i:]
                 if len(stack) > 1:
                     cut.add(stack[-1][0])
                 else:
@@ -512,55 +470,13 @@ def blocks(g: LabeledGraph) -> BlockDecomposition:
 
 
 def cut_vertices(g: LabeledGraph) -> FrozenSet[int]:
-    if not is_connected(range(g.n), _triples(g)):
+    reached, cut, _ = low_link(range(g.n), g.edge_ends, g.edge_ends)
+    if reached < g.n:
         raise InputError("cut_vertices: graph must be connected")
-    return blocks(g).cut_vertices
+    return frozenset(cut)
 
 
 def is_k_edge_connected(g: LabeledGraph, k: int) -> bool:
     if k < 1:
         raise InputError("is_k_edge_connected: k must be >= 1")
     return edge_connectivity_at_least(range(g.n), _triples(g), k)
-
-
-def find_block_reducing_edge(g: LabeledGraph, h_edges: Iterable[int]) -> int:
-    """Lowest-id edge of g outside h_edges whose addition strictly reduces
-    the block count of the spanning subgraph (V, h_edges).
-
-    (V, h_edges) must be a connected spanning subgraph of g with strictly
-    more blocks than g; existence is then guaranteed.
-    """
-    chosen = set(h_edges)
-    unknown = chosen - set(g.edge_by_id)
-    if unknown:
-        raise InputError(f"unknown edge ids {sorted(unknown)}")
-    sub = [(eid, g.edge_by_id[eid].u, g.edge_by_id[eid].v) for eid in sorted(chosen)]
-    eid = find_block_reducing_key(range(g.n), sub,
-                                  [(e.eid, e.u, e.v) for e in g.edges
-                                   if e.eid not in chosen])
-    if eid is None:
-        raise InputError("no reducing edge exists")
-    return eid
-
-
-def find_block_reducing_key(vertices: Sequence[int],
-                            current: Sequence[EdgeTriple],
-                            candidates: Sequence[EdgeTriple]):
-    """First candidate (in given order) that strictly reduces the block count
-    of (vertices, current), or None.
-
-    Adding uv reduces the count iff u and v already lie in one component but
-    share no block; same-block edges leave the count unchanged and
-    cross-component edges raise it by one.
-    """
-    _, touching = block_vertex_labels(vertices, current)
-    uf = UnionFind(vertices)
-    for _, u, v in current:
-        uf.union(u, v)
-    for key, u, v in candidates:
-        if uf.find(u) != uf.find(v):
-            continue
-        if touching[u] & touching[v]:
-            continue
-        return key
-    return None

@@ -107,6 +107,69 @@ def _connected_no_cut(g, verts, eids):
     return all(components(skip=v) <= 1 for v in verts)
 
 
+def reference_block_decomposition_edges(vertices, edges):
+    """Blocks (as lists of edge keys) and cut vertices of a multigraph: the
+    separate Hopcroft-Tarjan DFS that `graph.py` used before `low_link`
+    returned blocks, kept frozen as a reference that does not share code
+    with the library.  Adjacency lists are sorted by (neighbour, repr(key)).
+    """
+    verts = sorted(set(vertices))
+    adj = {v: [] for v in verts}
+    for key, u, v in edges:
+        adj[u].append((v, key))
+        adj[v].append((u, key))
+    for v in verts:
+        adj[v].sort(key=lambda t: (t[0], repr(t[1])))
+
+    disc, low = {}, {}
+    blocks_out, cut = [], set()
+    timer = itertools.count()
+    for root in verts:
+        if root in disc:
+            continue
+        stack = [(root, None, 0)]
+        edge_stack = []
+        root_children = 0
+        disc[root] = low[root] = next(timer)
+        while stack:
+            v, in_key, idx = stack[-1]
+            if idx < len(adj[v]):
+                stack[-1] = (v, in_key, idx + 1)
+                w, key = adj[v][idx]
+                if key == in_key:
+                    continue
+                if w not in disc:
+                    disc[w] = low[w] = next(timer)
+                    edge_stack.append((key, v, w))
+                    stack.append((w, key, 0))
+                elif disc[w] < disc[v]:
+                    edge_stack.append((key, v, w))
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if not stack:
+                    break
+                parent = stack[-1][0]
+                low[parent] = min(low[parent], low[v])
+                if parent == root:
+                    root_children += 1
+                if low[v] >= disc[parent]:
+                    comp = []
+                    while edge_stack:
+                        key, a, b = edge_stack[-1]
+                        if disc[a] >= disc[v] or disc[b] >= disc[v]:
+                            comp.append(key)
+                            edge_stack.pop()
+                        else:
+                            break
+                    blocks_out.append(comp)
+                    if parent != root:
+                        cut.add(parent)
+        if root_children >= 2:
+            cut.add(root)
+    return blocks_out, cut
+
+
 def brute_force_k_edge_connected(g, k):
     """k-edge-connectivity by removing every (k-1)-subset of edges."""
     if g.n <= 1:

@@ -43,6 +43,16 @@ class TestDoubling:
         sol = alg2_double_and_solve(g, EXACT)
         assert sol.edge_ids == frozenset({0, 1})
 
+    def test_meta_keys_on_tiny_graphs(self):
+        # at most one vertex: the same meta keys as every other call
+        for n in (0, 1):
+            sol = alg2_double_and_solve(build(n, []), EXACT)
+            assert sol.edge_ids == frozenset()
+            assert sol.meta["doubled_size"] == 0
+            assert sol.meta["solver_kind"] == "exact"
+        sol = alg2_double_and_solve(build(2, [(0, 1)]), EXACT)
+        assert (sol.meta["doubled_size"], sol.meta["solver_kind"]) == (2, "exact")
+
     def test_unsafe_bridge_infeasible(self):
         g = build(3, [(0, 1), (1, 2)], edge_safe=[True, False])
         with pytest.raises(InfeasibleInstanceError):

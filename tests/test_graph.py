@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from flexconn.errors import InputError
 from flexconn.graph import (ContractionResult, Edge, LabeledGraph, UnionFind,
                             blocks, contract_edges, contract_vertices,
-                            cut_vertices, find_block_reducing_edge,
-                            is_k_edge_connected)
+                            cut_vertices, is_k_edge_connected)
 
 from conftest import (brute_force_blocks, brute_force_k_edge_connected, build,
                       random_connected)
@@ -221,44 +220,3 @@ class TestEdgeConnectivity:
         rng = random.Random(seed)
         g = random_connected(rng, rng.randint(2, 7), 0.5)
         assert is_k_edge_connected(g, k) == brute_force_k_edge_connected(g, k)
-
-
-class TestBlockReducingEdge:
-    def test_c4_path(self, c4):
-        # spanning path 0-1-2-3 has 3 blocks; only edge 30 can help
-        eid = find_block_reducing_edge(c4, {0, 1, 2})
-        assert eid == 3
-        assert len(blocks(LabeledGraph(4, c4.vertex_safe,
-                                       tuple(e for e in c4.edges if e.eid in {0, 1, 2, 3}))).blocks) == 1
-
-    def test_k4_star(self, k4):
-        star = {0, 1, 2}  # edges 01, 02, 03
-        eid = find_block_reducing_edge(k4, star)
-        before = len(blocks(LabeledGraph(4, k4.vertex_safe,
-                                         tuple(e for e in k4.edges if e.eid in star))).blocks)
-        after = len(blocks(LabeledGraph(4, k4.vertex_safe,
-                                        tuple(e for e in k4.edges if e.eid in star | {eid}))).blocks)
-        assert after < before
-
-    def test_random_spanning_trees_strictly_reduce(self):
-        from flexconn.graph import UnionFind
-        rng = random.Random(3)
-        for _ in range(25):
-            g = random_connected(rng, rng.randint(3, 8), 0.6)
-            uf = UnionFind(range(g.n))
-            tree = {e.eid for e in sorted(g.edges, key=lambda e: e.eid)
-                    if uf.union(e.u, e.v)}
-            if len(tree) == g.m or g.n < 3:
-                continue
-            before = len(blocks(LabeledGraph(g.n, g.vertex_safe,
-                                             tuple(e for e in g.edges if e.eid in tree))).blocks)
-            if before <= len(blocks(g).blocks):
-                continue
-            eid = find_block_reducing_edge(g, tree)
-            after = len(blocks(LabeledGraph(g.n, g.vertex_safe,
-                                            tuple(e for e in g.edges if e.eid in tree | {eid}))).blocks)
-            assert after < before
-
-    def test_no_reducing_edge(self, c4):
-        with pytest.raises(InputError):
-            find_block_reducing_edge(c4, {0, 1, 2, 3})

@@ -1,16 +1,17 @@
-"""Differential tests of `graph.low_link` and of the checkers built on it.
+"""Differential tests of `graph.low_link` and of the code built on it.
 
-The reference is networkx (test-only): `articulation_points` and `bridges` of
-the underlying simple graph, restricted to the component of the first
-vertex, which is the one the DFS explores.  On a multigraph the cut vertices
-are those of the simple graph, since a parallel copy adds no new path, and
-an edge is a bridge iff its endpoint pair has multiplicity 1 and is a bridge
-of the simple graph.  Self-loops are left out of the reference: they change
-nothing.
+The reference is networkx (test-only): `articulation_points`, `bridges` and
+`biconnected_component_edges` of the underlying simple graph, restricted to
+the component of the first vertex, which is the one the DFS explores.  On a
+multigraph the cut vertices are those of the simple graph, since a parallel
+copy adds no new path; an edge is a bridge iff its endpoint pair has
+multiplicity 1 and is a bridge of the simple graph; and every copy of a pair
+lies in the block of that pair.  Self-loops are left out of the reference:
+they change nothing and lie in no block.
 
 `check_fvc` and `check_fgc` are also compared with their earlier
-definitions, a union-find connectivity test followed by a block
-decomposition, copied below.
+definitions, a union-find connectivity test followed by the earlier block
+decomposition (`conftest.reference_block_decomposition_edges`).
 """
 
 import random
@@ -20,8 +21,11 @@ import pytest
 
 from flexconn.errors import InputError
 from flexconn.feasibility import check_fgc, check_fvc
-from flexconn.graph import (LabeledGraph, block_decomposition_edges,
+from flexconn.graph import (LabeledGraph, block_decomposition_edges, blocks,
                             is_connected, low_link)
+
+from conftest import (brute_force_blocks, random_connected,
+                      reference_block_decomposition_edges)
 
 nx = pytest.importorskip("networkx")
 
@@ -41,6 +45,45 @@ def _reference(vertices, ends, eids):
                if frozenset(ends[e]) in simple_bridges
                and multiplicity[frozenset(ends[e])] == 1}
     return len(component), set(nx.articulation_points(sub)), bridges
+
+
+def _reference_blocks(vertices, ends, eids, first_component_only):
+    """Blocks as a Counter of frozensets of edge ids."""
+    vertices = list(vertices)
+    simple = nx.Graph()
+    simple.add_nodes_from(vertices)
+    simple.add_edges_from(ends[e] for e in eids if ends[e][0] != ends[e][1])
+    if first_component_only and vertices:
+        simple = simple.subgraph(nx.node_connected_component(simple, vertices[0]))
+    block_of = {}
+    for i, comp in enumerate(nx.biconnected_component_edges(simple)):
+        for u, v in comp:
+            block_of[frozenset((u, v))] = i
+    out = {}
+    for e in eids:
+        i = block_of.get(frozenset(ends[e]))
+        if i is not None:
+            out.setdefault(i, set()).add(e)
+    return Counter(frozenset(b) for b in out.values())
+
+
+def _as_counter(bl):
+    assert all(len(b) == len(set(b)) for b in bl)
+    return Counter(frozenset(b) for b in bl)
+
+
+def _check_blocks(vertices, ends, eids):
+    """`low_link` blocks and `block_decomposition_edges` against networkx."""
+    vertices, eids = list(vertices), list(eids)
+    bl = []
+    low_link(vertices, ends, eids, bl)
+    assert _as_counter(bl) == _reference_blocks(vertices, ends, eids, True)
+    got, cut = block_decomposition_edges(vertices, [(e, *ends[e]) for e in eids])
+    assert _as_counter(got) == _reference_blocks(vertices, ends, eids, False)
+    simple = nx.Graph()
+    simple.add_nodes_from(vertices)
+    simple.add_edges_from(ends[e] for e in eids if ends[e][0] != ends[e][1])
+    assert cut == set(nx.articulation_points(simple))
 
 
 def _random_labeled(rng, n):
@@ -104,6 +147,97 @@ class TestAgainstNetworkx:
         assert low_link([0, 1, 2], {0: (0, 1), 1: (1, 2)}, [0, 1]) == (3, {1}, {0, 1})
 
 
+class TestBlocksAgainstNetworkx:
+    def test_labeled_multigraphs(self):
+        """400 multigraphs, n 0-12, parallel edges, often disconnected; also
+        `blocks(g)` on the whole graph."""
+        rng = random.Random(9004)
+        seen_parallel = seen_disconnected = 0
+        for i in range(400):
+            g = _random_labeled(rng, i % 13)
+            keep = rng.uniform(0.4, 1.0)
+            chosen = {e for e in g.edge_by_id if rng.random() < keep}
+            _check_blocks(range(g.n), g.edge_ends, chosen)
+            assert (Counter(blocks(g).blocks)
+                    == _reference_blocks(range(g.n), g.edge_ends, g.edge_ends, False))
+            seen_parallel += not g.is_simple
+            seen_disconnected += low_link(range(g.n), g.edge_ends, chosen)[0] < g.n
+        assert seen_parallel > 50 and seen_disconnected > 50
+
+    def test_mixed_keys_and_labels(self):
+        """300 multigraphs as Algorithm 2 builds them: int edge ids mixed
+        with tuple keys ("pe", i), arbitrary vertex labels, a few self-loops."""
+        rng = random.Random(9005)
+        for i in range(300):
+            n = i % 11
+            labels = rng.sample(range(100), n)
+            m = rng.randint(0, 3 * n) if n else 0
+            ends = {}
+            for j in range(m):
+                key = ("pe", j) if rng.random() < 0.4 else j
+                ends[key] = (rng.choice(labels), rng.choice(labels))
+            _check_blocks(labels, ends, ends)
+
+    def test_long_cycle_and_path(self):
+        n = 5000
+        cycle = {i: (i, (i + 1) % n) for i in range(n)}
+        path = {i: (i, i + 1) for i in range(n - 1)}
+        for ends, expected in ((cycle, [set(cycle)]), (path, [{i} for i in path])):
+            bl = []
+            low_link(range(n), ends, ends, bl)
+            assert _as_counter(bl) == Counter(frozenset(b) for b in expected)
+            got, _ = block_decomposition_edges(range(n), [(e, *ends[e]) for e in ends])
+            assert _as_counter(got) == _as_counter(bl)
+            g = LabeledGraph.build(n, [ends[e] for e in sorted(ends)])
+            assert Counter(blocks(g).blocks) == _as_counter(bl)
+
+    def test_small_cases(self):
+        bl = []
+        assert low_link([], {}, [], bl) == (0, set(), set()) and bl == []
+        assert low_link([0, 1], {}, [], bl) == (1, set(), set()) and bl == []
+        assert low_link([0, 1], {5: (0, 1), 8: (1, 0)}, [5, 8], bl) == (2, set(), set())
+        assert _as_counter(bl) == Counter([frozenset({5, 8})])
+        bl = []
+        low_link([0], {3: (0, 0)}, [3], bl)
+        assert bl == []
+
+
+class TestBlockMergingEdge:
+    """In a connected graph, adding an edge uw lowers the block count iff u
+    and w share no block; a same-block edge leaves it unchanged.  This is
+    the rule Algorithm 2 picks its edges by; the counts come from the brute
+    force block definition."""
+
+    @staticmethod
+    def _sub(g, eids):
+        return LabeledGraph(g.n, g.vertex_safe, tuple(e for e in g.edges if e.eid in eids))
+
+    def test_random_spanning_subgraphs(self):
+        rng = random.Random(3)
+        merged = kept = 0
+        for _ in range(100):
+            g = random_connected(rng, rng.randint(3, 7), 0.6)
+            order = sorted(g.edges, key=lambda e: rng.random())
+            sub = set()
+            for e in order:
+                if low_link(range(g.n), g.edge_ends, sub)[0] < g.n or rng.random() < 0.2:
+                    sub.add(e.eid)
+            h = self._sub(g, sub)
+            before = len(brute_force_blocks(h))
+            dec = blocks(h)
+            assert len(dec.blocks) == before
+            for e in g.edges:
+                if e.eid in sub:
+                    continue
+                share = any({e.u, e.v} <= {x for k in b for x in g.edge_ends[k]}
+                            for b in dec.blocks)
+                after = len(brute_force_blocks(self._sub(g, sub | {e.eid})))
+                assert after == before if share else after < before, (g, sub, e)
+                merged += not share
+                kept += share
+        assert merged > 80 and kept > 30, (merged, kept)
+
+
 # The checkers as they were defined before `low_link`.
 
 def _old_edge_triples(g, eids):
@@ -114,7 +248,7 @@ def _old_check_fgc(g, eids):
     triples = _old_edge_triples(g, eids)
     if not is_connected(range(g.n), triples):
         return False
-    bl, _ = block_decomposition_edges(range(g.n), triples)
+    bl, _ = reference_block_decomposition_edges(range(g.n), triples)
     bridges = {comp[0] for comp in bl if len(comp) == 1}
     return all(g.edge_by_id[eid].safe for eid in bridges)
 
@@ -123,7 +257,7 @@ def _old_check_fvc(g, eids):
     triples = _old_edge_triples(g, eids)
     if not is_connected(range(g.n), triples):
         return False
-    _, cut = block_decomposition_edges(range(g.n), triples)
+    _, cut = reference_block_decomposition_edges(range(g.n), triples)
     return all(g.vertex_safe[v] for v in cut)
 
 
