@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import InputError, require
-from .graph import LabeledGraph, low_link
+from .graph import LabeledGraph, low_link_incidence
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class EarDecomposition:
 def _is_2vc(g: LabeledGraph) -> bool:
     if g.n < 3:
         return False
-    reached, cut, _ = low_link(range(g.n), g.edge_ends, g.edge_ends)
+    reached, cut, _ = low_link_incidence(g.incidence)
     return reached == g.n and not cut
 
 

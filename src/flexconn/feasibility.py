@@ -6,12 +6,13 @@ k-FGC: (V,F) connected and it survives the simultaneous removal of any k
 unsafe edges; equivalently the contraction of (V,F) by its safe edges is
 (k+1)-edge-connected.
 
-`check_fgc` and `check_fvc` run one low-link DFS over F (`graph.low_link`):
-it reaches every vertex iff (V,F) is connected, and the same pass yields the
-bridges and the cut vertices.  `check_kfgc` decides the contraction form
-only.  The literal form, removing every k-subset of the unsafe edges, is
-compared with it in `tests/test_feasibility.py` (every edge subset of small
-graphs, sampled subsets of larger ones).
+`check_fgc` and `check_fvc` run one low-link DFS over the graph's cached
+incidence list, filtered by F (`graph.low_link_incidence`): it reaches every
+vertex iff (V,F) is connected, and it stops at the first unsafe bridge or cut
+vertex.  `check_kfgc` decides the contraction form only.  The literal form,
+removing every k-subset of the unsafe edges, is compared with it in
+`tests/test_feasibility.py` (every edge subset of small graphs, sampled
+subsets of larger ones).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, FrozenSet, Iterable, Set
 
 from .errors import InputError
-from .graph import LabeledGraph, UnionFind, edge_connectivity_at_least, low_link
+from .graph import LabeledGraph, edge_connectivity_at_least, low_link_incidence
 
 PROBLEMS = ("fgc", "fvc", "kfgc")
 
@@ -57,20 +58,24 @@ class Solution:
 
 
 def _edge_set(g: LabeledGraph, eids: Iterable[int]) -> Set[int]:
-    chosen = set(eids)
-    if not g.edge_by_id.keys() >= chosen:
-        raise InputError(f"unknown edge ids {sorted(chosen - g.edge_by_id.keys())}")
+    """The chosen ids as a set; True and 2.0 are refused, not read as 1 and 2."""
+    ids = eids if isinstance(eids, (set, frozenset)) else list(eids)
+    if not {int}.issuperset(map(type, ids)):
+        raise InputError(f"edge ids must be integers, not {[e for e in ids if type(e) is not int]}")
+    chosen = ids if ids is eids else set(ids)
+    if not g.edge_id_set >= chosen:
+        raise InputError(f"unknown edge ids {sorted(chosen - g.edge_id_set)}")
     return chosen
 
 
 def check_fgc(g: LabeledGraph, eids: Iterable[int]) -> bool:
-    reached, _, bridges = low_link(range(g.n), g.edge_ends, _edge_set(g, eids))
-    return reached == g.n and all(g.edge_by_id[eid].safe for eid in bridges)
+    return low_link_incidence(g.incidence, _edge_set(g, eids), None, (),
+                              g.unsafe_edge_set)[0] == g.n
 
 
 def check_fvc(g: LabeledGraph, eids: Iterable[int]) -> bool:
-    reached, cut, _ = low_link(range(g.n), g.edge_ends, _edge_set(g, eids))
-    return reached == g.n and all(g.vertex_safe[v] for v in cut)
+    return low_link_incidence(g.incidence, _edge_set(g, eids), None,
+                              g.unsafe_vertex_set)[0] == g.n
 
 
 def check_kfgc(g: LabeledGraph, eids: Iterable[int], k: int) -> bool:
@@ -81,21 +86,20 @@ def check_kfgc(g: LabeledGraph, eids: Iterable[int], k: int) -> bool:
     """
     require_positive_k(k)
     chosen = _edge_set(g, eids)
-    by_id, ends = g.edge_by_id, g.edge_ends
-    uf = UnionFind(range(g.n))
-    unsafe = []
-    for eid in chosen:
-        if by_id[eid].safe:
-            uf.union(*ends[eid])
-        else:
-            unsafe.append(eid)
-    comp = [uf.find(v) for v in range(g.n)]
-    contracted = []
-    for eid in unsafe:
+    ends, unsafe = g.edge_ends, g.unsafe_edge_set
+    parent = list(range(g.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for eid in chosen - unsafe:
         u, v = ends[eid]
-        if comp[u] != comp[v]:
-            contracted.append((eid, comp[u], comp[v]))
-    return edge_connectivity_at_least(set(comp), contracted, k + 1)
+        parent[find(u)] = find(v)
+    comp = [find(v) for v in range(g.n)]
+    contracted = [(e, comp[ends[e][0]], comp[ends[e][1]]) for e in chosen & unsafe]
+    return edge_connectivity_at_least(comp, contracted, k + 1)
 
 
 def checker_for(instance: Instance) -> Callable[[LabeledGraph, Iterable[int]], bool]:

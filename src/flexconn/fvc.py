@@ -20,8 +20,8 @@ from .ears import (EarDecomposition, build_long_ear_decomposition,
                    find_forbidden_cycle)
 from .errors import InfeasibleInstanceError, InputError, require
 from .feasibility import Instance, Solution, check_fvc
-from .graph import (LabeledGraph, block_decomposition_edges,
-                    connected_components, cut_vertices, is_connected)
+from .graph import (LabeledGraph, UnionFind, block_decomposition_edges,
+                    connected_components, cut_vertices, low_link_incidence)
 from .rainbow import PseudoEdge, PseudoEdgeSet, RainbowSolution, solve_rainbow
 
 APPROX_NUM, APPROX_DEN = 11, 7
@@ -52,7 +52,7 @@ def preprocess(g: LabeledGraph) -> Tuple[List[LabeledGraph], ReconstructionPlan]
     the edges uw, wv and drops w (u, v both unsafe) or lets us drop the edge
     uw (v safe, and z relabeled safe whenever w is).
     """
-    if not is_connected(range(g.n), [(e.eid, e.u, e.v) for e in g.edges]):
+    if low_link_incidence(g.incidence)[0] < g.n:
         raise InfeasibleInstanceError("graph is disconnected")
     pieces: List[LabeledGraph] = []
     forced: Set[int] = set()
@@ -116,7 +116,7 @@ def solve_tree_case(g: LabeledGraph) -> Optional[FrozenSet[int]]:
     subgraph dominating every unsafe vertex; then a safe spanning tree plus
     one pendant edge per unsafe vertex works.
     """
-    if not is_connected(range(g.n), [(e.eid, e.u, e.v) for e in g.edges]):
+    if low_link_incidence(g.incidence)[0] < g.n:
         return None
     if g.n <= 1:
         return frozenset()
@@ -125,17 +125,13 @@ def solve_tree_case(g: LabeledGraph) -> Optional[FrozenSet[int]]:
     safe = [v for v in range(g.n) if g.vertex_safe[v]]
     if not safe:
         return None
-    safe_set = set(safe)
-    safe_triples = [(e.eid, e.u, e.v) for e in g.edges
-                    if e.u in safe_set and e.v in safe_set]
-    if len(connected_components(safe, safe_triples)) != 1:
-        return None
-    out: Set[int] = set()
-    from .graph import UnionFind
     uf = UnionFind(safe)
-    for eid, a, b in sorted(safe_triples):
-        if uf.union(a, b):
-            out.add(eid)
+    out: Set[int] = set()
+    for e in sorted(g.edges, key=lambda e: e.eid):
+        if g.vertex_safe[e.u] and g.vertex_safe[e.v] and uf.union(e.u, e.v):
+            out.add(e.eid)
+    if len(out) < len(safe) - 1:    # the safe vertices are not connected
+        return None
     for v in range(g.n):
         if g.vertex_safe[v]:
             continue

@@ -8,10 +8,10 @@ function returning new values.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Container, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from .errors import InputError
 
@@ -69,9 +69,30 @@ class LabeledGraph:
         return {e.eid: e for e in self.edges}
 
     @cached_property
+    def edge_id_set(self) -> FrozenSet[int]:
+        return frozenset(e.eid for e in self.edges)
+
+    @cached_property
     def edge_ends(self) -> Dict[int, Tuple[int, int]]:
         """Endpoint pair (u, v) per edge id."""
         return {e.eid: (e.u, e.v) for e in self.edges}
+
+    @cached_property
+    def incidence(self) -> List[List[Tuple[int, int]]]:
+        """Per vertex 0..n-1, its (other endpoint, edge id) pairs, in edge order."""
+        inc: List[List[Tuple[int, int]]] = [[] for _ in range(self.n)]
+        for e in self.edges:
+            inc[e.u].append((e.v, e.eid))
+            inc[e.v].append((e.u, e.eid))
+        return inc
+
+    @cached_property
+    def unsafe_vertex_set(self) -> FrozenSet[int]:
+        return frozenset(v for v in range(self.n) if not self.vertex_safe[v])
+
+    @cached_property
+    def unsafe_edge_set(self) -> FrozenSet[int]:
+        return frozenset(e.eid for e in self.edges if not e.safe)
 
     @cached_property
     def adj(self) -> Dict[int, List[Edge]]:
@@ -163,9 +184,8 @@ class BlockDecomposition:
 # ---------------------------------------------------------------------------
 # Low-level routines over keyed edge lists.  These work on arbitrary vertex
 # collections and arbitrary hashable edge keys, so the FVC pipeline can run
-# them on multigraphs mixing real edges and pseudo-edges.  `low_link` is the
-# one block DFS: it gives the reached count, the cut vertices and the bridges,
-# and on request the blocks as lists of edge keys.
+# them on multigraphs mixing real edges and pseudo-edges.  `low_link_incidence`
+# is the one block DFS, on a dense incidence list; `low_link` relabels into it.
 # ---------------------------------------------------------------------------
 
 EdgeTriple = Tuple[Hashable, int, int]   # (key, u, v)
@@ -211,12 +231,8 @@ def connected_components(vertices: Iterable[int], edges: Iterable[EdgeTriple]) -
 
 
 def is_connected(vertices: Iterable[int], edges: Iterable[EdgeTriple]) -> bool:
-    uf = UnionFind(vertices)
-    count = uf.component_count()
-    for _, u, v in edges:
-        if uf.union(u, v):
-            count -= 1
-    return count <= 1
+    labels, ends = dict.fromkeys(vertices), [(u, v) for _, u, v in edges]
+    return low_link(labels, ends, range(len(ends)))[0] == len(labels)
 
 
 def block_decomposition_edges(vertices: Iterable[int],
@@ -244,161 +260,175 @@ def block_decomposition_edges(vertices: Iterable[int],
     return bl, cut
 
 
-def edge_connectivity_at_least(vertices: Sequence[int],
-                               edges: Sequence[EdgeTriple],
+def edge_connectivity_at_least(vertices: Iterable[Hashable],
+                               edges: Iterable[EdgeTriple],
                                k: int) -> bool:
     """True iff the multigraph's global min edge cut has >= k edges.
 
-    Self-loops are skipped; parallel edges count once per copy.  A
-    single-vertex graph counts as k-edge-connected for every k.  By k:
-    - k = 2: one `low_link` DFS, O(n + m), with edges told apart by
-      position.  The graph fails if some vertex is never reached or some
-      edge is a bridge.
-    - otherwise: max-flow (unit capacity per edge copy) from a fixed source
-      to every other vertex, with augmentation capped at k, so each s-t test
-      costs O(k * m).
+    Self-loops are skipped; parallel edges count once per copy, and one
+    vertex is k-edge-connected for every k.  On the vertices relabeled
+    0..c-1: a vertex of degree < k fails, since its edges form a cut, and
+    with c <= 3 these are all the cuts.  Then for k = 2 one `low_link` DFS
+    decides (every vertex reached, no bridge); otherwise a max-flow of unit
+    arcs from vertex 0 to each other vertex, capped at k paths, O(k * m).
     """
-    verts = sorted(set(vertices))
-    if len(verts) <= 1:
+    index = {v: i for i, v in enumerate(dict.fromkeys(vertices))}
+    c = len(index)
+    pairs = [(index[u], index[v]) for _, u, v in edges if u != v]
+    if c <= 1 or k <= 0:
         return True
-    if k <= 0:
+    deg = [0] * c
+    for a, b in pairs:
+        deg[a] += 1
+        deg[b] += 1
+    if min(deg) < k:
+        return False
+    if c <= 3:
         return True
     if k == 2:
-        ends = [(u, v) for _, u, v in edges]
-        reached, _, bridges = low_link(verts, ends, range(len(ends)))
-        return reached == len(verts) and not bridges
-    cap: Dict[Tuple[int, int], int] = {}
-    adj: Dict[int, List[int]] = {v: [] for v in verts}
-    for _, u, v in edges:
-        if u == v:
-            continue
-        if (u, v) not in cap:
-            cap[(u, v)] = 0
-            cap[(v, u)] = 0
-            adj[u].append(v)
-            adj[v].append(u)
-        cap[(u, v)] += 1
-        cap[(v, u)] += 1
-    s = verts[0]
-    for t in verts[1:]:
-        if _max_flow_at_least(adj, dict(cap), s, t, k) < k:
-            return False
-    return True
+        reached, _, bridges = low_link(range(c), pairs, range(len(pairs)))
+        return reached == c and not bridges
+    head: List[int] = []      # arc j runs head[j ^ 1] -> head[j]
+    out: List[List[int]] = [[] for _ in range(c)]
+    for a, b in pairs:
+        out[a].append(len(head))
+        out[b].append(len(head) + 1)
+        head += (b, a)
+    cap = [1] * len(head)
+    return all(_max_flow_at_least(out, head, cap[:], t, k) for t in range(1, c))
 
 
-def low_link(vertices: Iterable[int],
+def low_link(vertices: Iterable[Hashable],
              ends,
              eids: Iterable[Hashable],
              blocks: Optional[List[List[Hashable]]] = None
-             ) -> Tuple[int, Set[int], Set[Hashable]]:
-    """One iterative low-link DFS (Hopcroft and Tarjan, CACM 1973).
-
-    The graph has the given vertices and the edges `eids`; `ends[e]` is the
-    endpoint pair of edge e (a mapping by id, or a list by position).  The
-    DFS starts at the first vertex and returns (reached, cut, bridges): the
-    number of vertices it reached, and the cut vertices and bridge ids of
-    the component it explored.  The graph is connected iff reached equals
-    the vertex count.  Edges are told apart by id, so a parallel copy of a
-    tree edge is a back edge and neither copy is a bridge; a self-loop is
-    never a tree edge and changes nothing.
-
-    If `blocks` is a list, the blocks of the explored component are appended
-    to it, each as a list of edge ids, and a self-loop lies in no block.
-    The DFS then keeps an edge stack of the tree edges and the back edges to
-    an ancestor; when a child v closes off its parent (low[v] >= disc[parent])
-    the stack from the tree edge into v up is one block.  The stack is
-    opt-in since it slows the DFS, and the checkers do not need it.
-    """
-    adj: Dict[int, List[Tuple[int, Hashable]]] = {v: [] for v in vertices}
+             ) -> Tuple[int, Set[Hashable], Set[Hashable]]:
+    """`low_link_incidence` on the given vertices, relabeled 0..c-1 in order
+    (so the DFS starts at the first), and the edges `eids`, where `ends[e]`
+    is the endpoint pair of edge e (a mapping by id, or a list by position).
+    The cut vertices are returned as labels."""
+    labels = list(dict.fromkeys(vertices))
+    index = {v: i for i, v in enumerate(labels)}
+    inc: List[List[Tuple[int, Hashable]]] = [[] for _ in labels]
     for e in eids:
         u, v = ends[e]
-        adj[u].append((v, e))
-        adj[v].append((u, e))
+        a, b = index[u], index[v]
+        inc[a].append((b, e))
+        inc[b].append((a, e))
+    reached, cut, bridges = low_link_incidence(inc, None, blocks)
+    return reached, {labels[v] for v in cut}, bridges
+
+
+def low_link_incidence(inc: Sequence[Sequence[Tuple[int, Hashable]]],
+                       keep: Optional[Container[Hashable]] = None,
+                       blocks: Optional[List[List[Hashable]]] = None,
+                       stop_cuts: Container[int] = (),
+                       stop_bridges: Container[Hashable] = ()
+                       ) -> Tuple[int, Set[int], Set[Hashable]]:
+    """The one iterative low-link DFS (Hopcroft and Tarjan, CACM 1973).
+
+    `inc[v]` lists the (other endpoint, edge key) pairs of vertex v in
+    0..len(inc)-1, as `LabeledGraph.incidence` does; with `keep`, only the
+    edges with a key in it count.  From vertex 0 the DFS returns (reached,
+    cut, bridges) for the component it explores.  Edges are told apart by
+    key, so parallel copies are never bridges; a self-loop changes nothing.
+    It stops at the first cut vertex v in `stop_cuts`, or bridge e in
+    `stop_bridges`, and returns (-1, {v}, set()) or (-1, set(), {e}).
+
+    If `blocks` is a list, each block is appended to it as a list of edge
+    keys (a self-loop lies in none) from an opt-in edge stack of the tree
+    edges and the back edges to an ancestor: when a child c closes off its
+    parent (low[c] >= disc[parent]), the stack from the tree edge into c up
+    is one block.
+    """
     cut: Set[int] = set()
     bridges: Set[Hashable] = set()
-    if not adj:
+    if not inc:
         return 0, cut, bridges
-    root = next(iter(adj))
-    disc = {root: 0}
-    low = [0]             # by discovery number
-    root_children = 0
+    disc = [0] + [-1] * (len(inc) - 1)     # by vertex
+    low = [0]                 # by discovery number
+    root_has_child = False
     edge_stack: List[Hashable] = []
     block_start = [0]     # by discovery number: edge stack height at the tree edge in
-    # frames: (vertex, its discovery number, tree edge into it, incidence iterator)
-    stack = [(root, 0, None, iter(adj[root]))]
-    while stack:
-        v, dv, in_edge, incident = stack[-1]
+    # the current frame, and the stack of its ancestors' frames: (vertex, its
+    # discovery number, tree edge into it, incidence iterator)
+    v, dv, in_edge, incident = 0, 0, None, iter(inc[0])
+    frames = []
+    while True:
         for w, e in incident:
-            if e == in_edge:
+            if e == in_edge or (keep is not None and e not in keep):
                 continue
-            dw = disc.get(w)
-            if dw is None:
+            dw = disc[w]
+            if dw < 0:
                 dw = disc[w] = len(low)
                 low.append(dw)
                 if blocks is not None:
                     block_start.append(len(edge_stack))
                     edge_stack.append(e)
-                stack.append((w, dw, e, iter(adj[w])))
+                frames.append((v, dv, in_edge, incident))
+                v, dv, in_edge, incident = w, dw, e, iter(inc[w])
                 break
-            if dw < low[dv]:
-                low[dv] = dw
-            if blocks is not None and dw < dv:
-                edge_stack.append(e)
-        else:
-            stack.pop()
-            if not stack:
-                break
-            dp = stack[-1][1]
-            lv = low[dv]
-            if lv < low[dp]:
-                low[dp] = lv
-            if lv > dp:
-                bridges.add(in_edge)
-            if lv >= dp:
+            if dw < dv:           # a back edge to an ancestor
+                if dw < low[dv]:
+                    low[dv] = dw
                 if blocks is not None:
-                    i = block_start[dv]
+                    edge_stack.append(e)
+        else:
+            if not frames:
+                break
+            lc, dc, tree_edge = low[dv], dv, in_edge
+            v, dv, in_edge, incident = frames.pop()
+            if lc < low[dv]:
+                low[dv] = lc
+            if lc > dv:
+                if tree_edge in stop_bridges:
+                    return -1, set(), {tree_edge}
+                bridges.add(tree_edge)
+            if lc >= dv:
+                if blocks is not None:
+                    i = block_start[dc]
                     blocks.append(edge_stack[i:])
                     del edge_stack[i:]
-                if len(stack) > 1:
-                    cut.add(stack[-1][0])
+                if dv == 0 and not root_has_child:    # the root cuts from child 2 on
+                    root_has_child = True
+                elif v in stop_cuts:
+                    return -1, {v}, set()
                 else:
-                    root_children += 1
-    if root_children > 1:
-        cut.add(root)
+                    cut.add(v)
     return len(low), cut, bridges
 
 
 def subset_k_edge_connected(g: LabeledGraph, eids: Iterable[int], k: int) -> bool:
     """True iff the spanning subgraph (V(g), eids) is k-edge-connected."""
-    ends = g.edge_ends
-    triples = [(e, *ends[e]) for e in eids]
-    return edge_connectivity_at_least(range(g.n), triples, k)
+    if k == 2:
+        reached, _, bridges = low_link_incidence(g.incidence, set(eids))
+        return reached == g.n and not bridges
+    return edge_connectivity_at_least(range(g.n), [(e, *g.edge_ends[e]) for e in eids], k)
 
 
-def _max_flow_at_least(adj: Dict[int, List[int]],
-                       residual: Dict[Tuple[int, int], int],
-                       s: int, t: int, k: int) -> int:
-    flow = 0
-    while flow < k:
-        parent = {s: s}
-        queue = deque([s])
-        while queue and t not in parent:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in parent and residual[(x, y)] > 0:
-                    parent[y] = x
+def _max_flow_at_least(out: List[List[int]], head: List[int],
+                       residual: List[int], t: int, k: int) -> bool:
+    """True iff k augmenting paths run from vertex 0 to t; uses up `residual`."""
+    for _ in range(k):
+        via = [-2] + [-1] * (len(out) - 1)    # by vertex: the arc that reached it
+        queue = [0]
+        for x in queue:
+            for j in out[x]:
+                y = head[j]
+                if via[y] == -1 and residual[j] > 0:
+                    via[y] = j
                     queue.append(y)
-        if t not in parent:
-            break
-        # unit-capacity augmenting path
+            if via[t] != -1:
+                break
+        else:
+            return False
         y = t
-        while y != s:
-            x = parent[y]
-            residual[(x, y)] -= 1
-            residual[(y, x)] += 1
-            y = x
-        flow += 1
-    return flow
+        while y:
+            j = via[y]
+            residual[j] -= 1
+            residual[j ^ 1] += 1
+            y = head[j ^ 1]
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +500,7 @@ def blocks(g: LabeledGraph) -> BlockDecomposition:
 
 
 def cut_vertices(g: LabeledGraph) -> FrozenSet[int]:
-    reached, cut, _ = low_link(range(g.n), g.edge_ends, g.edge_ends)
+    reached, cut, _ = low_link_incidence(g.incidence)
     if reached < g.n:
         raise InputError("cut_vertices: graph must be connected")
     return frozenset(cut)

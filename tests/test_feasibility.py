@@ -183,3 +183,41 @@ class TestInstance:
     def test_k_must_be_a_positive_int(self, c4, k):
         with pytest.raises(InputError, match="k must be a positive integer"):
             Instance(graph=c4, problem="kfgc", k=k)
+
+
+class TestEdgeIdTypes:
+    """Edge ids must be ints.  True and 2.0 equal the ids 1 and 2, so a set
+    of them would silently stand for those edges."""
+    TRIANGLE = [(0, 1), (1, 2), (2, 0)]
+    BAD = [[0, True, 2.0], [0.0, True, 2], [1, True], {0, 1, 2.0}, (0, 1, "2")]
+
+    @pytest.mark.parametrize("eids", BAD)
+    def test_check_fvc(self, eids):
+        g = build(3, self.TRIANGLE)
+        with pytest.raises(InputError, match="edge ids must be integers"):
+            check_fvc(g, eids)
+
+    @pytest.mark.parametrize("eids", BAD)
+    def test_check_fgc(self, eids):
+        g = build(3, self.TRIANGLE)
+        with pytest.raises(InputError, match="edge ids must be integers"):
+            check_fgc(g, eids)
+
+    @pytest.mark.parametrize("eids", BAD)
+    def test_check_kfgc(self, eids):
+        g = build(3, self.TRIANGLE)
+        with pytest.raises(InputError, match="edge ids must be integers"):
+            check_kfgc(g, eids, 1)
+
+    @pytest.mark.parametrize("eids", BAD)
+    def test_prune_minimal(self, eids):
+        g = build(3, self.TRIANGLE)
+        with pytest.raises(InputError, match="edge ids must be integers"):
+            prune_minimal(g, eids, check_fgc)
+
+    def test_int_ids_accepted_in_any_iterable(self):
+        g = build(3, self.TRIANGLE)
+        for eids in ([0, 1, 2], (0, 1, 2), {0, 1, 2}, frozenset({0, 1, 2}), iter([0, 1, 2])):
+            assert check_fvc(g, eids)
+        assert check_fgc(g, [0, 1, 1])   # a safe spanning path; a repeated id is one edge
+        assert check_kfgc(g, range(3), 1)
