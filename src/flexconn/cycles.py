@@ -87,7 +87,7 @@ def find_good_cycle(g: LabeledGraph, vd: Set[int],
     single_set = set(singles)
     if not larges:
         return None
-    nbr = {v: sorted(w for w in g.neighbor_sets[v] if w in vd) for v in vd}
+    nbr = {v: [w for w in g.neighbors(v) if w in vd] for v in vd}
     if len(larges) == 1:
         if not any(w in single_set for v in singles for w in nbr[v]):
             return None
@@ -97,7 +97,7 @@ def find_good_cycle(g: LabeledGraph, vd: Set[int],
     nice = _find_nice_cycle(g, vd, coarse)
     require(nice is not None, "a nice cycle must exist on a 2VC graph")
     cycle_eids = _augment_to_good_cycle(g, coarse, nice)
-    triples = [(eid, g.edge_by_id[eid].u, g.edge_by_id[eid].v) for eid in sorted(cycle_eids)]
+    triples = [(eid, *g.edge_ends[eid]) for eid in sorted(cycle_eids)]
     require(is_good_cycle(parts, triples), "constructed cycle failed validation")
     return set(cycle_eids)
 
@@ -170,18 +170,8 @@ def _find_nice_cycle(g: LabeledGraph, vd: Set[int], coarse: Sequence[_Part]):
     for v in cross:
         cross[v].sort()
 
-    def exits(part_idx: int, entry: Optional[int]):
-        p = coarse[part_idx]
-        for v in sorted(p.vertices):
-            if entry is not None and len(p.vertices) >= 2 and v == entry:
-                continue
-            if entry is not None and len(p.vertices) == 1 and v != entry:
-                continue
-            if cross[v]:
-                yield v
-
     for start_idx in range(len(coarse)):
-        for a0 in exits(start_idx, None):
+        for a0 in sorted(coarse[start_idx].vertices):
             for (c, eid, r) in cross[a0]:
                 found = _extend_cycle(coarse, cross, part_of, start_idx, a0,
                                       [(eid, a0, c)], {start_idx, r}, r, c)
@@ -272,12 +262,12 @@ def _augment_to_good_cycle(g: LabeledGraph, coarse: Sequence[_Part], nice) -> Se
                 x, y = y, x
             if x in L:
                 w = min(w for w in g.neighbor_sets[y] if w in L and w != x)
-                out.add(g.edge_between(y, w).eid)
+                out.add(g.edge_between(y, w))
             else:
                 w1 = min(w for w in g.neighbor_sets[x] if w in L)
                 w2 = min(w for w in g.neighbor_sets[y] if w in L and w != w1)
-                out.add(g.edge_between(x, w1).eid)
-                out.add(g.edge_between(y, w2).eid)
+                out.add(g.edge_between(x, w1))
+                out.add(g.edge_between(y, w2))
     return out
 
 
@@ -288,7 +278,7 @@ def _path_edge_ids(g: LabeledGraph, inside: FrozenSet[int], x: int, y: int) -> S
         v = queue.popleft()
         if v == y:
             break
-        for w in sorted(g.neighbor_sets[v]):
+        for w in g.neighbors(v):
             if w in inside and w not in parent:
                 parent[w] = v
                 queue.append(w)
@@ -296,6 +286,6 @@ def _path_edge_ids(g: LabeledGraph, inside: FrozenSet[int], x: int, y: int) -> S
     out: Set[int] = set()
     v = y
     while parent[v] is not None:
-        out.add(g.edge_between(v, parent[v]).eid)
+        out.add(g.edge_between(v, parent[v]))
         v = parent[v]
     return out

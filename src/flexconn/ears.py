@@ -46,7 +46,7 @@ class EarDecomposition:
         for a, b in self.edge_pairs():
             e = g.edge_between(a, b)
             require(e is not None, f"ear edge {a}-{b} missing from graph")
-            out.add(e.eid)
+            out.add(e)
         return out
 
     @property

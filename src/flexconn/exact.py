@@ -57,11 +57,13 @@ n - 1, no (n-1)-set is feasible, and the search starts at size n.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .errors import InfeasibleInstanceError, InputError
 from .feasibility import Instance, Solution, checker_for
-from .graph import LabeledGraph, UnionFind, is_k_edge_connected, subset_k_edge_connected
+from .graph import (LabeledGraph, UnionFind, is_k_edge_connected, max_safe_forest,
+                    subset_k_edge_connected)
 
 DEFAULT_CAP_N = 10
 
@@ -227,11 +229,16 @@ def _fvc_tree(g: LabeledGraph) -> FrozenSet[int]:
     return frozenset(tree)
 
 
+def _kfgc_lower_bound(n: int, forest: int, contracted_n: int, k: int) -> int:
+    if contracted_n <= 1:
+        return max(n - 1, 0)
+    return max(n - 1, forest + math.ceil(contracted_n * (k + 1) / 2))
+
+
 def exact_solve(inst: Instance, cap_n: int = DEFAULT_CAP_N) -> Solution:
     """Minimum-cardinality, then lexicographically first, feasible edge set,
     or an error if none exists.  A spanning-tree optimum comes from one
     greedy pass (module docstring); otherwise the search starts at n."""
-    from .kfgc import _kfgc_lower_bound, max_safe_forest  # kfgc imports exact
     g = inst.graph
     if g.n > cap_n:
         raise InputError(f"exact_solve: n={g.n} exceeds cap {cap_n}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, FrozenSet, Iterable, Optional
 
-from .errors import InfeasibleInstanceError, InputError, require
+from .errors import InfeasibleInstanceError, require
 from .feasibility import Solution, check_fgc, prune_minimal
 from .graph import Edge, LabeledGraph
 from .kfgc import KecssSolverHandle
@@ -21,18 +21,16 @@ from .kfgc import KecssSolverHandle
 
 @dataclass(frozen=True)
 class F1SolverHandle:
-    kind: str = "fallback_prune"   # "fallback_prune" | "external"
+    """The F1 branch: the external `fn` when one is given, else the
+    fallback that prunes the full edge set to minimality."""
     fn: Optional[Callable[[LabeledGraph], Iterable[int]]] = None
-    guarantee: Optional[str] = None
 
-    def __post_init__(self):
-        if self.kind not in ("fallback_prune", "external"):
-            raise InputError(f"unknown F1 solver kind {self.kind!r}")
-        if self.kind == "external" and self.fn is None:
-            raise InputError("external F1 solver needs a callable")
+    @property
+    def kind(self) -> str:
+        return "fallback_prune" if self.fn is None else "external"
 
     def solve(self, g: LabeledGraph) -> FrozenSet[int]:
-        if self.kind == "fallback_prune":
+        if self.fn is None:
             return prune_minimal(g, set(g.edge_by_id), check_fgc)
         out = frozenset(self.fn(g))
         require(check_fgc(g, out), "external F1 produced an infeasible solution")

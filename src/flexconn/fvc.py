@@ -19,6 +19,7 @@ from .cycles import find_good_cycle
 from .ears import (EarDecomposition, build_long_ear_decomposition,
                    find_forbidden_cycle)
 from .errors import InfeasibleInstanceError, InputError, require
+from .exact import exact_solve
 from .feasibility import Instance, Solution, check_fvc
 from .graph import (LabeledGraph, UnionFind, block_decomposition_edges,
                     connected_components, cut_vertices, low_link_incidence)
@@ -89,11 +90,9 @@ def _reduce(g: LabeledGraph, pieces, forced, events) -> None:
             continue
         u, w, v, z = fc
         if not g.vertex_safe[u] and not g.vertex_safe[v]:
-            e1 = g.edge_between(u, w)
-            e2 = g.edge_between(w, v)
-            forced.add(e1.eid)
-            forced.add(e2.eid)
-            events.append(("forbidden_unsafe", e1.eid, e2.eid))
+            e1, e2 = g.edge_between(u, w), g.edge_between(w, v)
+            forced.update((e1, e2))
+            events.append(("forbidden_unsafe", e1, e2))
             todo.append(g.induced(set(range(g.n)) - {w}))
             continue
         if g.vertex_safe[u] and not g.vertex_safe[v]:
@@ -101,8 +100,8 @@ def _reduce(g: LabeledGraph, pieces, forced, events) -> None:
         if g.vertex_safe[w] and not g.vertex_safe[z]:
             w, z = z, w
         doomed = g.edge_between(u, w)
-        events.append(("forbidden_safe", doomed.eid))
-        todo.append(g.without_edges({doomed.eid}))
+        events.append(("forbidden_safe", doomed))
+        todo.append(g.without_edges({doomed}))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +137,7 @@ def solve_tree_case(g: LabeledGraph) -> Optional[FrozenSet[int]]:
         anchors = [w for w in g.neighbors(v) if g.vertex_safe[w]]
         if not anchors:
             return None
-        out.add(g.edge_between(v, anchors[0]).eid)
+        out.add(g.edge_between(v, anchors[0]))
     require(len(out) == g.n - 1, "tree-case solution must have n-1 edges")
     require(check_fvc(g, out), "tree-case solution failed the checker")
     return frozenset(out)
@@ -205,28 +204,28 @@ def _k22_edges(g: LabeledGraph, kp: KPartition, u: int, v: int) -> Set[int]:
     su = _safe_vd_neighbors(g, u, kp.vd)
     sv = _safe_vd_neighbors(g, v, kp.vd)
     if su and sv:
-        return {g.edge_between(u, su[0]).eid, g.edge_between(v, sv[0]).eid}
+        return {g.edge_between(u, su[0]), g.edge_between(v, sv[0])}
     for a, b in ((u, v), (v, u)):
         anchors = _safe_vd_neighbors(g, a, kp.vd)
         if g.vertex_safe[a] and anchors:
-            return {g.edge_between(a, b).eid, g.edge_between(a, anchors[0]).eid}
+            return {g.edge_between(a, b), g.edge_between(a, anchors[0])}
     raise InputError("pair classified K22 without a qualifying anchor")
 
 
 def build_apx1(g: LabeledGraph, dec: EarDecomposition, kp: KPartition) -> FrozenSet[int]:
     out: Set[int] = set(dec.edge_ids(g))
     for v in sorted(kp.k11):
-        out.add(g.edge_between(v, _safe_vd_neighbors(g, v, kp.vd)[0]).eid)
+        out.add(g.edge_between(v, _safe_vd_neighbors(g, v, kp.vd)[0]))
     for v in sorted(kp.k12):
         nbrs = g.neighbors(v)
         require(len(nbrs) >= 2 and all(w in kp.vd for w in nbrs),
                 "a K12 vertex must have >= 2 decomposition neighbours")
-        out.add(g.edge_between(v, nbrs[0]).eid)
-        out.add(g.edge_between(v, nbrs[1]).eid)
+        out.add(g.edge_between(v, nbrs[0]))
+        out.add(g.edge_between(v, nbrs[1]))
     for u, v in kp.k22_pairs:
         out |= _k22_edges(g, kp, u, v)
     for u, v in kp.k23_pairs:
-        out.add(g.edge_between(u, v).eid)
+        out.add(g.edge_between(u, v))
         out |= _k23_anchor_edges(g, kp, u, v)
     require(check_fvc(g, out), "apx1 failed the feasibility checker")
     bound = Fraction(4, 3) * (len(kp.vd) - 1) + kp.kterm
@@ -240,7 +239,7 @@ def _k23_anchor_edges(g: LabeledGraph, kp: KPartition, u: int, v: int) -> Set[in
     for x in au:
         for y in av:
             if x != y:
-                return {g.edge_between(u, x).eid, g.edge_between(v, y).eid}
+                return {g.edge_between(u, x), g.edge_between(v, y)}
     raise InputError("K23 pair with a single shared anchor contradicts 2VC input")
 
 
@@ -297,12 +296,12 @@ def realize_sp(g: LabeledGraph, kp: KPartition, rainbow: RainbowSolution) -> Fro
     for p in rainbow.chosen:
         if p.colour[0] == "v":
             u = p.colour[1]
-            out.add(g.edge_between(u, p.a).eid)
-            out.add(g.edge_between(u, p.b).eid)
+            out.add(g.edge_between(u, p.a))
+            out.add(g.edge_between(u, p.b))
         else:
             out |= _realize_pair_pseudo(g, kp, p)
     for v in sorted(kp.k11):
-        out.add(g.edge_between(v, _safe_vd_neighbors(g, v, kp.vd)[0]).eid)
+        out.add(g.edge_between(v, _safe_vd_neighbors(g, v, kp.vd)[0]))
     for u, v in kp.k22_pairs:
         out |= _k22_edges(g, kp, u, v)
     expected = kp.kterm
@@ -316,30 +315,27 @@ def _realize_pair_pseudo(g: LabeledGraph, kp: KPartition, p: PseudoEdge) -> Set[
     v1, v2 = p.a, p.b
     uv = g.edge_between(u, v)
     require(uv is not None, "pair colour without the matching edge")
-
-    def eid(a, b):
-        e = g.edge_between(a, b)
-        return None if e is None else e.eid
-
+    # the edges joining u and v to the anchors v1 and v2, or None
+    u1, u2, w1, w2 = (g.edge_between(x, y) for x in (u, v) for y in (v1, v2))
     # case 1 / 2: a path v1-u-v-v2 (or v1-v-u-v2) plus the matching edge
-    if eid(u, v1) is not None and eid(v, v2) is not None:
-        return {eid(u, v1), eid(v, v2), uv.eid}
-    if eid(u, v2) is not None and eid(v, v1) is not None:
-        return {eid(u, v2), eid(v, v1), uv.eid}
+    if None not in (u1, w2):
+        return {u1, w2, uv}
+    if None not in (u2, w1):
+        return {u2, w1, uv}
     # case 3 / 4: a safe endpoint carries both anchors
-    if g.vertex_safe[u] and eid(u, v1) is not None and eid(u, v2) is not None:
-        return {eid(u, v1), eid(u, v2), uv.eid}
-    if g.vertex_safe[v] and eid(v, v1) is not None and eid(v, v2) is not None:
-        return {eid(v, v1), eid(v, v2), uv.eid}
+    if g.vertex_safe[u] and None not in (u1, u2):
+        return {u1, u2, uv}
+    if g.vertex_safe[v] and None not in (w1, w2):
+        return {w1, w2, uv}
     # case 5 / 6: both anchors on one endpoint, the other hangs off a safe vertex
-    if eid(v, v1) is not None and eid(v, v2) is not None:
+    if None not in (w1, w2):
         anchors = _safe_vd_neighbors(g, u, kp.vd)
         if anchors:
-            return {eid(v, v1), eid(v, v2), g.edge_between(u, anchors[0]).eid}
-    if eid(u, v1) is not None and eid(u, v2) is not None:
+            return {w1, w2, g.edge_between(u, anchors[0])}
+    if None not in (u1, u2):
         anchors = _safe_vd_neighbors(g, v, kp.vd)
         if anchors:
-            return {eid(u, v1), eid(u, v2), g.edge_between(v, anchors[0]).eid}
+            return {u1, u2, g.edge_between(v, anchors[0])}
     raise InputError(f"no realization case applies to pseudo-edge {p}")
 
 
@@ -363,17 +359,15 @@ def algorithm1_buy_good_cycles(g: LabeledGraph, vd: FrozenSet[int],
     s1: Set[int] = set()
     while True:
         parts = [frozenset(c) for c in connected_components(
-            vd, pseudo + [(eid, g.edge_by_id[eid].u, g.edge_by_id[eid].v) for eid in s1])]
+            vd, pseudo + [(eid, *g.edge_ends[eid]) for eid in s1])]
         cyc = find_good_cycle(g, set(vd), parts)
         if cyc is None:
             break
         require(not (cyc & s1), "a good cycle must consist of new edges")
         s1 |= cyc
-    comps = connected_components(
-        vd, pseudo + [(eid, g.edge_by_id[eid].u, g.edge_by_id[eid].v) for eid in s1])
-    larges = [c for c in comps if len(c) >= 2]
+    larges = [c for c in parts if len(c) >= 2]
     require(len(larges) == 1, "exactly one large component must remain")
-    a = frozenset(larges[0])
+    a = larges[0]
     rest = set(vd) - a
     require(all(not (g.neighbor_sets[u] & rest) for u in rest),
             "the remainder must be independent in the decomposition graph")
@@ -420,8 +414,7 @@ def algorithm2_make_2vc(g: LabeledGraph, vd: FrozenSet[int],
     s2: Set[int] = set()
 
     def bought_triples():
-        return pseudo + [(eid, g.edge_by_id[eid].u, g.edge_by_id[eid].v)
-                         for eid in sorted(s1 | s2)]
+        return pseudo + [(eid, *g.edge_ends[eid]) for eid in sorted(s1 | s2)]
 
     while True:
         count, touching = _block_labels(cur, _induced_triples(g, cur) + pseudo)
@@ -432,7 +425,7 @@ def algorithm2_make_2vc(g: LabeledGraph, vd: FrozenSet[int],
                          for u, w in combinations(g.neighbor_sets[v] & cur, 2))), None)
         require(v is not None, "no block-reducing vertex found")
         _, touching = _block_labels(cur, bought_triples())
-        incident = sorted((e.eid, e.other(v)) for e in g.adj[v] if e.other(v) in cur)
+        incident = sorted((e, w) for w, e in g.incidence[v] if w in cur)
         pair = next(((eid1, eid2) for i, (eid1, u) in enumerate(incident)
                      for eid2, w in incident[i + 1:]
                      if u != w and not (touching[u] & touching[w])), None)
@@ -468,14 +461,14 @@ def algorithm3_make_feasible(g: LabeledGraph, vd: FrozenSet[int],
     for v in sorted(x3):
         safe_nbrs = [w for w in g.neighbors(v) if w in core and g.vertex_safe[w]]
         if safe_nbrs:
-            s3.add(g.edge_between(v, safe_nbrs[0]).eid)
+            s3.add(g.edge_between(v, safe_nbrs[0]))
             alpha1p += 1
         else:
             nbrs = [w for w in g.neighbors(v) if w in core]
             require(len(nbrs) >= 2,
                     "an unattachable leftover vertex contradicts 2VC input")
-            s3.add(g.edge_between(v, nbrs[0]).eid)
-            s3.add(g.edge_between(v, nbrs[1]).eid)
+            s3.add(g.edge_between(v, nbrs[0]))
+            s3.add(g.edge_between(v, nbrs[1]))
             alpha2p += 1
     require(len(s3) == alpha1p + 2 * alpha2p, "|S3| must equal a1' + 2 a2'")
     return x3, frozenset(s3), alpha1p, alpha2p
@@ -515,7 +508,6 @@ def solve_fvc(g: LabeledGraph) -> Solution:
 
 def _solve_piece(g: LabeledGraph) -> Solution:
     if g.n < 5:
-        from .exact import exact_solve
         sol = exact_solve(Instance(graph=g, problem="fvc"))
         meta = {"branch": "enumeration", "n": g.n,
                 "apx_size": sol.size, "lower_bound": sol.size}

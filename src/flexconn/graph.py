@@ -23,9 +23,6 @@ class Edge:
     v: int
     safe: bool = True
 
-    def other(self, w: int) -> int:
-        return self.v if w == self.u else self.u
-
     def pair(self) -> Tuple[int, int]:
         return (self.u, self.v) if self.u <= self.v else (self.v, self.u)
 
@@ -69,17 +66,14 @@ class LabeledGraph:
         return {e.eid: e for e in self.edges}
 
     @cached_property
-    def edge_id_set(self) -> FrozenSet[int]:
-        return frozenset(e.eid for e in self.edges)
-
-    @cached_property
     def edge_ends(self) -> Dict[int, Tuple[int, int]]:
         """Endpoint pair (u, v) per edge id."""
         return {e.eid: (e.u, e.v) for e in self.edges}
 
     @cached_property
     def incidence(self) -> List[List[Tuple[int, int]]]:
-        """Per vertex 0..n-1, its (other endpoint, edge id) pairs, in edge order."""
+        """Per vertex 0..n-1, its (other endpoint, edge id) pairs, in edge
+        order: the one adjacency view, which the methods below read."""
         inc: List[List[Tuple[int, int]]] = [[] for _ in range(self.n)]
         for e in self.edges:
             inc[e.u].append((e.v, e.eid))
@@ -95,38 +89,24 @@ class LabeledGraph:
         return frozenset(e.eid for e in self.edges if not e.safe)
 
     @cached_property
-    def adj(self) -> Dict[int, List[Edge]]:
-        """Incident edges per vertex, sorted by (other endpoint, eid)."""
-        a: Dict[int, List[Edge]] = {v: [] for v in range(self.n)}
-        for e in self.edges:
-            a[e.u].append(e)
-            a[e.v].append(e)
-        for v in a:
-            a[v].sort(key=lambda e: (e.other(v), e.eid))
-        return a
+    def neighbor_sets(self) -> List[Set[int]]:
+        return [{w for w, _ in pairs} for pairs in self.incidence]
 
     @cached_property
-    def neighbor_sets(self) -> Dict[int, Set[int]]:
-        return {v: {e.other(v) for e in self.adj[v]} for v in range(self.n)}
-
-    @cached_property
-    def _sorted_neighbors(self) -> Dict[int, Tuple[int, ...]]:
-        return {v: tuple(sorted(nbrs)) for v, nbrs in self.neighbor_sets.items()}
+    def _sorted_neighbors(self) -> List[Tuple[int, ...]]:
+        return [tuple(sorted(nbrs)) for nbrs in self.neighbor_sets]
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
         """Distinct neighbours of v in increasing order."""
         return self._sorted_neighbors[v]
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        """Incident edges of v, parallel copies counted apiece."""
+        return len(self.incidence[v])
 
-    def edge_between(self, u: int, v: int) -> Optional[Edge]:
-        """Lowest-id edge joining u and v, or None."""
-        best = None
-        for e in self.adj.get(u, ()):
-            if e.other(u) == v and (best is None or e.eid < best.eid):
-                best = e
-        return best
+    def edge_between(self, u: int, v: int) -> Optional[int]:
+        """Lowest id of an edge joining u and v, or None."""
+        return min((e for w, e in self.incidence[u] if w == v), default=None)
 
     @cached_property
     def is_simple(self) -> bool:
@@ -135,12 +115,6 @@ class LabeledGraph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def safe_edge_ids(self) -> Set[int]:
-        return {e.eid for e in self.edges if e.safe}
-
-    def unsafe_edge_ids(self) -> Set[int]:
-        return {e.eid for e in self.edges if not e.safe}
 
     def induced(self, vertices: Iterable[int]) -> "LabeledGraph":
         """Induced subgraph, vertices relabeled to 0..k-1 in sorted order.
@@ -152,9 +126,8 @@ class LabeledGraph:
         if any(not (0 <= v < self.n) for v in vs):
             raise InputError("induced: vertex out of range")
         remap = {v: i for i, v in enumerate(vs)}
-        keep = set(vs)
         edges = tuple(Edge(e.eid, remap[e.u], remap[e.v], e.safe)
-                      for e in self.edges if e.u in keep and e.v in keep)
+                      for e in self.edges if e.u in remap and e.v in remap)
         return LabeledGraph(n=len(vs),
                             vertex_safe=tuple(self.vertex_safe[v] for v in vs),
                             edges=edges)
@@ -172,7 +145,6 @@ class LabeledGraph:
 class ContractionResult:
     graph: LabeledGraph
     vertex_map: Dict[int, int]      # original vertex id -> contracted vertex id
-    edge_map: Dict[int, int]        # surviving edge id -> original edge id
 
 
 @dataclass(frozen=True)
@@ -218,6 +190,13 @@ class UnionFind:
 
     def component_count(self) -> int:
         return sum(1 for x in self.parent if self.parent[x] == x)
+
+
+def max_safe_forest(g: LabeledGraph) -> FrozenSet[int]:
+    """Maximum spanning forest of the safe subgraph, greedy by ascending id."""
+    uf = UnionFind(range(g.n))
+    return frozenset(e.eid for e in sorted(g.edges, key=lambda e: e.eid)
+                     if e.safe and uf.union(e.u, e.v))
 
 
 def connected_components(vertices: Iterable[int], edges: Iterable[EdgeTriple]) -> List[Set[int]]:
@@ -435,16 +414,13 @@ def _max_flow_at_least(out: List[List[int]], head: List[int],
 # Spec-level operations on LabeledGraph.
 # ---------------------------------------------------------------------------
 
-def _triples(g: LabeledGraph) -> List[EdgeTriple]:
-    return [(e.eid, e.u, e.v) for e in g.edges]
-
-
 def _contract_classes(g: LabeledGraph, cls: Sequence[Hashable]) -> ContractionResult:
     """Merge the vertices with equal class `cls[v]`; loops are dropped.
 
     Merged vertices are numbered by first appearance over 0..n-1, that is
     by their smallest member.  A merged vertex is safe iff all its members
-    are.  Cross-edge multiplicity and edge ids are preserved.
+    are.  Cross-edge multiplicity and edge ids are preserved: a surviving
+    edge keeps its id.
     """
     index: Dict[Hashable, int] = {}
     vertex_map = {v: index.setdefault(cls[v], len(index)) for v in range(g.n)}
@@ -452,16 +428,10 @@ def _contract_classes(g: LabeledGraph, cls: Sequence[Hashable]) -> ContractionRe
     for v in range(g.n):
         if not g.vertex_safe[v]:
             vsafe[vertex_map[v]] = False
-    new_edges = []
-    edge_map: Dict[int, int] = {}
-    for e in g.edges:
-        nu, nv = vertex_map[e.u], vertex_map[e.v]
-        if nu == nv:
-            continue
-        new_edges.append(Edge(e.eid, nu, nv, e.safe))
-        edge_map[e.eid] = e.eid
-    graph = LabeledGraph(len(index), tuple(vsafe), tuple(new_edges))
-    return ContractionResult(graph=graph, vertex_map=vertex_map, edge_map=edge_map)
+    new_edges = tuple(Edge(e.eid, vertex_map[e.u], vertex_map[e.v], e.safe)
+                      for e in g.edges if vertex_map[e.u] != vertex_map[e.v])
+    graph = LabeledGraph(len(index), tuple(vsafe), new_edges)
+    return ContractionResult(graph=graph, vertex_map=vertex_map)
 
 
 def contract_vertices(g: LabeledGraph, group: Iterable[int]) -> ContractionResult:
@@ -487,14 +457,13 @@ def contract_edges(g: LabeledGraph, eids: Iterable[int]) -> ContractionResult:
     if unknown:
         raise InputError(f"contract_edges: unknown edge ids {sorted(unknown)}")
     uf = UnionFind(range(g.n))
-    ends = g.edge_ends
     for eid in chosen:
-        uf.union(*ends[eid])
+        uf.union(*g.edge_ends[eid])
     return _contract_classes(g, [uf.find(v) for v in range(g.n)])
 
 
 def blocks(g: LabeledGraph) -> BlockDecomposition:
-    bl, cut = block_decomposition_edges(range(g.n), _triples(g))
+    bl, cut = block_decomposition_edges(range(g.n), [(e.eid, e.u, e.v) for e in g.edges])
     ordered = sorted((frozenset(b) for b in bl), key=lambda s: min(s))
     return BlockDecomposition(blocks=tuple(ordered), cut_vertices=frozenset(cut))
 
@@ -509,4 +478,4 @@ def cut_vertices(g: LabeledGraph) -> FrozenSet[int]:
 def is_k_edge_connected(g: LabeledGraph, k: int) -> bool:
     if k < 1:
         raise InputError("is_k_edge_connected: k must be >= 1")
-    return edge_connectivity_at_least(range(g.n), _triples(g), k)
+    return subset_k_edge_connected(g, g.edge_by_id, k)

@@ -88,6 +88,10 @@ class ExperimentConfig:
     seed: int = 0
     timing: bool = False
 
+    def __post_init__(self):
+        if self.n_min > self.n_max:
+            raise InputError(f"need n_min <= n_max (got {self.n_min} > {self.n_max})")
+
 
 def _row_seed(seed: int, row: int) -> int:
     return seed * 1_000_003 + row

@@ -14,20 +14,10 @@ from dataclasses import dataclass
 from typing import FrozenSet, Optional
 
 from .errors import InfeasibleInstanceError, InputError, require
-from .exact import exact_kecss
+from .exact import _kfgc_lower_bound, exact_kecss
 from .feasibility import Solution, check_kfgc, prune_minimal, require_positive_k
-from .graph import (LabeledGraph, UnionFind, contract_edges,
-                    is_k_edge_connected, subset_k_edge_connected)
-
-
-def max_safe_forest(g: LabeledGraph) -> FrozenSet[int]:
-    """Maximum spanning forest of the safe subgraph, greedy by ascending id."""
-    uf = UnionFind(range(g.n))
-    out = set()
-    for e in sorted(g.edges, key=lambda e: e.eid):
-        if e.safe and uf.union(e.u, e.v):
-            out.add(e.eid)
-    return frozenset(out)
+from .graph import (LabeledGraph, contract_edges, is_k_edge_connected,
+                    max_safe_forest, subset_k_edge_connected)
 
 
 def kecss_prune_heuristic(g: LabeledGraph, k: int) -> FrozenSet[int]:
@@ -83,10 +73,3 @@ def solve_kfgc(g: LabeledGraph, k: int,
         "lower_bound": _kfgc_lower_bound(g.n, len(forest), core_graph.n, k),
     }
     return Solution(edge_ids=alg, meta=meta)
-
-
-def _kfgc_lower_bound(n: int, forest: int, contracted_n: int, k: int) -> int:
-    import math
-    if contracted_n <= 1:
-        return max(n - 1, 0)
-    return max(n - 1, forest + math.ceil(contracted_n * (k + 1) / 2))

@@ -179,9 +179,9 @@ def solve_rainbow(pe: PseudoEdgeSet, vd: Sequence[int]) -> RainbowSolution:
     if not pe.edges:
         raise InputError("solve_rainbow: empty pseudo-edge set")
     vd = sorted(vd)
-    for p in pe.edges:
-        if p.a not in set(vd) or p.b not in set(vd):
-            raise InputError("pseudo-edge endpoint outside decomposition")
+    inside = set(vd)
+    if any(p.a not in inside or p.b not in inside for p in pe.edges):
+        raise InputError("pseudo-edge endpoint outside decomposition")
     by_colour = pe.by_colour()
     forest = max_rainbow_forest(pe, vd)
     alpha = len(vd) - len(forest)

@@ -93,10 +93,9 @@ def _connected_no_cut(g, verts, eids):
             seen.add(s)
             while stack:
                 x = stack.pop()
-                for e in g.adj[x]:
-                    if e.eid not in eids:
+                for y, eid in g.incidence[x]:
+                    if eid not in eids:
                         continue
-                    y = e.other(x)
                     if y in remaining and y not in seen:
                         seen.add(y)
                         stack.append(y)

@@ -116,7 +116,7 @@ def _greedy_open_ear_decomposition(g):
     covered = set(cycle)
     covered_edges = set()
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        covered_edges.add(g.edge_between(a, b).eid)
+        covered_edges.add(g.edge_between(a, b))
     while True:
         grew = False
         # absorb chords
@@ -148,7 +148,7 @@ def _greedy_open_ear_decomposition(g):
                 v = endpoint
                 while v != x:
                     covered.add(v)
-                    covered_edges.add(g.edge_between(v, parent[v]).eid)
+                    covered_edges.add(g.edge_between(v, parent[v]))
                     v = parent[v]
                 grew = True
                 break

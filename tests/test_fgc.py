@@ -133,9 +133,22 @@ class TestSolveFgc:
         assert sol.size == 4
 
     def test_external_f1_is_validated(self, c4):
-        bad = F1SolverHandle(kind="external", fn=lambda g: {0})
+        bad = F1SolverHandle(fn=lambda g: {0})
         with pytest.raises(Exception):
             solve_fgc(c4, f1=bad)
+
+    def test_external_f1_is_called(self, c4):
+        seen = []
+
+        def f1(g):
+            seen.append(g)
+            return set(g.edge_by_id)
+
+        sol = solve_fgc(c4, f1=F1SolverHandle(fn=f1))
+        assert seen == [c4]
+        assert sol.meta["f1_kind"] == "external"
+        assert sol.meta["f1_size"] == 4
+        assert solve_fgc(c4).meta["f1_kind"] == "fallback_prune"
 
     def test_random_instances_vs_oracle(self):
         rng = random.Random(71)

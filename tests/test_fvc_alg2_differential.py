@@ -80,7 +80,7 @@ def _old_algorithm2(g, vd, rainbow, s1, a):
         require(pick is not None, "no block-reducing vertex found")
         v = pick
         _, touching = _old_block_vertex_labels(cur, bought_triples())
-        incident = sorted((e.eid, e.other(v)) for e in g.adj[v] if e.other(v) in cur)
+        incident = sorted((e, w) for w, e in g.incidence[v] if w in cur)
         chosen_pair = None
         for i, (eid1, u) in enumerate(incident):
             for eid2, w in incident[i + 1:]:

@@ -16,7 +16,7 @@ class TestContraction:
     def test_c4_vertex_pair(self, c4):
         res = contract_vertices(c4, {0, 1})
         assert res.graph.n == 3
-        assert sorted(res.edge_map) == [1, 2, 3]  # edge 01 dropped
+        assert sorted(e.eid for e in res.graph.edges) == [1, 2, 3]  # edge 01 dropped
         # merged vertex is 0; old 2 -> 1, old 3 -> 2
         assert res.vertex_map == {0: 0, 1: 0, 2: 1, 3: 2}
         assert sorted(e.pair() for e in res.graph.edges) == [(0, 1), (0, 2), (1, 2)]
@@ -42,7 +42,7 @@ class TestContraction:
     def test_contract_single_edge(self, c4):
         res = contract_edges(c4, {0})
         assert res.graph.n == 3
-        assert sorted(res.edge_map) == [1, 2, 3]
+        assert sorted(e.eid for e in res.graph.edges) == [1, 2, 3]
 
     def test_contract_nothing_is_identity(self, c4):
         res = contract_edges(c4, set())
@@ -66,11 +66,12 @@ class TestContraction:
             g = random_connected(rng, rng.randint(3, 8), 0.5)
             chosen = {e.eid for e in g.edges if rng.random() < 0.4}
             res = contract_edges(g, chosen)
-            lost = set(g.edge_by_id) - set(res.edge_map)
+            kept = {e.eid for e in res.graph.edges}
+            lost = set(g.edge_by_id) - kept
             for eid in lost:
                 e = g.edge_by_id[eid]
                 assert res.vertex_map[e.u] == res.vertex_map[e.v]
-            for eid in res.edge_map:
+            for eid in kept:
                 e = g.edge_by_id[eid]
                 assert res.vertex_map[e.u] != res.vertex_map[e.v]
 
@@ -93,8 +94,8 @@ class TestContraction:
 
 
 def _same(a, b):
-    return ((a.graph.n, a.graph.vertex_safe, a.graph.edges, a.vertex_map, a.edge_map)
-            == (b.graph.n, b.graph.vertex_safe, b.graph.edges, b.vertex_map, b.edge_map))
+    return ((a.graph.n, a.graph.vertex_safe, a.graph.edges, a.vertex_map)
+            == (b.graph.n, b.graph.vertex_safe, b.graph.edges, b.vertex_map))
 
 
 def _old_contract_vertices(g, group):
@@ -127,15 +128,53 @@ def _old_contract_edges(g, eids):
 
 def _old_relabelled(g, n, vsafe, vertex_map):
     new_edges = []
-    edge_map = {}
     for e in g.edges:
         nu, nv = vertex_map[e.u], vertex_map[e.v]
         if nu == nv:
             continue
         new_edges.append(Edge(e.eid, nu, nv, e.safe))
-        edge_map[e.eid] = e.eid
     return ContractionResult(graph=LabeledGraph(n, vsafe, tuple(new_edges)),
-                             vertex_map=vertex_map, edge_map=edge_map)
+                             vertex_map=vertex_map)
+
+
+class TestAdjacencyView:
+    """`edge_between`, `degree` and `neighbors` read `incidence`; compare them
+    with a scan of `g.edges` on multigraphs whose ids are sparse and out of
+    edge order, so the lowest id of a parallel class is not its first copy."""
+
+    @staticmethod
+    def _random_multigraph(rng):
+        n = rng.randint(1, 8)
+        pairs = [(u, v) for u in range(n) for v in range(n)
+                 if u != v and rng.random() < 0.3 for _ in range(rng.choice((1, 1, 2, 3)))]
+        ids = rng.sample(range(3 * len(pairs) + 1), len(pairs))
+        edges = tuple(Edge(i, u, v, rng.random() < 0.5) for i, (u, v) in zip(ids, pairs))
+        return LabeledGraph(n, (True,) * n, edges)
+
+    def test_matches_edge_scan(self):
+        rng = random.Random(19)
+        seen_parallel = seen_absent = 0
+        for _ in range(300):
+            g = self._random_multigraph(rng)
+            for u in range(g.n):
+                incident = [e for e in g.edges if u in (e.u, e.v)]
+                assert g.degree(u) == len(incident)
+                assert g.neighbors(u) == tuple(sorted({e.v if e.u == u else e.u
+                                                       for e in incident}))
+                for v in range(g.n):
+                    joining = [e.eid for e in g.edges if {e.u, e.v} == {u, v}]
+                    assert g.edge_between(u, v) == (min(joining) if joining else None)
+                    seen_parallel += len(joining) >= 2
+                    seen_absent += not joining
+        assert seen_parallel and seen_absent
+
+    def test_parallel_copies_count_toward_degree(self):
+        g = LabeledGraph(3, (True,) * 3, (Edge(7, 0, 1), Edge(2, 1, 0), Edge(5, 1, 2)))
+        assert [g.degree(v) for v in range(3)] == [2, 3, 1]
+        assert g.neighbors(1) == (0, 2)
+        assert g.edge_between(0, 1) == g.edge_between(1, 0) == 2
+        assert g.edge_between(0, 2) is None
+        assert g.edge_between(0, 0) is None
 
 
 class TestBlocks:

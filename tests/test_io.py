@@ -111,6 +111,12 @@ class TestCli:
     def test_usage_error_exit_code(self):
         assert main(["solve", "--problem", "fgc", "-i", "/nonexistent"]) == 1
 
+    def test_bench_rejects_empty_size_range(self, capsys):
+        # n_min > n_max used to end in a ValueError traceback from randint
+        assert main(["bench", "--problem", "fvc", "--trials", "2",
+                     "--n-min", "9", "--n-max", "3"]) == 1
+        assert "n_min <= n_max" in capsys.readouterr().err
+
     def test_bad_solution_detected(self, tmp_path):
         inst = self._write(tmp_path, "tri.flex", TRIANGLE)
         bad = self._write(tmp_path, "bad.json",
