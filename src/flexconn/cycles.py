@@ -7,6 +7,11 @@ large parts.  ``find_good_cycle`` builds one by merging the partition into a
 coarser one, searching a "nice" cycle there (entry and exit vertices of each
 large part must differ), and patching the result back; every returned cycle
 is re-validated by the independent checker below.
+
+One call costs the singletons' neighbourhoods plus the vertices the search
+visits, not a pass over ``g.edges``: the cross edges of a vertex are built
+from ``g.incidence`` when the search first reaches it, sorted by (other
+end, edge id), and that order fixes which cycle is returned.
 """
 
 from __future__ import annotations
@@ -79,7 +84,10 @@ def find_good_cycle(g: LabeledGraph, vd: Set[int],
     """A good cycle of `parts` using edges of g induced on vd, or None.
 
     None is returned exactly when no good cycle can exist: no large part, or
-    a single large part with no two adjacent singletons.
+    a single large part with no two adjacent singletons.  `parts` may come
+    in any order.  One call reads the singletons' neighbours and, with no
+    scan of `g.edges`, the cross edges of each vertex the search visits, in
+    (other end, edge id) order; that order fixes the cycle returned.
     """
     parts = sorted((frozenset(p) for p in parts), key=min)
     larges = [p for p in parts if len(p) >= 2]
@@ -87,24 +95,26 @@ def find_good_cycle(g: LabeledGraph, vd: Set[int],
     single_set = set(singles)
     if not larges:
         return None
-    nbr = {v: [w for w in g.neighbors(v) if w in vd] for v in vd}
+    nbr = {v: [w for w in g.neighbors(v) if w in vd] for v in singles}
     if len(larges) == 1:
         if not any(w in single_set for v in singles for w in nbr[v]):
             return None
 
-    coarse = _coarsen(parts, larges, singles, nbr)
+    coarse = _coarsen(larges, singles, nbr)
     require(len(coarse) >= 2, "coarsened partition must have >= 2 parts")
-    nice = _find_nice_cycle(g, vd, coarse)
+    part_of = {v: i for i, p in enumerate(coarse) for v in p.vertices}
+    nice = _find_nice_cycle(g, coarse, part_of)
     require(nice is not None, "a nice cycle must exist on a 2VC graph")
-    cycle_eids = _augment_to_good_cycle(g, coarse, nice)
+    cycle_eids = _augment_to_good_cycle(g, coarse, part_of, nice)
     triples = [(eid, *g.edge_ends[eid]) for eid in sorted(cycle_eids)]
     require(is_good_cycle(parts, triples), "constructed cycle failed validation")
     return set(cycle_eids)
 
 
-def _coarsen(parts, larges, singles, nbr) -> List[_Part]:
+def _coarsen(larges, singles, nbr) -> List[_Part]:
     """Merge adjacent singletons (F1) and absorb, into each large part, the
-    singletons holding two distinct edges into it (F2)."""
+    singletons holding two distinct edges into it (F2); a singleton with two
+    edges into several large parts goes to the one with the lowest vertex."""
     single_set = set(singles)
     a1 = {v for v in singles if any(w in single_set for w in nbr[v])}
     f1_groups: List[FrozenSet[int]] = []
@@ -122,35 +132,45 @@ def _coarsen(parts, larges, singles, nbr) -> List[_Part]:
         f1_groups.append(frozenset(comp))
         left -= comp
 
-    a2 = set()
+    large_of = {w: i for i, L in enumerate(larges) for w in L}
+    grabbed: List[Set[int]] = [set() for _ in larges]
+    a0: List[int] = []
     for v in singles:
         if v in a1:
             continue
-        if any(len(set(nbr[v]) & L) >= 2 for L in larges):
-            a2.add(v)
-    coarse: List[_Part] = []
-    remaining = set(a2)
-    absorbed_of: Dict[FrozenSet[int], Set[int]] = {}
-    for L in sorted(larges, key=min):
-        grabbed = {v for v in remaining if len(set(nbr[v]) & L) >= 2}
-        absorbed_of[L] = grabbed
-        remaining -= grabbed
-    require(not remaining, "every doubly-anchored singleton must be absorbed")
-    for L in sorted(larges, key=min):
-        grabbed = absorbed_of[L]
-        if grabbed:
-            coarse.append(_Part(frozenset(L | grabbed), "F2", frozenset(L)))
+        hits: Dict[int, int] = {}
+        for w in nbr[v]:
+            if w in large_of:
+                hits[large_of[w]] = hits.get(large_of[w], 0) + 1
+        i = min((i for i, c in hits.items() if c >= 2), default=None)
+        if i is None:
+            a0.append(v)
         else:
-            coarse.append(_Part(frozenset(L), "F0", None))
-    for grp in f1_groups:
-        coarse.append(_Part(grp, "F1", None))
-    for v in singles:
-        if v not in a1 and v not in a2:
-            coarse.append(_Part(frozenset({v}), "A0", None))
+            grabbed[i].add(v)
+    coarse = [_Part(L | more, "F2", L) if more else _Part(L, "F0", None)
+              for L, more in zip(larges, grabbed)]
+    coarse += [_Part(grp, "F1", None) for grp in f1_groups]
+    coarse += [_Part(frozenset({v}), "A0", None) for v in a0]
     return sorted(coarse, key=lambda p: min(p.vertices))
 
 
-def _find_nice_cycle(g: LabeledGraph, vd: Set[int], coarse: Sequence[_Part]):
+class _CrossEdges(dict):
+    """Per vertex, its (other end, edge id, other part) cross edges, sorted;
+    built from `g.incidence` the first time the search asks for them."""
+
+    def __init__(self, g: LabeledGraph, part_of: Dict[int, int]):
+        super().__init__()
+        self.incidence = g.incidence
+        self.part_of = part_of
+
+    def __missing__(self, v: int) -> List[Tuple[int, int, int]]:
+        part_of, own = self.part_of, self.part_of[v]
+        out = self[v] = sorted((w, eid, part_of[w]) for w, eid in self.incidence[v]
+                               if w in part_of and part_of[w] != own)
+        return out
+
+
+def _find_nice_cycle(g: LabeledGraph, coarse: Sequence[_Part], part_of: Dict[int, int]):
     """Backtracking search for a cycle over coarse parts whose two attachment
     vertices differ inside every non-singleton part.
 
@@ -158,18 +178,7 @@ def _find_nice_cycle(g: LabeledGraph, vd: Set[int], coarse: Sequence[_Part]):
     cross edges lowest-first; a part may carry one internal "transit" from its
     entry vertex to a different exit vertex.
     """
-    part_of: Dict[int, int] = {}
-    for i, p in enumerate(coarse):
-        for v in p.vertices:
-            part_of[v] = i
-    cross: Dict[int, List[Tuple[int, int, int]]] = {v: [] for v in vd}
-    for e in g.edges:
-        if e.u in part_of and e.v in part_of and part_of[e.u] != part_of[e.v]:
-            cross[e.u].append((e.v, e.eid, part_of[e.v]))
-            cross[e.v].append((e.u, e.eid, part_of[e.u]))
-    for v in cross:
-        cross[v].sort()
-
+    cross = _CrossEdges(g, part_of)
     for start_idx in range(len(coarse)):
         for a0 in sorted(coarse[start_idx].vertices):
             for (c, eid, r) in cross[a0]:
@@ -235,11 +244,8 @@ def _exit_choices(part: _Part, entry: int):
             yield v
 
 
-def _augment_to_good_cycle(g: LabeledGraph, coarse: Sequence[_Part], nice) -> Set[int]:
-    part_of: Dict[int, int] = {}
-    for i, p in enumerate(coarse):
-        for v in p.vertices:
-            part_of[v] = i
+def _augment_to_good_cycle(g: LabeledGraph, coarse: Sequence[_Part],
+                           part_of: Dict[int, int], nice) -> Set[int]:
     out = {eid for eid, _, _ in nice}
     attach: Dict[int, List[int]] = {}
     for eid, u, v in nice:

@@ -354,20 +354,27 @@ def _induced_triples(g: LabeledGraph, inside: Set[int]):
 def algorithm1_buy_good_cycles(g: LabeledGraph, vd: FrozenSet[int],
                                rainbow: RainbowSolution
                                ) -> Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]:
-    """Buy good cycles until none exists; returns (x1, s1, large component A)."""
-    pseudo = _pseudo_triples(rainbow.chosen)
+    """Buy good cycles until none exists; returns (x1, s1, large component A).
+
+    The parts are the components of V(D) under the pseudo-edges and S1, kept
+    in one union-find that each bought cycle updates.
+    """
+    uf = UnionFind(vd)
+    for p in rainbow.chosen:
+        uf.union(p.a, p.b)
     s1: Set[int] = set()
     while True:
-        parts = [frozenset(c) for c in connected_components(
-            vd, pseudo + [(eid, *g.edge_ends[eid]) for eid in s1])]
-        cyc = find_good_cycle(g, set(vd), parts)
+        parts = uf.groups()
+        cyc = find_good_cycle(g, vd, parts)
         if cyc is None:
             break
         require(not (cyc & s1), "a good cycle must consist of new edges")
         s1 |= cyc
+        for eid in cyc:
+            uf.union(*g.edge_ends[eid])
     larges = [c for c in parts if len(c) >= 2]
     require(len(larges) == 1, "exactly one large component must remain")
-    a = larges[0]
+    a = frozenset(larges[0])
     rest = set(vd) - a
     require(all(not (g.neighbor_sets[u] & rest) for u in rest),
             "the remainder must be independent in the decomposition graph")

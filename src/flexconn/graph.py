@@ -191,6 +191,13 @@ class UnionFind:
     def component_count(self) -> int:
         return sum(1 for x in self.parent if self.parent[x] == x)
 
+    def groups(self) -> List[Set[int]]:
+        """The current classes, in no particular order."""
+        comps: Dict[int, Set[int]] = {}
+        for x in self.parent:
+            comps.setdefault(self.find(x), set()).add(x)
+        return list(comps.values())
+
 
 def max_safe_forest(g: LabeledGraph) -> FrozenSet[int]:
     """Maximum spanning forest of the safe subgraph, greedy by ascending id."""
@@ -203,10 +210,7 @@ def connected_components(vertices: Iterable[int], edges: Iterable[EdgeTriple]) -
     uf = UnionFind(vertices)
     for _, u, v in edges:
         uf.union(u, v)
-    comps: Dict[int, Set[int]] = {}
-    for x in uf.parent:
-        comps.setdefault(uf.find(x), set()).add(x)
-    return sorted(comps.values(), key=min)
+    return sorted(uf.groups(), key=min)
 
 
 def is_connected(vertices: Iterable[int], edges: Iterable[EdgeTriple]) -> bool:

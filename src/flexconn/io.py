@@ -7,8 +7,10 @@ Instance files:
     e <u> <v> [s|u]       (flag optional; defaults to safe)
 
 One format serves all three problems; flags irrelevant to the chosen problem
-are kept but reported with a warning.  Solutions serialize to JSON with a
-fixed key order so identical runs are byte-identical.
+are kept but reported with a warning.  A header k other than 1 is dropped
+with a warning for FGC and FVC, which are solved with k = 1.  Solutions
+serialize to JSON with a fixed key order so identical runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -94,6 +96,9 @@ def parse_instance(text: str, problem: str = "fgc", k: Optional[int] = None) -> 
         warnings.warn("edge safety flags are ignored for FVC", stacklevel=2)
     if problem in ("fgc", "kfgc") and saw_unsafe_vertex:
         warnings.warn(f"vertex safety flags are ignored for {problem.upper()}", stacklevel=2)
+    if problem != "kfgc" and header_k not in (None, 1):
+        warnings.warn(f"header k is ignored for {problem.upper()}", stacklevel=2)
+        header_k = None
     vertex_safe = tuple(vertex_flags.get(v, True) for v in range(n))
     g = LabeledGraph.build(n, pairs, vertex_safe=vertex_safe, edge_safe=edge_flags)
     kk = k if k is not None else (header_k if header_k is not None else 1)

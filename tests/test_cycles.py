@@ -98,4 +98,8 @@ class TestFindGoodCycle:
                                 for b in singles[i + 1:]))
                 continue
             assert is_good_cycle(part_list, triples_of(g, cyc))
+            # Algorithm 1 hands the parts over in union-find order, as sets
+            shuffled = [set(p) for p in part_list]
+            random.Random(produced).shuffle(shuffled)
+            assert find_good_cycle(g, set(range(g.n)), shuffled) == cyc
             produced += 1

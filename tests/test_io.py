@@ -158,6 +158,22 @@ class TestCli:
             err = capsys.readouterr().err
             assert err == "flexconn: warning: vertex safety flags are ignored for FGC\n"
 
+    @pytest.mark.parametrize("problem", ["fgc", "fvc"])
+    @pytest.mark.parametrize("command", ["solve", "exact"])
+    def test_header_k_ignored_with_notice(self, tmp_path, capsys, problem, command):
+        edges = "e 0 1\ne 1 2\ne 2 0\n"
+        outputs = {}
+        for name, header in (("with_k", "p flex 3 3 2\n"), ("plain", "p flex 3 3\n")):
+            inst = self._write(tmp_path, f"{name}.flex", header + edges)
+            out = str(tmp_path / f"{name}.json")
+            assert main([command, "--problem", problem, "-i", inst, "-o", out]) == 0
+            outputs[name] = (open(out).read(), capsys.readouterr().err)
+        assert outputs["with_k"][1] == (
+            f"flexconn: warning: header k is ignored for {problem.upper()}\n")
+        assert outputs["plain"][1] == ""
+        assert outputs["with_k"][0] == outputs["plain"][0]
+        assert json.loads(outputs["plain"][0])["k"] == 1
+
     @pytest.mark.parametrize("problem, kind_key", [
         ("fgc", "twoecss_kind"), ("kfgc", "subsolver_kind")])
     def test_exact_cap_falls_back_above_the_cap(self, tmp_path, problem, kind_key):
