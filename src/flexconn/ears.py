@@ -250,10 +250,10 @@ def _assert_invariants(g: LabeledGraph, dec: EarDecomposition) -> None:
 
 def leftover_is_matching(g: LabeledGraph, vd: Set[int]) -> bool:
     deg: Dict[int, int] = {}
-    for e in g.edges:
-        if e.u not in vd and e.v not in vd:
-            deg[e.u] = deg.get(e.u, 0) + 1
-            deg[e.v] = deg.get(e.v, 0) + 1
+    for u, v in g.ends:
+        if u not in vd and v not in vd:
+            deg[u] = deg.get(u, 0) + 1
+            deg[v] = deg.get(v, 0) + 1
     return all(d <= 1 for d in deg.values())
 
 

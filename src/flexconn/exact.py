@@ -83,15 +83,11 @@ def _minimum_feasible(g: LabeledGraph,
     """
     next_twin = next_twin or {}
     n = g.n
-    eids = sorted(g.edge_by_id)
+    eids = sorted(g.eids)
     m = len(eids)
-    ends = g.edge_ends
-    tails = [ends[e][0] for e in eids]
-    heads = [ends[e][1] for e in eids]
-    room = [0] * n            # degree in the optimistic graph
-    for u, v in ends.values():
-        room[u] += 1
-        room[v] += 1
+    tails = [g.edge_ends[e][0] for e in eids]
+    heads = [g.edge_ends[e][1] for e in eids]
+    room = [g.degree(v) for v in range(n)]    # degree in the optimistic graph
     deg = [0] * n             # degree in the chosen set
     parent = list(range(n))   # union-find over the chosen set, undone on pop
     size = [1] * n
@@ -194,15 +190,15 @@ def _required_degrees(inst: Instance) -> List[int]:
     covered = [False] * n
     if inst.problem == "fvc":
         safe = g.vertex_safe
-        for e in g.edges:
-            if safe[e.v]:
-                covered[e.u] = True
-            if safe[e.u]:
-                covered[e.v] = True
+        for u, v in g.ends:
+            if safe[v]:
+                covered[u] = True
+            if safe[u]:
+                covered[v] = True
     else:
-        for e in g.edges:
-            if e.safe:
-                covered[e.u] = covered[e.v] = True
+        for (u, v), s in zip(g.ends, g.edge_safe):
+            if s:
+                covered[u] = covered[v] = True
     high = inst.k + 1 if inst.problem == "kfgc" else 2
     return [1 if c else high for c in covered]
 
@@ -216,8 +212,7 @@ def _fvc_tree(g: LabeledGraph) -> FrozenSet[int]:
     uf = UnionFind(range(g.n))
     hung = [False] * g.n
     tree = set()
-    for eid in sorted(g.edge_by_id):
-        u, v = g.edge_ends[eid]
+    for eid, (u, v) in sorted(zip(g.eids, g.ends)):
         if safe[u] and safe[v]:
             if uf.union(u, v):
                 tree.add(eid)
@@ -243,7 +238,7 @@ def exact_solve(inst: Instance, cap_n: int = DEFAULT_CAP_N) -> Solution:
     if g.n > cap_n:
         raise InputError(f"exact_solve: n={g.n} exceeds cap {cap_n}")
     checker = checker_for(inst)
-    if not checker(g, set(g.edge_by_id)):
+    if not checker(g, set(g.eids)):
         raise InfeasibleInstanceError("instance is infeasible even with all edges")
     tree = _fvc_tree(g) if inst.problem == "fvc" else max_safe_forest(g)
     if len(tree) == g.n - 1:
@@ -270,8 +265,8 @@ def exact_kecss(g: LabeledGraph, k: int, cap_n: int = DEFAULT_CAP_N) -> Solution
         return Solution(edge_ids=frozenset(), meta={"apx_size": 0, "exact": True, "k_ec": k})
     next_twin: Dict[int, int] = {}
     last: Dict[Tuple[int, int], int] = {}
-    for eid in sorted(g.edge_by_id):
-        pair = g.edge_by_id[eid].pair()
+    for eid, (u, v) in sorted(zip(g.eids, g.ends)):
+        pair = (u, v) if u <= v else (v, u)
         if pair in last:
             next_twin[last[pair]] = eid
         last[pair] = eid

@@ -63,8 +63,8 @@ def _edge_set(g: LabeledGraph, eids: Iterable[int]) -> Set[int]:
     if not {int}.issuperset(map(type, ids)):
         raise InputError(f"edge ids must be integers, not {[e for e in ids if type(e) is not int]}")
     chosen = ids if ids is eids else set(ids)
-    if not g.edge_by_id.keys() >= chosen:
-        raise InputError(f"unknown edge ids {sorted(chosen - g.edge_by_id.keys())}")
+    if not g.edge_ends.keys() >= chosen:
+        raise InputError(f"unknown edge ids {sorted(chosen - g.edge_ends.keys())}")
     return chosen
 
 

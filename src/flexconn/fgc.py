@@ -15,7 +15,7 @@ from typing import Callable, FrozenSet, Iterable, Optional
 
 from .errors import InfeasibleInstanceError, require
 from .feasibility import Solution, check_fgc, prune_minimal
-from .graph import Edge, LabeledGraph
+from .graph import LabeledGraph
 from .kfgc import KecssSolverHandle
 
 
@@ -31,7 +31,7 @@ class F1SolverHandle:
 
     def solve(self, g: LabeledGraph) -> FrozenSet[int]:
         if self.fn is None:
-            return prune_minimal(g, set(g.edge_by_id), check_fgc)
+            return prune_minimal(g, set(g.eids), check_fgc)
         out = frozenset(self.fn(g))
         require(check_fgc(g, out), "external F1 produced an infeasible solution")
         return out
@@ -40,21 +40,21 @@ class F1SolverHandle:
 def double_safe_edges(g: LabeledGraph) -> LabeledGraph:
     """Add a parallel copy of every safe edge; copies get fresh ids that map
     back to the original by subtracting the offset."""
-    offset = (max(g.edge_by_id) + 1) if g.edges else 0
-    extra = tuple(Edge(offset + e.eid, e.u, e.v, e.safe)
-                  for e in g.edges if e.safe)
-    return LabeledGraph(g.n, g.vertex_safe, g.edges + extra)
+    offset = (max(g.eids) + 1) if g.eids else 0
+    safe = [i for i, s in enumerate(g.edge_safe) if s]
+    return LabeledGraph(g.n, g.vertex_safe, g.eids + tuple(offset + g.eids[i] for i in safe),
+                        g.ends + tuple(g.ends[i] for i in safe), g.edge_safe + (True,) * len(safe))
 
 
 def undouble(g: LabeledGraph, eids: Iterable[int]) -> FrozenSet[int]:
-    offset = (max(g.edge_by_id) + 1) if g.edges else 0
+    offset = (max(g.eids) + 1) if g.eids else 0
     return frozenset(eid % offset if offset else eid for eid in eids)
 
 
 def alg2_double_and_solve(g: LabeledGraph, solver: KecssSolverHandle) -> Solution:
     """The safe-edge doubling branch: 2ECSS on the doubled multigraph, then
     duplicate copies collapse back onto the original edges."""
-    if not check_fgc(g, set(g.edge_by_id)):
+    if not check_fgc(g, set(g.eids)):
         raise InfeasibleInstanceError("FGC instance is infeasible")
     if g.n <= 1:
         return Solution(edge_ids=frozenset(),
@@ -73,7 +73,7 @@ def alg2_double_and_solve(g: LabeledGraph, solver: KecssSolverHandle) -> Solutio
 def solve_fgc(g: LabeledGraph,
               f1: Optional[F1SolverHandle] = None,
               solver: Optional[KecssSolverHandle] = None) -> Solution:
-    if not check_fgc(g, set(g.edge_by_id)):
+    if not check_fgc(g, set(g.eids)):
         raise InfeasibleInstanceError("FGC instance is infeasible")
     f1 = f1 or F1SolverHandle()
     solver = solver or KecssSolverHandle(cap_n=12)

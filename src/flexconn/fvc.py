@@ -78,9 +78,8 @@ def _reduce(g: LabeledGraph, pieces, forced, events) -> None:
                 f"unsafe cut vertex (local id {unsafe_cuts[0]}): instance infeasible")
         if cuts:
             x = cuts[0]
-            comps = connected_components(
-                set(range(g.n)) - {x},
-                [(e.eid, e.u, e.v) for e in g.edges if x not in (e.u, e.v)])
+            rest = set(range(g.n)) - {x}
+            comps = connected_components(rest, _induced_triples(g, rest))
             events.append(("split", g.n, len(comps)))
             todo.extend(g.induced(comp | {x}) for comp in reversed(comps))
             continue
@@ -120,15 +119,15 @@ def solve_tree_case(g: LabeledGraph) -> Optional[FrozenSet[int]]:
     if g.n <= 1:
         return frozenset()
     if g.n == 2:
-        return frozenset({min(e.eid for e in g.edges)})
+        return frozenset({min(g.eids)})
     safe = [v for v in range(g.n) if g.vertex_safe[v]]
     if not safe:
         return None
     uf = UnionFind(safe)
     out: Set[int] = set()
-    for e in sorted(g.edges, key=lambda e: e.eid):
-        if g.vertex_safe[e.u] and g.vertex_safe[e.v] and uf.union(e.u, e.v):
-            out.add(e.eid)
+    for e, (u, v) in sorted(zip(g.eids, g.ends)):
+        if g.vertex_safe[u] and g.vertex_safe[v] and uf.union(u, v):
+            out.add(e)
     if len(out) < len(safe) - 1:    # the safe vertices are not connected
         return None
     for v in range(g.n):
@@ -172,9 +171,7 @@ def _safe_vd_neighbors(g: LabeledGraph, v: int, vd: FrozenSet[int]) -> List[int]
 def partition_k_sets(g: LabeledGraph, dec: EarDecomposition) -> KPartition:
     vd = frozenset(dec.vertices)
     leftover = set(range(g.n)) - vd
-    comps = connected_components(
-        leftover, [(e.eid, e.u, e.v) for e in g.edges
-                   if e.u in leftover and e.v in leftover])
+    comps = connected_components(leftover, _induced_triples(g, leftover))
     k11: Set[int] = set()
     k12: Set[int] = set()
     k22_pairs: List[Tuple[int, int]] = []
@@ -348,7 +345,7 @@ def _pseudo_triples(chosen: Sequence[PseudoEdge]):
 
 
 def _induced_triples(g: LabeledGraph, inside: Set[int]):
-    return [(e.eid, e.u, e.v) for e in g.edges if e.u in inside and e.v in inside]
+    return [(e, u, v) for e, (u, v) in zip(g.eids, g.ends) if u in inside and v in inside]
 
 
 def algorithm1_buy_good_cycles(g: LabeledGraph, vd: FrozenSet[int],
@@ -444,9 +441,9 @@ def algorithm2_make_2vc(g: LabeledGraph, vd: FrozenSet[int],
         count, touching = _block_labels(cur, bought_triples())
         if count <= 1:
             break
-        key = min((e.eid for e in g.edges
-                   if e.u in cur and e.v in cur and e.eid not in s1 and e.eid not in s2
-                   and not (touching[e.u] & touching[e.v])), default=None)
+        key = min((e for e, (u, v) in zip(g.eids, g.ends)
+                   if u in cur and v in cur and e not in s1 and e not in s2
+                   and not (touching[u] & touching[v])), default=None)
         require(key is not None, "a block-reducing edge must exist")
         s2.add(key)
 
@@ -489,7 +486,7 @@ def solve_fvc(g: LabeledGraph) -> Solution:
     """Best of the two approximations, after preprocessing; the solution
     always passes the feasibility checker, and meta carries the internal
     lower bound together with the pipeline statistics."""
-    if not check_fvc(g, set(g.edge_by_id)):
+    if not check_fvc(g, set(g.eids)):
         raise InfeasibleInstanceError("FVC instance is infeasible")
     pieces, plan = preprocess(g)
     piece_solutions: List[FrozenSet[int]] = []

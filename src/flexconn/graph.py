@@ -3,7 +3,10 @@
 Vertices are 0..n-1.  Edge ids are assigned once (typically in input file
 order) and survive contraction, so solutions can always be reported in
 original-instance ids.  Graphs are immutable; every operation here is a pure
-function returning new values.
+function returning new values.  Edges are parallel columns in edge order
+(`eids`, `ends`, `edge_safe`); the `Edge` records of `edges` and `edge_by_id`
+are built only on request.  A graph is validated once, on entry (`build`,
+`from_edges`, `io.parse_instance`); graphs derived from it are not checked.
 """
 
 from __future__ import annotations
@@ -31,22 +34,9 @@ class Edge:
 class LabeledGraph:
     n: int
     vertex_safe: Tuple[bool, ...]
-    edges: Tuple[Edge, ...]
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise InputError("vertex count must be non-negative")
-        if len(self.vertex_safe) != self.n:
-            raise InputError("vertex_safe length must equal n")
-        seen = set()
-        for e in self.edges:
-            if not (0 <= e.u < self.n and 0 <= e.v < self.n):
-                raise InputError(f"edge {e.eid} endpoint out of range")
-            if e.u == e.v:
-                raise InputError(f"edge {e.eid} is a self-loop")
-            if e.eid in seen:
-                raise InputError(f"duplicate edge id {e.eid}")
-            seen.add(e.eid)
+    eids: Tuple[int, ...]
+    ends: Tuple[Tuple[int, int], ...]
+    edge_safe: Tuple[bool, ...]
 
     @staticmethod
     def build(n: int,
@@ -58,26 +48,42 @@ class LabeledGraph:
         es = tuple(True for _ in pairs) if edge_safe is None else tuple(edge_safe)
         if len(es) != len(pairs):
             raise InputError("edge_safe length must equal number of edges")
-        edges = tuple(Edge(i, u, v, es[i]) for i, (u, v) in enumerate(pairs))
-        return LabeledGraph(n=n, vertex_safe=vs, edges=edges)
+        return LabeledGraph(n, vs, tuple(range(len(pairs))),
+                            tuple((u, v) for u, v in pairs), es)._checked()
+
+    @staticmethod
+    def from_edges(n: int, vertex_safe: Sequence[bool],
+                   edges: Iterable[Edge]) -> "LabeledGraph":
+        """Construct from `Edge` records, which keep their ids and order."""
+        rows = [(e.eid, (e.u, e.v), e.safe) for e in edges]
+        return _from_rows(n, tuple(vertex_safe), rows)._checked()
+
+    @cached_property
+    def edges(self) -> Tuple[Edge, ...]:
+        """The `Edge` records in edge order, built on first use."""
+        return tuple(Edge(e, u, v, s) for e, (u, v), s in self._rows())
 
     @cached_property
     def edge_by_id(self) -> Dict[int, Edge]:
         return {e.eid: e for e in self.edges}
 
+    def _rows(self) -> Iterable[Tuple[int, Tuple[int, int], bool]]:
+        """(eid, (u, v), safe) per edge, in edge order."""
+        return zip(self.eids, self.ends, self.edge_safe)
+
     @cached_property
     def edge_ends(self) -> Dict[int, Tuple[int, int]]:
         """Endpoint pair (u, v) per edge id."""
-        return {e.eid: (e.u, e.v) for e in self.edges}
+        return dict(zip(self.eids, self.ends))
 
     @cached_property
     def incidence(self) -> List[List[Tuple[int, int]]]:
         """Per vertex 0..n-1, its (other endpoint, edge id) pairs, in edge
         order: the one adjacency view, which the methods below read."""
         inc: List[List[Tuple[int, int]]] = [[] for _ in range(self.n)]
-        for e in self.edges:
-            inc[e.u].append((e.v, e.eid))
-            inc[e.v].append((e.u, e.eid))
+        for e, (u, v) in zip(self.eids, self.ends):
+            inc[u].append((v, e))
+            inc[v].append((u, e))
         return inc
 
     @cached_property
@@ -86,7 +92,7 @@ class LabeledGraph:
 
     @cached_property
     def unsafe_edge_set(self) -> FrozenSet[int]:
-        return frozenset(e.eid for e in self.edges if not e.safe)
+        return frozenset(e for e, s in zip(self.eids, self.edge_safe) if not s)
 
     @cached_property
     def neighbor_sets(self) -> List[Set[int]]:
@@ -110,11 +116,11 @@ class LabeledGraph:
 
     @cached_property
     def is_simple(self) -> bool:
-        return len({e.pair() for e in self.edges}) == len(self.edges)
+        return len({(u, v) if u <= v else (v, u) for u, v in self.ends}) == len(self.ends)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.eids)
 
     def induced(self, vertices: Iterable[int]) -> "LabeledGraph":
         """Induced subgraph, vertices relabeled to 0..k-1 in sorted order.
@@ -126,19 +132,40 @@ class LabeledGraph:
         if any(not (0 <= v < self.n) for v in vs):
             raise InputError("induced: vertex out of range")
         remap = {v: i for i, v in enumerate(vs)}
-        edges = tuple(Edge(e.eid, remap[e.u], remap[e.v], e.safe)
-                      for e in self.edges if e.u in remap and e.v in remap)
-        return LabeledGraph(n=len(vs),
-                            vertex_safe=tuple(self.vertex_safe[v] for v in vs),
-                            edges=edges)
+        return _from_rows(len(vs), tuple(self.vertex_safe[v] for v in vs),
+                          [(e, (remap[u], remap[v]), s) for e, (u, v), s in self._rows()
+                           if u in remap and v in remap])
+
+    def _checked(self) -> "LabeledGraph":
+        """This graph, once its columns pass the entry checks."""
+        n = self.n
+        if n < 0:
+            raise InputError("vertex count must be non-negative")
+        if len(self.vertex_safe) != n:
+            raise InputError("vertex_safe length must equal n")
+        seen = set()
+        for eid, (u, v) in zip(self.eids, self.ends):
+            if not (0 <= u < n and 0 <= v < n):
+                raise InputError(f"edge {eid} endpoint out of range")
+            if u == v:
+                raise InputError(f"edge {eid} is a self-loop")
+            if eid in seen:
+                raise InputError(f"duplicate edge id {eid}")
+            seen.add(eid)
+        return self
 
     def without_edges(self, eids: Iterable[int]) -> "LabeledGraph":
         drop = set(eids)
-        unknown = drop - set(self.edge_by_id)
+        unknown = drop - self.edge_ends.keys()
         if unknown:
             raise InputError(f"unknown edge ids {sorted(unknown)}")
-        return LabeledGraph(self.n, self.vertex_safe,
-                            tuple(e for e in self.edges if e.eid not in drop))
+        return _from_rows(self.n, self.vertex_safe,
+                          [row for row in self._rows() if row[0] not in drop])
+
+
+def _from_rows(n: int, vertex_safe: Tuple[bool, ...], rows: List[tuple]) -> LabeledGraph:
+    """The graph of (eid, (u, v), safe) rows; unchecked, for derived graphs."""
+    return LabeledGraph(n, vertex_safe, *(tuple(zip(*rows)) or ((), (), ())))
 
 
 @dataclass(frozen=True)
@@ -202,8 +229,7 @@ class UnionFind:
 def max_safe_forest(g: LabeledGraph) -> FrozenSet[int]:
     """Maximum spanning forest of the safe subgraph, greedy by ascending id."""
     uf = UnionFind(range(g.n))
-    return frozenset(e.eid for e in sorted(g.edges, key=lambda e: e.eid)
-                     if e.safe and uf.union(e.u, e.v))
+    return frozenset(e for e, (u, v), s in sorted(g._rows()) if s and uf.union(u, v))
 
 
 def connected_components(vertices: Iterable[int], edges: Iterable[EdgeTriple]) -> List[Set[int]]:
@@ -432,9 +458,9 @@ def _contract_classes(g: LabeledGraph, cls: Sequence[Hashable]) -> ContractionRe
     for v in range(g.n):
         if not g.vertex_safe[v]:
             vsafe[vertex_map[v]] = False
-    new_edges = tuple(Edge(e.eid, vertex_map[e.u], vertex_map[e.v], e.safe)
-                      for e in g.edges if vertex_map[e.u] != vertex_map[e.v])
-    graph = LabeledGraph(len(index), tuple(vsafe), new_edges)
+    graph = _from_rows(len(index), tuple(vsafe),
+                       [(e, (a, b), s) for e, (u, v), s in g._rows()
+                        if (a := vertex_map[u]) != (b := vertex_map[v])])
     return ContractionResult(graph=graph, vertex_map=vertex_map)
 
 
@@ -457,7 +483,7 @@ def contract_vertices(g: LabeledGraph, group: Iterable[int]) -> ContractionResul
 def contract_edges(g: LabeledGraph, eids: Iterable[int]) -> ContractionResult:
     """Contract every connected component of (V, eids) to a single vertex."""
     chosen = set(eids)
-    unknown = chosen - set(g.edge_by_id)
+    unknown = chosen - g.edge_ends.keys()
     if unknown:
         raise InputError(f"contract_edges: unknown edge ids {sorted(unknown)}")
     uf = UnionFind(range(g.n))
@@ -467,7 +493,7 @@ def contract_edges(g: LabeledGraph, eids: Iterable[int]) -> ContractionResult:
 
 
 def blocks(g: LabeledGraph) -> BlockDecomposition:
-    bl, cut = block_decomposition_edges(range(g.n), [(e.eid, e.u, e.v) for e in g.edges])
+    bl, cut = block_decomposition_edges(range(g.n), [(e, *uv) for e, uv in zip(g.eids, g.ends)])
     ordered = sorted((frozenset(b) for b in bl), key=lambda s: min(s))
     return BlockDecomposition(blocks=tuple(ordered), cut_vertices=frozenset(cut))
 
@@ -482,4 +508,4 @@ def cut_vertices(g: LabeledGraph) -> FrozenSet[int]:
 def is_k_edge_connected(g: LabeledGraph, k: int) -> bool:
     if k < 1:
         raise InputError("is_k_edge_connected: k must be >= 1")
-    return subset_k_edge_connected(g, g.edge_by_id, k)
+    return subset_k_edge_connected(g, g.eids, k)

@@ -105,7 +105,7 @@ def _feasible_instance(cfg: ExperimentConfig, row: int) -> Tuple[Instance, int]:
         inst = gen_random_instance(n, cfg.p, cfg.edge_safe_prob,
                                    cfg.vertex_safe_prob, cfg.problem, cfg.k,
                                    seed=sub_seed)
-        if checker_for(inst)(inst.graph, set(inst.graph.edge_by_id)):
+        if checker_for(inst)(inst.graph, set(inst.graph.eids)):
             return inst, sub_seed
     raise InputError("could not sample a feasible instance; adjust config")
 

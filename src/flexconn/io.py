@@ -7,10 +7,11 @@ Instance files:
     e <u> <v> [s|u]       (flag optional; defaults to safe)
 
 One format serves all three problems; flags irrelevant to the chosen problem
-are kept but reported with a warning.  A header k other than 1 is dropped
-with a warning for FGC and FVC, which are solved with k = 1.  Solutions
-serialize to JSON with a fixed key order so identical runs are
-byte-identical.
+are kept but reported with a warning.  FGC and FVC are solved with k = 1: a
+k other than 1, from the header or the `k` argument (`--k`, which must still
+be a positive integer), is dropped with a warning.  The one-pass parser's
+line checks validate the graph it builds.  Solutions serialize to JSON with
+a fixed key order so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import warnings
 from typing import List, Optional, Set, Tuple
 
 from .errors import InputError
-from .feasibility import Instance, Solution
+from .feasibility import Instance, Solution, require_positive_k
 from .graph import LabeledGraph
 
 
@@ -28,41 +29,14 @@ def parse_instance(text: str, problem: str = "fgc", k: Optional[int] = None) -> 
     n = m = None
     header_k: Optional[int] = None
     vertex_flags: dict = {}
-    pairs: List[Tuple[int, int]] = []
-    edge_flags: List[bool] = []
+    ends: List[Tuple[int, int]] = []
+    edge_safe: List[bool] = []
     seen: Set[Tuple[int, int]] = set()   # FVC only: endpoint pairs so far
-    saw_unsafe_vertex = saw_unsafe_edge = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    saw_unsafe_vertex = False
+    for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
-        if fields[0] == "p":
-            if n is not None:
-                raise InputError(f"line {lineno}: duplicate header")
-            if len(fields) not in (4, 5) or fields[1] != "flex":
-                raise InputError(f"line {lineno}: expected 'p flex <n> <m> [k]'")
-            try:
-                n, m = int(fields[2]), int(fields[3])
-                header_k = int(fields[4]) if len(fields) == 5 else None
-            except ValueError:
-                raise InputError(f"line {lineno}: non-integer header field")
-            if n < 0 or m < 0:
-                raise InputError(f"line {lineno}: negative size")
-        elif fields[0] == "v":
-            if n is None:
-                raise InputError(f"line {lineno}: vertex line before header")
-            if len(fields) != 3 or fields[2] not in ("s", "u"):
-                raise InputError(f"line {lineno}: expected 'v <id> s|u'")
-            try:
-                vid = int(fields[1])
-            except ValueError:
-                raise InputError(f"line {lineno}: non-integer vertex id")
-            if not (0 <= vid < n):
-                raise InputError(f"line {lineno}: vertex {vid} out of range")
-            vertex_flags[vid] = fields[2] == "s"
-            saw_unsafe_vertex |= fields[2] == "u"
-        elif fields[0] == "e":
+        tag = fields[0] if fields else "c"     # a blank line reads as a comment
+        if tag == "e":
             if n is None:
                 raise InputError(f"line {lineno}: edge line before header")
             if len(fields) not in (3, 4):
@@ -79,28 +53,58 @@ def parse_instance(text: str, problem: str = "fgc", k: Optional[int] = None) -> 
             if flag not in ("s", "u"):
                 raise InputError(f"line {lineno}: bad edge flag {flag!r}")
             if problem == "fvc":
-                key = (min(u, v), max(u, v))
+                key = (u, v) if u < v else (v, u)
                 if key in seen:
                     raise InputError(f"line {lineno}: duplicate edge {u}-{v} in an FVC instance")
                 seen.add(key)
-            pairs.append((u, v))
-            edge_flags.append(flag == "s")
-            saw_unsafe_edge |= flag == "u"
+            ends.append((u, v))
+            edge_safe.append(flag == "s")
+        elif tag[0] == "c":
+            continue
+        elif tag == "p":
+            if n is not None:
+                raise InputError(f"line {lineno}: duplicate header")
+            if len(fields) not in (4, 5) or fields[1] != "flex":
+                raise InputError(f"line {lineno}: expected 'p flex <n> <m> [k]'")
+            try:
+                n, m = int(fields[2]), int(fields[3])
+                header_k = int(fields[4]) if len(fields) == 5 else None
+            except ValueError:
+                raise InputError(f"line {lineno}: non-integer header field")
+            if n < 0 or m < 0:
+                raise InputError(f"line {lineno}: negative size")
+        elif tag == "v":
+            if n is None:
+                raise InputError(f"line {lineno}: vertex line before header")
+            if len(fields) != 3 or fields[2] not in ("s", "u"):
+                raise InputError(f"line {lineno}: expected 'v <id> s|u'")
+            try:
+                vid = int(fields[1])
+            except ValueError:
+                raise InputError(f"line {lineno}: non-integer vertex id")
+            if not (0 <= vid < n):
+                raise InputError(f"line {lineno}: vertex {vid} out of range")
+            vertex_flags[vid] = fields[2] == "s"
+            saw_unsafe_vertex |= fields[2] == "u"
         else:
-            raise InputError(f"line {lineno}: unknown record {fields[0]!r}")
+            raise InputError(f"line {lineno}: unknown record {tag!r}")
     if n is None:
         raise InputError("missing 'p flex' header")
-    if m != len(pairs):
-        raise InputError(f"header declares {m} edges but file has {len(pairs)}")
-    if problem == "fvc" and saw_unsafe_edge:
+    if m != len(ends):
+        raise InputError(f"header declares {m} edges but file has {len(ends)}")
+    if problem == "fvc" and not all(edge_safe):
         warnings.warn("edge safety flags are ignored for FVC", stacklevel=2)
     if problem in ("fgc", "kfgc") and saw_unsafe_vertex:
         warnings.warn(f"vertex safety flags are ignored for {problem.upper()}", stacklevel=2)
-    if problem != "kfgc" and header_k not in (None, 1):
-        warnings.warn(f"header k is ignored for {problem.upper()}", stacklevel=2)
-        header_k = None
-    vertex_safe = tuple(vertex_flags.get(v, True) for v in range(n))
-    g = LabeledGraph.build(n, pairs, vertex_safe=vertex_safe, edge_safe=edge_flags)
+    if problem != "kfgc":
+        if k is not None:
+            require_positive_k(k)
+        for name, given in (("header k", header_k), ("k", k)):
+            if given not in (None, 1):
+                warnings.warn(f"{name} is ignored for {problem.upper()}", stacklevel=2)
+        header_k = k = None
+    g = LabeledGraph(n, tuple(vertex_flags.get(v, True) for v in range(n)),
+                     tuple(range(m)), tuple(ends), tuple(edge_safe))
     kk = k if k is not None else (header_k if header_k is not None else 1)
     return Instance(graph=g, problem=problem, k=kk)
 
@@ -114,8 +118,8 @@ def write_instance(inst: Instance) -> str:
     lines.append(header)
     for v in range(g.n):
         lines.append(f"v {v} {'s' if g.vertex_safe[v] else 'u'}")
-    for e in g.edges:
-        lines.append(f"e {e.u} {e.v} {'s' if e.safe else 'u'}")
+    for (u, v), s in zip(g.ends, g.edge_safe):
+        lines.append(f"e {u} {v} {'s' if s else 'u'}")
     return "\n".join(lines) + "\n"
 
 

@@ -26,7 +26,7 @@ def kecss_prune_heuristic(g: LabeledGraph, k: int) -> FrozenSet[int]:
     Ibaraki, Algorithmica 1992), so it keeps at most k(n-1) edges."""
     if not is_k_edge_connected(g, k):
         raise InputError(f"graph is not {k}-edge-connected")
-    kept = prune_minimal(g, set(g.edge_by_id), lambda gg, s: subset_k_edge_connected(gg, s, k))
+    kept = prune_minimal(g, set(g.eids), lambda gg, s: subset_k_edge_connected(gg, s, k))
     require(len(kept) <= k * max(0, g.n - 1), "minimal kECSS above the k(n-1) bound")
     return kept
 
@@ -51,13 +51,13 @@ class KecssSolverHandle:
 def solve_kfgc(g: LabeledGraph, k: int,
                sub: Optional[KecssSolverHandle] = None) -> Solution:
     require_positive_k(k)
-    if not check_kfgc(g, set(g.edge_by_id), k):
+    if not check_kfgc(g, set(g.eids), k):
         raise InfeasibleInstanceError("k-FGC instance is infeasible")
     forest = max_safe_forest(g)
     contraction = contract_edges(g, forest)
     core_graph = contraction.graph
     # the forest is maximum, so every safe edge became a loop and was dropped
-    require(all(not e.safe for e in core_graph.edges),
+    require(not any(core_graph.edge_safe),
             "contracted core must contain only unsafe edges")
     sub = sub or KecssSolverHandle(cap_n=10)
     core = sub.solve(core_graph, k + 1) if core_graph.n > 1 else frozenset()

@@ -215,6 +215,6 @@ def solve_2ecss_blockwise(g, per_block):
         if sub.m == 1:
             raise InputError("a bridge block cannot be 2-edge-connected")
         out |= per_block.solve(sub, 2)
-    assert is_k_edge_connected(LabeledGraph(g.n, g.vertex_safe,
-                                            tuple(e for e in g.edges if e.eid in out)), 2)
+    assert is_k_edge_connected(LabeledGraph.from_edges(
+        g.n, g.vertex_safe, (e for e in g.edges if e.eid in out)), 2)
     return Solution(edge_ids=frozenset(out), meta={"apx_size": len(out)})

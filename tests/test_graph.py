@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flexconn.errors import InputError
+from flexconn.fgc import double_safe_edges
 from flexconn.graph import (ContractionResult, Edge, LabeledGraph, UnionFind,
                             blocks, contract_edges, contract_vertices,
                             cut_vertices, is_k_edge_connected)
@@ -133,23 +134,29 @@ def _old_relabelled(g, n, vsafe, vertex_map):
         if nu == nv:
             continue
         new_edges.append(Edge(e.eid, nu, nv, e.safe))
-    return ContractionResult(graph=LabeledGraph(n, vsafe, tuple(new_edges)),
+    return ContractionResult(graph=LabeledGraph.from_edges(n, vsafe, new_edges),
                              vertex_map=vertex_map)
 
 
 class TestAdjacencyView:
-    """`edge_between`, `degree` and `neighbors` read `incidence`; compare them
-    with a scan of `g.edges` on multigraphs whose ids are sparse and out of
-    edge order, so the lowest id of a parallel class is not its first copy."""
+    """`edge_between`, `degree` and `neighbors` read `incidence`, and every
+    view and derived graph is computed from the edge columns; compare them
+    with a scan of the `Edge` records on multigraphs whose ids are sparse and
+    out of edge order, so the lowest id of a parallel class is not its first
+    copy."""
 
     @staticmethod
-    def _random_multigraph(rng):
+    def _random_records(rng):
         n = rng.randint(1, 8)
         pairs = [(u, v) for u in range(n) for v in range(n)
                  if u != v and rng.random() < 0.3 for _ in range(rng.choice((1, 1, 2, 3)))]
         ids = rng.sample(range(3 * len(pairs) + 1), len(pairs))
-        edges = tuple(Edge(i, u, v, rng.random() < 0.5) for i, (u, v) in zip(ids, pairs))
-        return LabeledGraph(n, (True,) * n, edges)
+        return n, tuple(Edge(i, u, v, rng.random() < 0.5) for i, (u, v) in zip(ids, pairs))
+
+    @classmethod
+    def _random_multigraph(cls, rng):
+        n, edges = cls._random_records(rng)
+        return LabeledGraph.from_edges(n, (True,) * n, edges)
 
     def test_matches_edge_scan(self):
         rng = random.Random(19)
@@ -168,8 +175,68 @@ class TestAdjacencyView:
                     seen_absent += not joining
         assert seen_parallel and seen_absent
 
+    def test_columns_match_records(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            n, records = self._random_records(rng)
+            g = LabeledGraph.from_edges(n, (True,) * n, records)
+            assert g.eids == tuple(e.eid for e in records)
+            assert g.ends == tuple((e.u, e.v) for e in records)
+            assert g.edge_safe == tuple(e.safe for e in records)
+            assert g.edges == records
+            assert g.edge_by_id == {e.eid: e for e in records}
+            assert g.edge_ends == {e.eid: (e.u, e.v) for e in records}
+            assert g.unsafe_edge_set == {e.eid for e in records if not e.safe}
+            assert g.is_simple == (len({e.pair() for e in records}) == len(records))
+            assert g.m == len(records)
+            for v in range(g.n):
+                assert g.incidence[v] == [(e.v if e.u == v else e.u, e.eid)
+                                          for e in records if v in (e.u, e.v)]
+
+    def test_derived_graphs_match_records(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            h = self._random_multigraph(rng)
+            g = LabeledGraph.from_edges(h.n, [rng.random() < 0.6 for _ in range(h.n)], h.edges)
+            keep = {v for v in range(g.n) if rng.random() < 0.7}
+            remap = {v: i for i, v in enumerate(sorted(keep))}
+            assert g.induced(keep) == LabeledGraph.from_edges(
+                len(keep), [g.vertex_safe[v] for v in sorted(keep)],
+                [Edge(e.eid, remap[e.u], remap[e.v], e.safe) for e in g.edges
+                 if e.u in keep and e.v in keep])
+            drop = {e.eid for e in g.edges if rng.random() < 0.3}
+            assert g.without_edges(drop) == LabeledGraph.from_edges(
+                g.n, g.vertex_safe, [e for e in g.edges if e.eid not in drop])
+            chosen = {e.eid for e in g.edges if rng.random() < 0.4}
+            assert _same(contract_edges(g, chosen), _old_contract_edges(g, chosen))
+            offset = max(g.edge_by_id, default=-1) + 1
+            assert double_safe_edges(g) == LabeledGraph.from_edges(
+                g.n, g.vertex_safe,
+                g.edges + tuple(Edge(offset + e.eid, e.u, e.v, e.safe) for e in g.edges if e.safe))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: LabeledGraph.build(2, [(0, 1)], edge_safe=[]),
+         "edge_safe length must equal number of edges"),
+        (lambda: LabeledGraph.build(-1, []), "vertex count must be non-negative"),
+        (lambda: LabeledGraph.build(2, [], vertex_safe=[True]), "vertex_safe length must equal n"),
+        (lambda: LabeledGraph.build(2, [(0, 1), (1, 2)]), "edge 1 endpoint out of range"),
+        (lambda: LabeledGraph.build(2, [(0, 1), (1, 1)]), "edge 1 is a self-loop"),
+        (lambda: LabeledGraph.from_edges(-2, (), ()), "vertex count must be non-negative"),
+        (lambda: LabeledGraph.from_edges(2, (True,), ()), "vertex_safe length must equal n"),
+        (lambda: LabeledGraph.from_edges(2, (True,) * 2, [Edge(7, 0, -1)]),
+         "edge 7 endpoint out of range"),
+        (lambda: LabeledGraph.from_edges(2, (True,) * 2, [Edge(7, 1, 1)]),
+         "edge 7 is a self-loop"),
+        (lambda: LabeledGraph.from_edges(3, (True,) * 3, [Edge(7, 0, 1), Edge(7, 1, 2)]),
+         "duplicate edge id 7"),
+    ])
+    def test_entry_points_validate(self, make, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            make()
+
     def test_parallel_copies_count_toward_degree(self):
-        g = LabeledGraph(3, (True,) * 3, (Edge(7, 0, 1), Edge(2, 1, 0), Edge(5, 1, 2)))
+        g = LabeledGraph.from_edges(3, (True,) * 3,
+                                    (Edge(7, 0, 1), Edge(2, 1, 0), Edge(5, 1, 2)))
         assert [g.degree(v) for v in range(3)] == [2, 3, 1]
         assert g.neighbors(1) == (0, 2)
         assert g.edge_between(0, 1) == g.edge_between(1, 0) == 2

@@ -174,6 +174,27 @@ class TestCli:
         assert outputs["with_k"][0] == outputs["plain"][0]
         assert json.loads(outputs["plain"][0])["k"] == 1
 
+    @pytest.mark.parametrize("problem", ["fgc", "fvc"])
+    @pytest.mark.parametrize("command", ["solve", "exact", "check"])
+    def test_k_option_ignored_with_notice(self, tmp_path, capsys, problem, command):
+        # `exact` and `check` used to echo the option as "k": 3
+        inst = self._write(tmp_path, "g.flex", "p flex 4 5\ne 0 1\ne 1 2\ne 2 3\ne 3 0\ne 0 2\n")
+        sol = str(tmp_path / "sol.json")
+        assert main(["solve", "--problem", problem, "-i", inst, "-o", sol]) == 0
+        capsys.readouterr()
+        args = [command, "--problem", problem, "-i", inst]
+        if command == "check":
+            args += ["--solution", sol]
+        outputs = {}
+        for name, extra in (("with_k", ["--k", "3"]), ("plain", [])):
+            out = str(tmp_path / f"{name}.out")
+            assert main(args + extra + ["-o", out]) == 0
+            outputs[name] = (open(out).read(), capsys.readouterr().err)
+        assert outputs["with_k"][1] == f"flexconn: warning: k is ignored for {problem.upper()}\n"
+        assert outputs["plain"][1] == ""
+        assert outputs["with_k"][0] == outputs["plain"][0]
+        assert json.loads(outputs["with_k"][0])["k"] == 1
+
     @pytest.mark.parametrize("problem, kind_key", [
         ("fgc", "twoecss_kind"), ("kfgc", "subsolver_kind")])
     def test_exact_cap_falls_back_above_the_cap(self, tmp_path, problem, kind_key):

@@ -210,7 +210,8 @@ class TestBlockMergingEdge:
 
     @staticmethod
     def _sub(g, eids):
-        return LabeledGraph(g.n, g.vertex_safe, tuple(e for e in g.edges if e.eid in eids))
+        return LabeledGraph.from_edges(g.n, g.vertex_safe,
+                                       (e for e in g.edges if e.eid in eids))
 
     def test_random_spanning_subgraphs(self):
         rng = random.Random(3)
