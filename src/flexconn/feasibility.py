@@ -1,18 +1,17 @@
 """Feasibility predicates for the three problem variants, plus minimal pruning.
 
-FGC: (V,F) connected and no unsafe edge of F is a bridge.
 FVC: (V,F) connected and no unsafe vertex is a cut vertex.
 k-FGC: (V,F) connected and it survives the simultaneous removal of any k
 unsafe edges; equivalently the contraction of (V,F) by its safe edges is
-(k+1)-edge-connected.
+(k+1)-edge-connected.  FGC is k-FGC at k = 1, (1,1)- against (1,k)-FGC in
+Boyd, Cheriyan, Haddadan and Ibrahimpur (Math. Prog. 2024): no unsafe edge
+of F is a bridge.  So the edge predicate is chosen by k, not by problem.
 
-`check_fgc` and `check_fvc` run one low-link DFS over the graph's cached
-incidence list, filtered by F (`graph.low_link_incidence`): it reaches every
-vertex iff (V,F) is connected, and it stops at the first unsafe bridge or cut
-vertex.  `check_kfgc` decides the contraction form only.  The literal form,
-removing every k-subset of the unsafe edges, is compared with it in
-`tests/test_feasibility.py` (every edge subset of small graphs, sampled
-subsets of larger ones).
+`check_fgc`, the k = 1 kernel, and `check_fvc` run one low-link DFS over the
+graph's cached incidence list, filtered by F (`graph.low_link_incidence`):
+it reaches every vertex iff (V,F) is connected, and it stops at the first
+unsafe bridge or cut vertex.  `check_kfgc` decides the contraction form at
+k >= 2; the literal form is compared with both in `tests/test_feasibility.py`.
 """
 
 from __future__ import annotations
@@ -43,6 +42,8 @@ class Instance:
         if self.problem not in PROBLEMS:
             raise InputError(f"unknown problem {self.problem!r}")
         require_positive_k(self.k)
+        if self.problem in ("fgc", "fvc") and self.k != 1:
+            raise InputError(f"{self.problem.upper()} takes k = 1 (got {self.k}); use kfgc")
         if self.problem == "fvc" and not self.graph.is_simple:
             raise InputError("FVC instances must be simple graphs")
 
@@ -79,12 +80,13 @@ def check_fvc(g: LabeledGraph, eids: Iterable[int]) -> bool:
 
 
 def check_kfgc(g: LabeledGraph, eids: Iterable[int], k: int) -> bool:
-    """Contract the chosen safe edges, then ask for (k+1)-edge-connectivity.
-
-    (k+1 >= 2)-edge-connectivity of the contraction implies that it is
+    """`check_fgc` at k = 1.  Otherwise contract the chosen safe edges, then
+    ask for (k+1)-edge-connectivity, which implies that the contraction is
     connected, and so is (V, F): each vertex lies in one contracted class.
     """
     require_positive_k(k)
+    if k == 1:
+        return check_fgc(g, eids)
     chosen = _edge_set(g, eids)
     ends, unsafe = g.edge_ends, g.unsafe_edge_set
     parent = list(range(g.n))
@@ -103,11 +105,12 @@ def check_kfgc(g: LabeledGraph, eids: Iterable[int], k: int) -> bool:
 
 
 def checker_for(instance: Instance) -> Callable[[LabeledGraph, Iterable[int]], bool]:
-    if instance.problem == "fgc":
-        return check_fgc
+    """By k for FGC and k-FGC; at k = 1 `check_fgc` itself, with no wrapper."""
+    k = instance.k
     if instance.problem == "fvc":
         return check_fvc
-    k = instance.k
+    if k == 1:
+        return check_fgc
     return lambda g, eids: check_kfgc(g, eids, k)
 
 

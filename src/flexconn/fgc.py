@@ -73,15 +73,13 @@ def alg2_double_and_solve(g: LabeledGraph, solver: KecssSolverHandle) -> Solutio
 def solve_fgc(g: LabeledGraph,
               f1: Optional[F1SolverHandle] = None,
               solver: Optional[KecssSolverHandle] = None) -> Solution:
-    if not check_fgc(g, set(g.eids)):
-        raise InfeasibleInstanceError("FGC instance is infeasible")
+    """The smaller of F1 and F2.  The doubling branch runs first, as its entry
+    check rejects an infeasible instance; each branch certifies its own set."""
     f1 = f1 or F1SolverHandle()
     solver = solver or KecssSolverHandle(cap_n=12)
+    f2_edges = alg2_double_and_solve(g, solver).edge_ids
     f1_edges = f1.solve(g)
-    f2_sol = alg2_double_and_solve(g, solver)
-    f2_edges = f2_sol.edge_ids
     best = f1_edges if len(f1_edges) <= len(f2_edges) else f2_edges
-    require(check_fgc(g, best), "FGC result failed the checker")
     meta = {
         "problem": "fgc", "n": g.n, "m": g.m, "k": 1,
         "apx_size": len(best),

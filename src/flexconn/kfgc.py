@@ -15,7 +15,7 @@ from typing import FrozenSet, Optional
 
 from .errors import InfeasibleInstanceError, InputError, require
 from .exact import _kfgc_lower_bound, exact_kecss
-from .feasibility import Solution, check_kfgc, prune_minimal, require_positive_k
+from .feasibility import Solution, check_kfgc, prune_minimal
 from .graph import (LabeledGraph, contract_edges, is_k_edge_connected,
                     max_safe_forest, subset_k_edge_connected)
 
@@ -50,8 +50,7 @@ class KecssSolverHandle:
 
 def solve_kfgc(g: LabeledGraph, k: int,
                sub: Optional[KecssSolverHandle] = None) -> Solution:
-    require_positive_k(k)
-    if not check_kfgc(g, set(g.eids), k):
+    if not check_kfgc(g, set(g.eids), k):   # refuses a k that is not a positive int
         raise InfeasibleInstanceError("k-FGC instance is infeasible")
     forest = max_safe_forest(g)
     contraction = contract_edges(g, forest)

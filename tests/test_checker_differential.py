@@ -5,11 +5,13 @@
   networkx decides the same predicate with `articulation_points`.
 - `check_fgc` stops at the first unsafe bridge.  networkx uses `bridges`,
   which never reports one of several parallel edges.
-- `check_kfgc` contracts the chosen safe edges with a list union-find and
-  asks `edge_connectivity_at_least` for k + 1, which rejects a contracted
-  vertex of degree <= k at once and runs max-flow only on 4 or more
-  vertices.  networkx contracts with its own union-find and takes the
-  Stoer-Wagner minimum cut, weighted by multiplicity.
+- `check_kfgc` at k = 1 is `check_fgc`, so its k = 1 case tests the bridge
+  DFS against the contraction form.  At k >= 2 it contracts the chosen
+  safe edges with a list union-find and asks `edge_connectivity_at_least`
+  for k + 1, which rejects a contracted vertex of degree <= k at once and
+  runs max-flow only on 4 or more vertices.  networkx contracts with its
+  own union-find and takes the Stoer-Wagner minimum cut, weighted by
+  multiplicity.
 
 Each test tags the subsets it draws and asserts that every tag occurs:
 disconnected subsets, subsets with two or more unsafe cut vertices or

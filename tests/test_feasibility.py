@@ -185,6 +185,15 @@ class TestInstance:
             Instance(graph=c4, problem="kfgc", k=k)
 
 
+    @pytest.mark.parametrize("problem", ["fgc", "fvc"])
+    def test_k_is_one_outside_kfgc(self, c4, problem):
+        assert Instance(graph=c4, problem=problem, k=1).k == 1
+        for k in (2, 3):
+            with pytest.raises(InputError, match=f"takes k = 1 \\(got {k}\\)"):
+                Instance(graph=c4, problem=problem, k=k)
+        assert Instance(graph=c4, problem="kfgc", k=2).k == 2
+
+
 class TestEdgeIdTypes:
     """Edge ids must be ints.  True and 2.0 equal the ids 1 and 2, so a set
     of them would silently stand for those edges."""

@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -234,6 +236,57 @@ class TestApx2Machinery:
         apx2 = sp | s1 | s2 | s3
         assert len(apx2) == 8
         assert check_fvc(fix_b, apx2)
+
+
+def _apx2(g, dec, kp):
+    """The apx2 set from the public stage functions, as `_solve_piece`
+    assembles it."""
+    rainbow = solve_rainbow(build_pseudo_edges(g, dec, kp), sorted(kp.vd))
+    x1, s1, a = algorithm1_buy_good_cycles(g, kp.vd, rainbow)
+    x2, s2 = algorithm2_make_2vc(g, kp.vd, rainbow, s1, a)
+    _, s3, _, _ = algorithm3_make_feasible(g, kp.vd, a, x2)
+    return realize_sp(g, kp, rainbow) | s1 | s2 | s3
+
+
+@functools.lru_cache(maxsize=None)
+def _stage_sets(per_stage=40):
+    """(stage, piece, returned set) over seeded preprocessed pieces with
+    n >= 5, drawn as `test_criterion_4_ear_invariants` draws them, each piece
+    taking the branch `_solve_piece` gives it, until every stage has
+    `per_stage` sets.  The vertex safety range reaches down to 0.05 so that
+    enough pieces reach apx2 (k12 + k23 > 2)."""
+    rng = random.Random(4013)
+    out = {"tree": [], "apx1": [], "apx2": []}
+    while min(map(len, out.values())) < per_stage:
+        n = rng.randint(5, 40)
+        p = min(0.6, (math.log(n) + 1.6) / n + 0.08)
+        g = random_connected(rng, n, p, vertex_safe_prob=rng.uniform(0.05, 0.9))
+        if not check_fvc(g, set(g.eids)):
+            continue
+        for piece in preprocess(g)[0]:
+            if piece.n < 5:
+                continue
+            tree = solve_tree_case(piece)
+            if tree is not None:
+                out["tree"].append((piece, tree))
+                continue
+            dec = build_long_ear_decomposition(piece)
+            kp = partition_k_sets(piece, dec)
+            out["apx1"].append((piece, build_apx1(piece, dec, kp)))
+            if len(kp.k12) + len(kp.k23) > 2:
+                out["apx2"].append((piece, _apx2(piece, dec, kp)))
+    return out
+
+
+class TestStageCertificates:
+    """`solve_fvc` certifies only its stitched set; the per-stage checker
+    calls that `_solve_piece` used to make on every piece are gated here.
+    Dropping the lowest-id edge of a stage's output makes each test fail."""
+
+    @pytest.mark.parametrize("stage", ["tree", "apx1", "apx2"])
+    def test_stage_output_is_feasible(self, stage):
+        for piece, chosen in _stage_sets()[stage]:
+            assert check_fvc(piece, chosen), (stage, piece)
 
 
 class TestSolveFvc:

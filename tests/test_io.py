@@ -151,6 +151,36 @@ class TestCli:
         assert captured.out == ""
         assert shown in captured.err
 
+    @pytest.mark.parametrize("solution_k", [None, 1, 2])
+    def test_check_uses_the_header_k(self, tmp_path, capsys, solution_k):
+        # unsafe 0-1 and 1-2, safe 2-0: contracting 2-0 leaves two vertices
+        # joined by 2 < k + 1 = 3 edges, so at the header k = 2 no edge set is
+        # feasible, whatever k the solution file names
+        inst = self._write(tmp_path, "tri.flex", "p flex 3 3 2\ne 0 1 u\ne 1 2 u\ne 2 0 s\n")
+        payload = {"problem": "kfgc", "edges": [0, 1, 2]}
+        if solution_k is not None:
+            payload["k"] = solution_k
+        sol = self._write(tmp_path, "sol.json", json.dumps(payload))
+        assert main(["solve", "--problem", "kfgc", "-i", inst]) == 2
+        capsys.readouterr()
+        assert main(["check", "-i", inst, "--solution", sol]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "problem": "kfgc", "k": 2, "size": 3, "feasible": False}
+        assert main(["check", "-i", inst, "--solution", sol, "--k", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["k"] == 1
+
+    @pytest.mark.parametrize("problem", ["fgc", "fvc"])
+    @pytest.mark.parametrize("command", [
+        ["gen", "--n", "5", "--p", "0.8"],
+        ["bench", "--trials", "2", "--n-min", "4", "--n-max", "5"]])
+    def test_k_above_one_rejected_outside_kfgc(self, capsys, problem, command):
+        # FGC and FVC take k = 1; a run would ignore any other k
+        assert main(command + ["--problem", problem, "--k", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"flexconn: error: {problem.upper()} takes k = 1 "
+                                f"(got 2); use kfgc\n")
+
     def test_ignored_flag_notice_on_every_call(self, tmp_path, capsys):
         inst = self._write(tmp_path, "tri.flex", TRIANGLE)
         for _ in range(2):
