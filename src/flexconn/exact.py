@@ -35,6 +35,13 @@ subtree holds no feasible s-subset, so the include-first order stops at
 the same first hit as the search without them, and the twin argument
 above is unchanged.
 
+Last pick (both searches).  With one edge left to pick, the search tests
+the leaves chosen + e for the available e in id order that pass both
+bounds, and returns the first that passes; it runs no optimistic test at
+that level.  Each later leaf is a subset of the optimistic graph left by
+excluding e; if that graph fails, so does each such leaf (the predicate is
+monotone), so the first hit is unchanged.  Twins give the same set.
+
 Spanning-tree level (`exact_solve` only).  Every feasible set is
 connected, so none has fewer than n - 1 edges, and the feasible
 (n-1)-sets are the spanning trees that the problem allows:
@@ -61,7 +68,7 @@ import math
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .errors import InfeasibleInstanceError, InputError
-from .feasibility import Instance, Solution, checker_for
+from .feasibility import Instance, Solution, predicates_for
 from .graph import (LabeledGraph, UnionFind, is_k_edge_connected, max_safe_forest,
                     subset_k_edge_connected)
 
@@ -69,7 +76,7 @@ DEFAULT_CAP_N = 10
 
 
 def _minimum_feasible(g: LabeledGraph,
-                      predicate: Callable[[Set[int]], bool],
+                      predicate: Callable[[LabeledGraph, Set[int]], bool],
                       lower_bound: int,
                       req: List[int],
                       next_twin: Optional[Dict[int, int]] = None) -> Optional[Set[int]]:
@@ -105,8 +112,16 @@ def _minimum_feasible(g: LabeledGraph,
 
         def rec(idx: int, deficit: int, comps: int) -> Optional[List[int]]:
             picked = len(chosen)
-            if picked == s:
-                return list(chosen) if predicate(set(chosen)) else None
+            if picked == s:       # only at s = 0, as the last pick tests the rest
+                return list(chosen) if predicate(g, set(chosen)) else None
+            if picked == s - 1:   # the last pick (module docstring)
+                for j in range(idx, m):
+                    u, v = tails[j], heads[j]
+                    if (eids[j] in available and deficit <= (deg[u] < req[u]) + (deg[v] < req[v])
+                            and comps - (root(u) != root(v)) == 1
+                            and predicate(g, {eids[j], *chosen})):
+                        return chosen + [eids[j]]
+                return None
             if picked + (m - idx) < s:
                 return None
             eid = eids[idx]
@@ -150,7 +165,7 @@ def _minimum_feasible(g: LabeledGraph,
             room[v] -= len(dropped)
             # the optimistic graph (available, a superset of chosen) shrank;
             # prune if its degrees or the predicate rule it out
-            if room[u] >= req[u] and room[v] >= req[v] and predicate(available):
+            if room[u] >= req[u] and room[v] >= req[v] and predicate(g, available):
                 hit = rec(idx + 1, deficit, comps)
                 if hit is not None:
                     return hit
@@ -234,7 +249,7 @@ def exact_solve(inst: Instance, cap_n: int = DEFAULT_CAP_N) -> Solution:
     g = inst.graph
     if g.n > cap_n:
         raise InputError(f"exact_solve: n={g.n} exceeds cap {cap_n}")
-    checker = checker_for(inst)
+    checker, kernel = predicates_for(inst)
     if not checker(g, set(g.eids)):
         raise InfeasibleInstanceError("instance is infeasible even with all edges")
     tree = _fvc_tree(g) if inst.problem == "fvc" else max_safe_forest(g)
@@ -244,7 +259,7 @@ def exact_solve(inst: Instance, cap_n: int = DEFAULT_CAP_N) -> Solution:
         # contracting a spanning forest leaves one vertex per tree; n at k = 1
         lb = (g.n if inst.problem == "fvc"
               else _kfgc_lower_bound(g.n, len(tree), g.n - len(tree), inst.k))
-        best = _minimum_feasible(g, lambda s: checker(g, s), lb, _required_degrees(inst))
+        best = _minimum_feasible(g, kernel, lb, _required_degrees(inst))
     if best is None:
         raise InfeasibleInstanceError("instance is infeasible")
     return Solution(edge_ids=frozenset(best),
@@ -268,7 +283,7 @@ def exact_kecss(g: LabeledGraph, k: int, cap_n: int = DEFAULT_CAP_N) -> Solution
         last[pair] = eid
     # k >= 1, so k-edge-connectivity includes connectivity; the lower bound
     # max(n - 1, ceil(nk / 2)) is the search's own, from degree k everywhere
-    best = _minimum_feasible(g, lambda s: subset_k_edge_connected(g, s, k),
+    best = _minimum_feasible(g, lambda g, s: subset_k_edge_connected(g, s, k),
                              0, [k] * g.n, next_twin)
     if best is None:
         raise InputError("exact_kecss: unexpectedly found no solution")

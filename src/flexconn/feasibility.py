@@ -7,11 +7,13 @@ unsafe edges; equivalently the contraction of (V,F) by its safe edges is
 Boyd, Cheriyan, Haddadan and Ibrahimpur (Math. Prog. 2024): no unsafe edge
 of F is a bridge.  So the edge predicate is chosen by k, not by problem.
 
-`check_fgc`, the k = 1 kernel, and `check_fvc` run one low-link DFS over the
+Public checkers validate the ids and k, then call an unchecked kernel on a
+set of the graph's own ids; internal loops validate once and call only the
+kernel.  The FGC (k = 1) and FVC kernels run one low-link DFS over the
 graph's cached incidence list, filtered by F (`graph.low_link_incidence`):
 it reaches every vertex iff (V,F) is connected, and it stops at the first
-unsafe bridge or cut vertex.  `check_kfgc` decides the contraction form at
-k >= 2; the literal form is compared with both in `tests/test_feasibility.py`.
+unsafe bridge or cut vertex.  The k-FGC kernel decides the contraction form
+at k >= 2; the literal form is compared with both in `tests/test_feasibility.py`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,14 @@ def require_positive_k(k) -> None:
         raise InputError(f"k must be a positive integer (got {k!r})")
 
 
+def require_problem_k(problem: str, k) -> None:
+    if problem not in PROBLEMS:
+        raise InputError(f"unknown problem {problem!r}")
+    require_positive_k(k)
+    if problem in ("fgc", "fvc") and k != 1:
+        raise InputError(f"{problem.upper()} takes k = 1 (got {k}); use kfgc")
+
+
 @dataclass(frozen=True)
 class Instance:
     graph: LabeledGraph
@@ -39,11 +49,7 @@ class Instance:
     k: int = 1
 
     def __post_init__(self):
-        if self.problem not in PROBLEMS:
-            raise InputError(f"unknown problem {self.problem!r}")
-        require_positive_k(self.k)
-        if self.problem in ("fgc", "fvc") and self.k != 1:
-            raise InputError(f"{self.problem.upper()} takes k = 1 (got {self.k}); use kfgc")
+        require_problem_k(self.problem, self.k)
         if self.problem == "fvc" and not self.graph.is_simple:
             raise InputError("FVC instances must be simple graphs")
 
@@ -69,25 +75,18 @@ def _edge_set(g: LabeledGraph, eids: Iterable[int]) -> Set[int]:
     return chosen
 
 
-def check_fgc(g: LabeledGraph, eids: Iterable[int]) -> bool:
-    return low_link_incidence(g.incidence, _edge_set(g, eids), None, (),
-                              g.unsafe_edge_set)[0] == g.n
+def _fgc_kernel(g: LabeledGraph, chosen: Set[int]) -> bool:
+    return low_link_incidence(g.incidence, chosen, None, (), g.unsafe_edge_set)[0] == g.n
 
 
-def check_fvc(g: LabeledGraph, eids: Iterable[int]) -> bool:
-    return low_link_incidence(g.incidence, _edge_set(g, eids), None,
-                              g.unsafe_vertex_set)[0] == g.n
+def _fvc_kernel(g: LabeledGraph, chosen: Set[int]) -> bool:
+    return low_link_incidence(g.incidence, chosen, None, g.unsafe_vertex_set)[0] == g.n
 
 
-def check_kfgc(g: LabeledGraph, eids: Iterable[int], k: int) -> bool:
-    """`check_fgc` at k = 1.  Otherwise contract the chosen safe edges, then
-    ask for (k+1)-edge-connectivity, which implies that the contraction is
-    connected, and so is (V, F): each vertex lies in one contracted class.
-    """
-    require_positive_k(k)
-    if k == 1:
-        return check_fgc(g, eids)
-    chosen = _edge_set(g, eids)
+def _kfgc_kernel(g: LabeledGraph, chosen: Set[int], k: int) -> bool:
+    """Contract the chosen safe edges, then ask for (k+1)-edge-connectivity,
+    which implies that the contraction is connected, and so is (V, F): each
+    vertex lies in one contracted class."""
     ends, unsafe = g.edge_ends, g.unsafe_edge_set
     parent = list(range(g.n))
 
@@ -104,28 +103,50 @@ def check_kfgc(g: LabeledGraph, eids: Iterable[int], k: int) -> bool:
     return edge_connectivity_at_least(comp, contracted, k + 1)
 
 
-def checker_for(instance: Instance) -> Callable[[LabeledGraph, Iterable[int]], bool]:
-    """By k for FGC and k-FGC; at k = 1 `check_fgc` itself, with no wrapper."""
+def check_fgc(g: LabeledGraph, eids: Iterable[int]) -> bool:
+    return _fgc_kernel(g, _edge_set(g, eids))
+
+
+def check_fvc(g: LabeledGraph, eids: Iterable[int]) -> bool:
+    return _fvc_kernel(g, _edge_set(g, eids))
+
+
+def check_kfgc(g: LabeledGraph, eids: Iterable[int], k: int) -> bool:
+    """`check_fgc` at k = 1, the contraction kernel otherwise."""
+    require_positive_k(k)
+    if k == 1:
+        return check_fgc(g, eids)
+    return _kfgc_kernel(g, _edge_set(g, eids), k)
+
+
+def predicates_for(instance: Instance):
+    """(checker, kernel), by k for FGC and k-FGC.  Names are read at call
+    time, so a wrapper set on a module attribute sees the calls."""
     k = instance.k
     if instance.problem == "fvc":
-        return check_fvc
+        return check_fvc, _fvc_kernel
     if k == 1:
-        return check_fgc
-    return lambda g, eids: check_kfgc(g, eids, k)
+        return check_fgc, _fgc_kernel
+    return (lambda g, eids: check_kfgc(g, eids, k)), (lambda g, chosen: _kfgc_kernel(g, chosen, k))
+
+
+def checker_for(instance: Instance) -> Callable[[LabeledGraph, Iterable[int]], bool]:
+    """By k for FGC and k-FGC; at k = 1 `check_fgc` itself, with no wrapper."""
+    return predicates_for(instance)[0]
 
 
 def prune_minimal(g: LabeledGraph, eids: Iterable[int], checker) -> FrozenSet[int]:
     """Drop edges in ascending id order while the checker stays satisfied.
 
-    Feasibility for all three problems is monotone under adding edges, so a
-    single ascending pass yields an inclusion-minimal set and re-pruning is a
-    no-op.
+    The ids are validated once, so `checker` may be a kernel.  Feasibility
+    for all three problems is monotone under adding edges, so a single
+    ascending pass yields an inclusion-minimal set and re-pruning is a no-op.
     """
-    current = _edge_set(g, eids)
+    current = set(_edge_set(g, eids))
     if not checker(g, current):
         raise InputError("prune_minimal: starting edge set is infeasible")
     for eid in sorted(current):
-        trial = current - {eid}
-        if checker(g, trial):
-            current = trial
+        current.discard(eid)
+        if not checker(g, current):
+            current.add(eid)
     return frozenset(current)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, FrozenSet, Iterable, Optional
 
 from .errors import InfeasibleInstanceError, require
-from .feasibility import Solution, check_fgc, prune_minimal
+from .feasibility import Solution, _fgc_kernel, check_fgc, prune_minimal
 from .graph import LabeledGraph
 from .kfgc import KecssSolverHandle
 
@@ -31,7 +31,7 @@ class F1SolverHandle:
 
     def solve(self, g: LabeledGraph) -> FrozenSet[int]:
         if self.fn is None:
-            return prune_minimal(g, set(g.eids), check_fgc)
+            return prune_minimal(g, set(g.eids), _fgc_kernel)
         out = frozenset(self.fn(g))
         require(check_fgc(g, out), "external F1 produced an infeasible solution")
         return out

@@ -408,10 +408,11 @@ def low_link_incidence(inc: Sequence[Sequence[Tuple[int, Hashable]]],
 
 
 def subset_k_edge_connected(g: LabeledGraph, eids: Iterable[int], k: int) -> bool:
-    """True iff the spanning subgraph (V(g), eids) is k-edge-connected."""
+    """True iff the spanning subgraph (V(g), eids) is k-edge-connected.  At
+    k = 2 a set is used as given, and the DFS stops at the first bridge."""
     if k == 2:
-        reached, _, bridges = low_link_incidence(g.incidence, set(eids))
-        return reached == g.n and not bridges
+        keep = eids if isinstance(eids, (set, frozenset)) else set(eids)
+        return low_link_incidence(g.incidence, keep, None, (), keep)[0] == g.n
     return edge_connectivity_at_least(range(g.n), [(e, *g.edge_ends[e]) for e in eids], k)
 
 

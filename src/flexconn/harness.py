@@ -17,7 +17,7 @@ from typing import List, Tuple
 
 from .errors import InputError
 from .exact import exact_solve
-from .feasibility import Instance, Solution, checker_for
+from .feasibility import Instance, Solution, checker_for, require_problem_k
 from .fgc import solve_fgc
 from .fvc import solve_fvc
 from .graph import LabeledGraph, is_connected
@@ -89,6 +89,9 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self):
+        require_problem_k(self.problem, self.k)
+        if type(self.trials) is not int or self.trials < 0:
+            raise InputError(f"trials must be a non-negative integer (got {self.trials!r})")
         if self.n_min > self.n_max:
             raise InputError(f"need n_min <= n_max (got {self.n_min} > {self.n_max})")
 

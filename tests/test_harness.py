@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from flexconn.cli import main
 from flexconn.errors import InputError
 from flexconn.exact import exact_solve
 from flexconn.feasibility import checker_for
@@ -54,6 +57,28 @@ class TestExperiment:
         assert lines[-1].startswith("summary")
         for line in lines[1:-1]:
             assert line.split(",")[10] == "true"  # feasible column
+
+    @pytest.mark.parametrize("argv, match", [
+        (["--problem", "fgc", "--k", "2", "--trials", "0"], r"FGC takes k = 1 \(got 2\)"),
+        (["--problem", "fvc", "--k", "3", "--trials", "0"], r"FVC takes k = 1 \(got 3\)"),
+        (["--problem", "kfgc", "--k", "0", "--trials", "0"], r"k must be a positive integer"),
+        (["--problem", "fvc", "--trials", "-3"], r"trials must be a non-negative integer"),
+    ])
+    def test_bad_config_exits_1_without_rows(self, capsys, argv, match):
+        # the config is refused even when no row would build an Instance
+        assert main(["bench"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(match, captured.err)
+
+    def test_config_refuses_what_instance_refuses(self):
+        for problem, k in (("fgc", 2), ("fvc", 2), ("kfgc", 0), ("kfgc", True), ("mst", 1)):
+            with pytest.raises(InputError):
+                ExperimentConfig(problem=problem, trials=0, n_min=4, n_max=6, k=k)
+        with pytest.raises(InputError, match="trials"):
+            ExperimentConfig(problem="kfgc", trials=-1, n_min=4, n_max=6, k=2)
+        cfg = ExperimentConfig(problem="kfgc", trials=0, n_min=4, n_max=6, k=2)
+        assert run_ratio_experiment(cfg).count("\n") == 2
 
     def test_kfgc_rows_feasible(self):
         cfg = ExperimentConfig(problem="kfgc", trials=4, n_min=4, n_max=6,

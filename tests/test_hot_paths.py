@@ -7,7 +7,9 @@ CLI's `solve`, `exact` and `check` on golden instances of each problem,
 which reach `solve_fvc`, `solve_fgc`, `solve_kfgc`, `exact_solve` and the
 three checkers, and asserts that no record was built: neither cached on a
 parsed graph nor constructed anywhere.  A second test counts the checker
-calls of each `solve`.
+calls of each `solve`.  The last two check that the exact search and
+`prune_minimal` validate their edge ids once and then call only the
+unchecked kernels.
 """
 
 import json
@@ -17,15 +19,21 @@ import sys
 import pytest
 
 from flexconn import cli, feasibility
-from flexconn.graph import Edge
+from flexconn.fgc import F1SolverHandle
+from flexconn.graph import Edge, LabeledGraph
+from flexconn.kfgc import kecss_prune_heuristic
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-def _golden(name, **match):
+def _goldens(name, **match):
     with open(os.path.join(DATA, name)) as fh:
         entries = json.load(fh)["instances"]
-    return next(e for e in entries if all(e.get(k) == v for k, v in match.items()))
+    return [e for e in entries if all(e.get(k) == v for k, v in match.items())]
+
+
+def _golden(name, **match):
+    return _goldens(name, **match)[0]
 
 
 def _text(entry, k=None):
@@ -124,3 +132,52 @@ def test_one_certificate_per_solve(tmp_path, monkeypatch, capsys, problem, entry
     if problem != "fgc":
         own = [name for name, g, _ in calls if g is parsed[0]]
         assert own == [f"check_{problem}"] * 2
+
+
+KERNELS = {"fvc": "_fvc_kernel", "fgc": "_fgc_kernel", "kfgc": "_kfgc_kernel"}
+EXACT_CASES = [("fvc", {}), ("fgc", {}), ("kfgc", {"k": 2})]
+
+
+def _spy(monkeypatch, name, calls):
+    real = getattr(feasibility, name)
+
+    def spy(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(feasibility, name, spy)
+
+
+@pytest.mark.parametrize("problem, match", EXACT_CASES, ids=[p for p, _ in EXACT_CASES])
+def test_exact_validates_once(tmp_path, monkeypatch, capsys, problem, match):
+    """`exact` validates the edge ids once, in its entry check; the search
+    calls only the kernel.  Every exact golden case of the problem is run,
+    and on some of them the search runs past the spanning-tree level."""
+    entries = _goldens("solver_golden.json", kind="exact", problem=problem, **match)
+    validated, kernel, searched = [], [], 0
+    _spy(monkeypatch, "_edge_set", validated)
+    _spy(monkeypatch, KERNELS[problem], kernel)
+    inst, sol = tmp_path / "g.flex", tmp_path / "sol.json"
+    for entry in entries:
+        inst.write_text(_text(entry, entry.get("k") if problem == "kfgc" else None))
+        del validated[:], kernel[:]
+        assert cli.main(["exact", "--problem", problem, "-i", str(inst), "-o", str(sol)]) == 0
+        assert len(validated) == 1, entry
+        searched += len(kernel) > 1
+    capsys.readouterr()
+    assert searched >= 1
+
+
+@pytest.mark.parametrize("n", [3, 6, 10])
+def test_prune_minimal_validates_once(monkeypatch, n):
+    """The F1 fallback and the kECSS prune heuristic validate once, however
+    many edges they try to drop."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = LabeledGraph.build(n, pairs, edge_safe=[i % 3 == 0 for i in range(len(pairs))])
+    validated = []
+    _spy(monkeypatch, "_edge_set", validated)
+    kept = F1SolverHandle().solve(g)
+    assert validated == ["_edge_set"]
+    assert kecss_prune_heuristic(g, 2) and len(validated) == 2
+    monkeypatch.undo()
+    assert feasibility.check_fgc(g, kept)

@@ -9,11 +9,13 @@ from flexconn.feasibility import Instance, Solution
 from flexconn.io import parse_instance, write_instance, write_solution
 
 TRIANGLE = "p flex 3 3 1\nv 0 s\nv 1 u\nv 2 u\ne 0 1 s\ne 1 2 u\ne 2 0 u\n"
+IGNORED_VERTEX_FLAGS = "vertex safety flags are ignored for KFGC"
 
 
 class TestParse:
     def test_triangle(self):
-        inst = parse_instance(TRIANGLE, problem="kfgc")
+        with pytest.warns(UserWarning, match=IGNORED_VERTEX_FLAGS):
+            inst = parse_instance(TRIANGLE, problem="kfgc")
         g = inst.graph
         assert g.n == 3 and g.m == 3
         assert inst.k == 1
@@ -45,13 +47,16 @@ class TestParse:
             parse_instance("p flex 3 2\ne 0 1\n")
 
     def test_k_override(self):
-        inst = parse_instance(TRIANGLE, problem="kfgc", k=7)
+        with pytest.warns(UserWarning, match=IGNORED_VERTEX_FLAGS):
+            inst = parse_instance(TRIANGLE, problem="kfgc", k=7)
         assert inst.k == 7
 
     def test_round_trip(self):
-        inst = parse_instance(TRIANGLE, problem="kfgc")
+        with pytest.warns(UserWarning, match=IGNORED_VERTEX_FLAGS):
+            inst = parse_instance(TRIANGLE, problem="kfgc")
         text = write_instance(inst)
-        again = parse_instance(text, problem="kfgc")
+        with pytest.warns(UserWarning, match=IGNORED_VERTEX_FLAGS):
+            again = parse_instance(text, problem="kfgc")
         assert write_instance(again) == text
 
     def test_irrelevant_flags_warn(self):

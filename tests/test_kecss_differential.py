@@ -16,6 +16,9 @@ the unordered search it replaced, kept verbatim.  Both must return the same
 edge set.  The same reference, which prunes only by the predicate, checks
 the degree and component bounds of `exact_solve` on FVC, FGC and k-FGC, and
 its greedy spanning-tree level: the reference enumerates that level too.
+The last-pick scan, which runs no optimistic test when one edge is left to
+pick, is checked against the reference on searches whose last pick fails
+at least two candidates before its hit.
 """
 
 import math
@@ -24,9 +27,10 @@ from collections import defaultdict
 
 import pytest
 
+from flexconn import exact
 from flexconn.errors import InfeasibleInstanceError
-from flexconn.exact import exact_kecss, exact_solve
-from flexconn.feasibility import Instance, checker_for
+from flexconn.exact import _minimum_feasible, exact_kecss, exact_solve
+from flexconn.feasibility import Instance, checker_for, predicates_for
 from flexconn.fvc import solve_tree_case
 from flexconn.graph import (LabeledGraph, edge_connectivity_at_least,
                             is_connected, is_k_edge_connected,
@@ -338,3 +342,89 @@ def test_exact_solve_bounds_match_unbounded_search(problem, k, want):
         assert seen["tree_case_differs"] >= want // 20, dict(seen)
     else:
         assert seen["safe_not_spanning"] >= want // 20, dict(seen)
+
+
+# ---------------------------------------------------------------------------
+# the last pick: a scan of leaf tests without the optimistic test
+# ---------------------------------------------------------------------------
+
+def _recording(kernel, log):
+    def recorded(g, ids):
+        ok = kernel(g, ids)
+        log.append((frozenset(ids), ok))
+        return ok
+    return recorded
+
+
+def _last_pick_misses(log, hit):
+    """The candidates that the last pick of the hit's node tested and
+    rejected, in call order: leaf sets of the hit's size that share its
+    first s - 1 edges."""
+    prefix = hit - {max(hit)}
+    return [min(ids - prefix) for ids, ok in log
+            if not ok and len(ids) == len(hit) and ids > prefix
+            and min(ids - prefix) > max(prefix, default=-1)]
+
+
+# seeds whose search rejects at least two candidates in the last pick of
+# the node it hits at; found by scanning seeds 0, 1, ... once
+DEEP_LAST_PICK = {("fvc", 1): (144, 348, 373, 607, 920, 1137),
+                  ("fgc", 1): (6, 43, 150, 232, 742, 1176),
+                  ("kfgc", 2): (75, 286, 342, 397, 766, 1185)}
+
+
+@pytest.mark.parametrize("problem, k", list(DEEP_LAST_PICK))
+def test_exact_solve_last_pick_matches_reference(monkeypatch, problem, k):
+    log = []
+
+    def recorded(inst):
+        checker, kernel = predicates_for(inst)
+        return checker, _recording(kernel, log)
+
+    monkeypatch.setattr(exact, "predicates_for", recorded)
+    for seed in DEEP_LAST_PICK[problem, k]:
+        inst, _ = random_instance(random.Random(f"last-pick:{problem}:{k}:{seed}"), problem, k)
+        del log[:]
+        hit = set(exact_solve(inst).edge_ids)
+        assert len(_last_pick_misses(log, hit)) >= 2, seed
+        assert hit == reference_exact_solve(inst), seed
+
+
+# (k, seed): multigraphs whose last pick rejects a lower twin before the hit
+# and before its higher twin
+TWIN_LAST_PICK = [(2, 920), (2, 1483), (2, 4572), (2, 14087), (2, 15311),
+                  (3, 2348), (3, 7581), (3, 9805)]
+
+
+@pytest.mark.parametrize("k, seed", TWIN_LAST_PICK)
+def test_exact_kecss_last_pick_rejects_twins_of_a_miss(monkeypatch, k, seed):
+    log = []
+    real = exact.subset_k_edge_connected
+    monkeypatch.setattr(exact, "subset_k_edge_connected",
+                        lambda g, ids, k: _recording(lambda h, s: real(h, s, k), log)(g, ids))
+    rng = random.Random(f"last-pick:kecss:{k}:{seed}")
+    g = random_multigraph(rng, rng.randint(4, 6 if k == 2 else 5))
+    hit = set(exact_kecss(g, k).edge_ids)
+    misses = _last_pick_misses(log, hit)
+    assert len(misses) >= 2
+    pair = {e: tuple(sorted(uv)) for e, uv in zip(g.eids, g.ends)}
+    twins = [(e, f) for e in misses for f in g.eids if e < f < max(hit) and pair[f] == pair[e]]
+    assert twins
+    # e was available, so its higher twins were too: each gives the same
+    # set as e, and its own leaf test rejects it
+    assert all(f in misses for _, f in twins)
+    assert hit == reference_exact_kecss(g, k)
+
+
+def test_single_vertex_reaches_the_leaf_test():
+    # s = 0: the search tests the empty set, with no last pick before it
+    g = LabeledGraph.build(1, [])
+    log = []
+    assert _minimum_feasible(g, _recording(lambda h, s: True, log), 0, [0]) == set()
+    assert log == [(frozenset(), True)]
+    del log[:]
+    assert _minimum_feasible(g, _recording(lambda h, s: False, log), 0, [0]) is None
+    assert log == [(frozenset(), False)]
+    for problem in ("fvc", "fgc", "kfgc"):
+        assert exact_solve(Instance(graph=g, problem=problem)).edge_ids == frozenset()
+    assert exact_kecss(g, 2).edge_ids == frozenset()

@@ -8,9 +8,9 @@ output:
   `solve_kfgc` for k = 1, 2, 3 (20 instances each, n 3-12);
 - `exact`: `exact_solve` for FVC, FGC and k-FGC (60 instances each, n <= 8).
 
-Both solvers call the checkers through `prune_minimal`, and the exact search
-calls them at every node, so any change to a checker that alters one answer
-shows here as a changed byte.  `tests/test_fvc_golden.py` covers `solve_fvc`.
+Both solvers call the checker kernels through `prune_minimal`, and the exact
+search calls them at every node, so any change to a checker that alters one
+answer shows here as a changed byte.  `tests/test_fvc_golden.py` covers `solve_fvc`.
 Regenerate the file (only when an output change is intended) with
 
     PYTHONPATH=src:tests python tests/test_solver_golden.py
