@@ -8,17 +8,22 @@ coarser one, searching a "nice" cycle there (entry and exit vertices of each
 large part must differ), and patching the result back; every returned cycle
 is re-validated by the independent checker below.
 
-One call costs the singletons' neighbourhoods plus the vertices the search
-visits, not a pass over ``g.edges``: the cross edges of a vertex are built
-from ``g.incidence`` when the search first reaches it, sorted by (other
-end, edge id), and that order fixes which cycle is returned.
+Algorithm 1 buys good cycles from one partition that each cycle coarsens,
+so ``GoodCycleSearch`` keeps that partition, each vertex's part, and the
+singletons' neighbour lists across its rounds; a bought cycle merges the
+parts it touches, which is exactly the recount, so the cycles found do not
+change.  ``find_good_cycle`` is one round of it.  A round costs the
+singletons' neighbourhoods plus the vertices the search visits, not a pass
+over ``g.edges``: the cross edges of a vertex are built from
+``g.incidence`` when the search first reaches it, sorted by (other end,
+edge id), and that order fixes which cycle is returned.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import require
 from .graph import LabeledGraph, UnionFind
@@ -81,42 +86,71 @@ def is_good_cycle(parts: Sequence[FrozenSet[int]],
 
 def find_good_cycle(g: LabeledGraph, vd: Set[int],
                     parts: Sequence[FrozenSet[int]]) -> Optional[Set[int]]:
-    """A good cycle of `parts` using edges of g induced on vd, or None.
+    """A good cycle of `parts` using edges of g induced on vd, or None: one
+    round of `GoodCycleSearch`.  `parts` may come in any order."""
+    return GoodCycleSearch(g, vd, parts).find()
 
-    None is returned exactly when no good cycle can exist: no large part, or
-    a single large part with no two adjacent singletons.  `parts` may come
-    in any order.  One call reads the singletons' neighbours and, with no
-    scan of `g.edges`, the cross edges of each vertex the search visits, in
-    (other end, edge id) order; that order fixes the cycle returned.
-    """
-    parts = sorted((frozenset(p) for p in parts), key=min)
-    larges = [p for p in parts if len(p) >= 2]
-    singles = [min(p) for p in parts if len(p) == 1]
-    single_set = set(singles)
-    if not larges:
-        return None
-    nbr = {v: [w for w in g.neighbors(v) if w in vd] for v in singles}
-    if len(larges) == 1:
-        if not any(w in single_set for v in singles for w in nbr[v]):
+
+class GoodCycleSearch:
+    """Algorithm 1's state: the parts keyed by their smallest vertex, each
+    vertex's key, and the singletons' V(D)-neighbour lists (keyed by the
+    singletons).  `merge` joins exactly the parts a bought cycle touches:
+    the cycle connects them, so that is the recount of the partition."""
+
+    def __init__(self, g: LabeledGraph, vd: Set[int], parts: Iterable[Iterable[int]]):
+        self.g = g
+        self.parts: Dict[int, FrozenSet[int]] = {}
+        self.part_of: Dict[int, int] = {}
+        for p in parts:
+            p = frozenset(p)
+            key = min(p)
+            self.parts[key] = p
+            self.part_of.update(dict.fromkeys(p, key))
+        self.nbr = {v: [w for w in g.neighbors(v) if w in vd]
+                    for v, p in self.parts.items() if len(p) == 1}
+
+    def find(self) -> Optional[Set[int]]:
+        """A good cycle of the current parts, or None exactly when none can
+        exist: no large part, or one and no two adjacent singletons."""
+        g, nbr = self.g, self.nbr
+        parts = [self.parts[key] for key in sorted(self.parts)]
+        larges = len(parts) - len(nbr)
+        if not larges:
             return None
+        if larges == 1 and all(nbr.keys().isdisjoint(ws) for ws in nbr.values()):
+            return None
+        coarse = _coarsen(self.parts, self.part_of, nbr)
+        require(len(coarse) >= 2, "coarsened partition must have >= 2 parts")
+        part_of = {v: i for i, p in enumerate(coarse) for v in p.vertices}
+        nice = _find_nice_cycle(g, coarse, part_of)
+        require(nice is not None, "a nice cycle must exist on a 2VC graph")
+        cycle_eids = _augment_to_good_cycle(g, coarse, part_of, nice)
+        triples = [(eid, *g.edge_ends[eid]) for eid in sorted(cycle_eids)]
+        require(is_good_cycle(parts, triples), "constructed cycle failed validation")
+        return set(cycle_eids)
 
-    coarse = _coarsen(larges, singles, nbr)
-    require(len(coarse) >= 2, "coarsened partition must have >= 2 parts")
-    part_of = {v: i for i, p in enumerate(coarse) for v in p.vertices}
-    nice = _find_nice_cycle(g, coarse, part_of)
-    require(nice is not None, "a nice cycle must exist on a 2VC graph")
-    cycle_eids = _augment_to_good_cycle(g, coarse, part_of, nice)
-    triples = [(eid, *g.edge_ends[eid]) for eid in sorted(cycle_eids)]
-    require(is_good_cycle(parts, triples), "constructed cycle failed validation")
-    return set(cycle_eids)
+    def merge(self, cycle: Iterable[int]) -> None:
+        """Join the parts that the edges of a found cycle touch."""
+        ends, part_of = self.g.edge_ends, self.part_of
+        keys = {part_of[x] for eid in cycle for x in ends[eid]}
+        key = min(keys)
+        merged = set(self.parts[key])
+        for k in keys - {key}:
+            p = self.parts.pop(k)
+            merged |= p
+            part_of.update(dict.fromkeys(p, key))
+        self.parts[key] = frozenset(merged)
+        for k in keys:
+            self.nbr.pop(k, None)
 
 
-def _coarsen(larges, singles, nbr) -> List[_Part]:
+def _coarsen(parts: Dict[int, FrozenSet[int]], part_of: Dict[int, int],
+             nbr: Dict[int, List[int]]) -> List[_Part]:
     """Merge adjacent singletons (F1) and absorb, into each large part, the
     singletons holding two distinct edges into it (F2); a singleton with two
-    edges into several large parts goes to the one with the lowest vertex."""
-    single_set = set(singles)
-    a1 = {v for v in singles if any(w in single_set for w in nbr[v])}
+    edges into several large parts goes to the one with the lowest vertex.
+    Parts are keyed by their lowest vertex; `nbr` holds the singletons."""
+    a1 = {v for v, ws in nbr.items() if not nbr.keys().isdisjoint(ws)}
     f1_groups: List[FrozenSet[int]] = []
     left = set(a1)
     while left:
@@ -132,23 +166,22 @@ def _coarsen(larges, singles, nbr) -> List[_Part]:
         f1_groups.append(frozenset(comp))
         left -= comp
 
-    large_of = {w: i for i, L in enumerate(larges) for w in L}
-    grabbed: List[Set[int]] = [set() for _ in larges]
+    grabbed: Dict[int, Set[int]] = {}
     a0: List[int] = []
-    for v in singles:
+    for v, ws in nbr.items():
         if v in a1:
             continue
         hits: Dict[int, int] = {}
-        for w in nbr[v]:
-            if w in large_of:
-                hits[large_of[w]] = hits.get(large_of[w], 0) + 1
-        i = min((i for i, c in hits.items() if c >= 2), default=None)
-        if i is None:
+        for w in ws:
+            if w not in nbr and w in part_of:
+                hits[part_of[w]] = hits.get(part_of[w], 0) + 1
+        key = min((key for key, c in hits.items() if c >= 2), default=None)
+        if key is None:
             a0.append(v)
         else:
-            grabbed[i].add(v)
-    coarse = [_Part(L | more, "F2", L) if more else _Part(L, "F0", None)
-              for L, more in zip(larges, grabbed)]
+            grabbed.setdefault(key, set()).add(v)
+    coarse = [_Part(L | grabbed[key], "F2", L) if key in grabbed else _Part(L, "F0", None)
+              for key, L in parts.items() if key not in nbr]
     coarse += [_Part(grp, "F1", None) for grp in f1_groups]
     coarse += [_Part(frozenset({v}), "A0", None) for v in a0]
     return sorted(coarse, key=lambda p: min(p.vertices))

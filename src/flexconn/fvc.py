@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .cycles import find_good_cycle
+from .cycles import GoodCycleSearch
 from .ears import (EarDecomposition, build_long_ear_decomposition,
                    find_forbidden_cycle)
 from .errors import InfeasibleInstanceError, InputError, require
@@ -53,25 +53,26 @@ def preprocess(g: LabeledGraph) -> Tuple[List[LabeledGraph], ReconstructionPlan]
     the edges uw, wv and drops w (u, v both unsafe) or lets us drop the edge
     uw (v safe, and z relabeled safe whenever w is).
     """
-    if low_link_incidence(g.incidence)[0] < g.n:
+    return _reduce(g, *low_link_incidence(g.incidence)[:2])
+
+
+def _reduce(g: LabeledGraph, reached: int, cuts: Set[int]
+            ) -> Tuple[List[LabeledGraph], ReconstructionPlan]:
+    """`preprocess`, given a low-link DFS's reach count and cut vertices of
+    g; depth first, children in order, with an explicit worklist so long
+    chains of reductions cannot exhaust the call stack."""
+    if reached < g.n:
         raise InfeasibleInstanceError("graph is disconnected")
     pieces: List[LabeledGraph] = []
     forced: Set[int] = set()
     events: List[Tuple] = []
-    _reduce(g, pieces, forced, events)
-    return pieces, ReconstructionPlan(frozenset(forced), tuple(events))
-
-
-def _reduce(g: LabeledGraph, pieces, forced, events) -> None:
-    """Apply the reductions depth first, children in order, with an explicit
-    worklist so long chains of reductions cannot exhaust the call stack."""
-    todo = [g]
+    todo = [(g, cuts)]
     while todo:
-        g = todo.pop()
+        g, cuts = todo.pop()
         if g.n < 5:
             pieces.append(g)
             continue
-        cuts = sorted(cut_vertices(g))
+        cuts = sorted(cut_vertices(g) if cuts is None else cuts)
         unsafe_cuts = [v for v in cuts if not g.vertex_safe[v]]
         if unsafe_cuts:
             raise InfeasibleInstanceError(
@@ -81,7 +82,7 @@ def _reduce(g: LabeledGraph, pieces, forced, events) -> None:
             rest = set(range(g.n)) - {x}
             comps = connected_components(rest, _induced_triples(g, rest))
             events.append(("split", g.n, len(comps)))
-            todo.extend(g.induced(comp | {x}) for comp in reversed(comps))
+            todo.extend((g.induced(comp | {x}), None) for comp in reversed(comps))
             continue
         fc = find_forbidden_cycle(g)
         if fc is None:
@@ -92,7 +93,7 @@ def _reduce(g: LabeledGraph, pieces, forced, events) -> None:
             e1, e2 = g.edge_between(u, w), g.edge_between(w, v)
             forced.update((e1, e2))
             events.append(("forbidden_unsafe", e1, e2))
-            todo.append(g.induced(set(range(g.n)) - {w}))
+            todo.append((g.induced(set(range(g.n)) - {w}), None))
             continue
         if g.vertex_safe[u] and not g.vertex_safe[v]:
             u, v = v, u
@@ -100,7 +101,8 @@ def _reduce(g: LabeledGraph, pieces, forced, events) -> None:
             w, z = z, w
         doomed = g.edge_between(u, w)
         events.append(("forbidden_safe", doomed))
-        todo.append(g.without_edges({doomed}))
+        todo.append((g.without_edges({doomed}), None))
+    return pieces, ReconstructionPlan(frozenset(forced), tuple(events))
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +114,13 @@ def solve_tree_case(g: LabeledGraph) -> Optional[FrozenSet[int]]:
 
     For n >= 3 such a tree exists iff the safe vertices induce a connected
     subgraph dominating every unsafe vertex; then a safe spanning tree plus
-    one pendant edge per unsafe vertex works.
+    one pendant edge per unsafe vertex works.  Finding both proves that g
+    is connected, so no separate reach test runs.
     """
-    if low_link_incidence(g.incidence)[0] < g.n:
-        return None
     if g.n <= 1:
         return frozenset()
     if g.n == 2:
-        return frozenset({min(g.eids)})
+        return frozenset({min(g.eids)}) if g.eids else None
     safe = [v for v in range(g.n) if g.vertex_safe[v]]
     if not safe:
         return None
@@ -351,25 +352,26 @@ def algorithm1_buy_good_cycles(g: LabeledGraph, vd: FrozenSet[int],
                                ) -> Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]:
     """Buy good cycles until none exists; returns (x1, s1, large component A).
 
-    The parts are the components of V(D) under the pseudo-edges and S1, kept
-    in one union-find that each bought cycle updates.
+    The parts are the components of V(D) under the pseudo-edges and S1.  One
+    `GoodCycleSearch` per piece holds them, read once from a union-find of
+    the pseudo-edges; each bought cycle merges the parts it touches, which
+    is the recount of the components, so the cycles bought are unchanged.
     """
     uf = UnionFind(vd)
     for p in rainbow.chosen:
         uf.union(p.a, p.b)
+    search = GoodCycleSearch(g, vd, uf.groups())
     s1: Set[int] = set()
     while True:
-        parts = uf.groups()
-        cyc = find_good_cycle(g, vd, parts)
+        cyc = search.find()
         if cyc is None:
             break
         require(not (cyc & s1), "a good cycle must consist of new edges")
         s1 |= cyc
-        for eid in cyc:
-            uf.union(*g.edge_ends[eid])
-    larges = [c for c in parts if len(c) >= 2]
+        search.merge(cyc)
+    larges = [c for c in search.parts.values() if len(c) >= 2]
     require(len(larges) == 1, "exactly one large component must remain")
-    a = frozenset(larges[0])
+    a = larges[0]
     rest = set(vd) - a
     require(all(not (g.neighbor_sets[u] & rest) for u in rest),
             "the remainder must be independent in the decomposition graph")
@@ -483,10 +485,12 @@ def algorithm3_make_feasible(g: LabeledGraph, vd: FrozenSet[int],
 def solve_fvc(g: LabeledGraph) -> Solution:
     """Best of the two approximations, after preprocessing.  The stitched
     set is the one the checker certifies (the piece stages are gated by
-    tests), and meta carries the internal lower bound and pipeline stats."""
-    if not check_fvc(g, set(g.eids)):
+    tests), and meta carries the internal lower bound and pipeline stats.
+    One low-link DFS over g decides feasibility and seeds `_reduce`."""
+    reached, cuts, _ = low_link_incidence(g.incidence)
+    if reached < g.n or not g.unsafe_vertex_set.isdisjoint(cuts):
         raise InfeasibleInstanceError("FVC instance is infeasible")
-    pieces, plan = preprocess(g)
+    pieces, plan = _reduce(g, reached, cuts)
     piece_solutions: List[FrozenSet[int]] = []
     piece_meta: List[dict] = []
     lower_bound = len(plan.forced_edge_ids)

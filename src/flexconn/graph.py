@@ -112,7 +112,11 @@ class LabeledGraph:
 
     def edge_between(self, u: int, v: int) -> Optional[int]:
         """Lowest id of an edge joining u and v, or None."""
-        return min((e for w, e in self.incidence[u] if w == v), default=None)
+        best = None
+        for w, e in self.incidence[u]:
+            if w == v and (best is None or e < best):
+                best = e
+        return best
 
     @cached_property
     def is_simple(self) -> bool:

@@ -203,23 +203,37 @@ def solve_rainbow(pe: PseudoEdgeSet, vd: Sequence[int]) -> RainbowSolution:
 
 
 def _minimize_singletons(vd, picks: List[PseudoEdge], by_colour, alpha: int) -> List[PseudoEdge]:
+    """Take the first same-colour swap, in sorted order, that lowers the
+    number of singletons, until none does.  `touch[v]` counts the picks at
+    v, so a swap p -> cand is scored in O(1) as the recount of the trial
+    list: the ends only p touches are bared, the bare ends of cand covered.
+    An accepted swap still builds the list and checks its components."""
     current = list(picks)
-    best = len(_singletons(vd, current))
+    touch = dict.fromkeys(vd, 0)
+    for p in current:
+        touch[p.a] += 1
+        touch[p.b] += 1
+    best = sum(1 for c in touch.values() if c == 0)
     improved = True
     while improved:
         improved = False
         for p in sorted(current):
+            touch[p.a] -= 1
+            touch[p.b] -= 1
+            bared = best + (touch[p.a] == 0) + (touch[p.b] == 0)
             for cand in by_colour[p.colour]:
                 if cand == p:
                     continue
-                trial = [cand if q == p else q for q in current]
-                if len(_singletons(vd, trial)) < best:
+                singles = bared - (touch[cand.a] == 0) - (touch[cand.b] == 0)
+                if singles < best:
+                    trial = [cand if q == p else q for q in current]
                     require(_component_count(vd, trial) == alpha,
                             "singleton swap changed the component count")
-                    current = trial
-                    best = len(_singletons(vd, current))
+                    current, best, p = trial, singles, cand    # restore cand's touches
                     improved = True
                     break
+            touch[p.a] += 1
+            touch[p.b] += 1
             if improved:
                 break
     return sorted(current)

@@ -197,6 +197,17 @@ def brute_force_rainbow_components(pe, vd):
     return best
 
 
+def leftover_is_matching(g, vd):
+    """Whether the edges with no end in vd form a matching: the ear
+    decomposition invariant on forbidden-cycle-free 2VC graphs."""
+    deg = {}
+    for u, v in g.ends:
+        if u not in vd and v not in vd:
+            deg[u] = deg.get(u, 0) + 1
+            deg[v] = deg.get(v, 0) + 1
+    return all(d <= 1 for d in deg.values())
+
+
 def solve_2ecss_blockwise(g, per_block):
     """Solve 2ECSS independently inside each block and take the union.
 

@@ -15,8 +15,7 @@ import pytest
 
 from flexconn.cli import main
 from flexconn.cycles import find_good_cycle, is_good_cycle
-from flexconn.ears import (build_long_ear_decomposition, find_forbidden_cycle,
-                           leftover_is_matching)
+from flexconn.ears import build_long_ear_decomposition, find_forbidden_cycle
 from flexconn.exact import exact_kecss, exact_solve
 from flexconn.feasibility import Instance, check_fgc, check_fvc, check_kfgc
 from flexconn.fgc import solve_fgc
@@ -27,7 +26,7 @@ from flexconn.kfgc import KecssSolverHandle, max_safe_forest, solve_kfgc
 from flexconn.rainbow import PseudoEdge, PseudoEdgeSet, solve_rainbow
 
 from conftest import (FIX_A_PAIRS, FIX_A_SAFE, brute_force_rainbow_components,
-                      build, random_connected, solve_2ecss_blockwise)
+                      build, leftover_is_matching, random_connected, solve_2ecss_blockwise)
 
 ELEVEN_SEVENTHS = Fraction(11, 7)
 

@@ -6,9 +6,10 @@ pseudo-edges and S1 in every round of Algorithm 1, built the neighbour list
 of every vertex of V(D) and the cross edges of every vertex from a scan of
 all edges in every `find_good_cycle` call, and absorbed F2 singletons by
 intersecting their neighbourhoods with each large part.  The current ones
-keep one union-find per piece, read the neighbours of singletons only, build
-cross edges when the search reaches a vertex, and absorb F2 singletons
-through a vertex-to-large-part index.  Only a few golden instances reach
+keep one `GoodCycleSearch` per piece, which holds the parts, each vertex's
+part and the singletons' neighbour lists and merges the parts each bought
+cycle touches; they build cross edges when the search reaches a vertex, and
+absorb F2 singletons through the vertex-to-part map.  Only a few golden instances reach
 apx2, so the comparison runs on:
 - random 2-vertex-connected graphs with random partitions, some of which
   leave vertices of V(D) uncovered, handed to the current code shuffled;
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Optional
 
 from flexconn import fvc
-from flexconn.cycles import find_good_cycle, is_good_cycle
+from flexconn.cycles import GoodCycleSearch, find_good_cycle, is_good_cycle
 from flexconn.errors import require
 from flexconn.feasibility import check_fvc
 from flexconn.graph import UnionFind, cut_vertices
@@ -325,24 +326,26 @@ def test_find_good_cycle_matches_earlier_form_on_random_partitions():
 
 
 def test_algorithm1_matches_earlier_form_on_apx2_pieces(monkeypatch):
+    """Algorithm 1 drives one `GoodCycleSearch` per piece; every cycle its
+    `find` returns, the final None included, is recorded and compared."""
     real_algorithm1 = fvc.algorithm1_buy_good_cycles
-    real_find = fvc.find_good_cycle
+    real_find = GoodCycleSearch.find
     compared = []
 
     def both(g, vd, rainbow):
         old_cycles, new_cycles = [], []
 
-        def recording_find(*args):
-            cyc = real_find(*args)
+        def recording_find(self):
+            cyc = real_find(self)
             new_cycles.append(cyc)
             return cyc
 
         want = _outcome(_old_algorithm1, g, vd, rainbow, old_cycles)
-        monkeypatch.setattr(fvc, "find_good_cycle", recording_find)
+        monkeypatch.setattr(GoodCycleSearch, "find", recording_find)
         try:
             got = _outcome(real_algorithm1, g, vd, rainbow)
         finally:
-            monkeypatch.setattr(fvc, "find_good_cycle", real_find)
+            monkeypatch.setattr(GoodCycleSearch, "find", real_find)
         assert got == want
         assert new_cycles == old_cycles
         compared.append(len(old_cycles))

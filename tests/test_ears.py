@@ -1,12 +1,14 @@
+import math
 import random
 
 import pytest
 
 from flexconn.ears import (build_long_ear_decomposition, find_forbidden_cycle,
-                           find_potential_open_ear_ge4, leftover_is_matching)
+                           find_potential_open_ear_ge4)
 from flexconn.errors import InputError
+from flexconn.graph import cut_vertices
 
-from conftest import build, petersen, random_connected
+from conftest import build, leftover_is_matching, petersen, random_connected
 
 
 class TestInitialCycle:
@@ -77,6 +79,27 @@ class TestInvariants:
             assert 3 * dec.edge_count <= 4 * (len(dec.vertices) - 1)
             assert leftover_is_matching(g, dec.vertices)
             done += 1
+
+    def test_leftover_is_a_matching_without_forbidden_cycles(self):
+        """The build checks only the O(1) size bound; this test holds the
+        scan it used to run on every decomposition: on a 2VC graph with no
+        forbidden cycle, the edges outside V(D) form a matching.  Checked
+        mutant: `find_potential_open_ear_ge4` trying ears from the lowest
+        decomposition vertex only (`sorted(vd)[:1]`) stops the build early;
+        the size bound still holds, and this test fails."""
+        rng = random.Random(7007)
+        done = grew = 0
+        while done < 120:
+            n = rng.randint(5, 45)
+            p = min(0.6, (math.log(n) + 1.5) / n + 0.06)
+            g = random_connected(rng, n, p, vertex_safe_prob=0.15)
+            if cut_vertices(g) or find_forbidden_cycle(g) is not None:
+                continue
+            dec = build_long_ear_decomposition(g)
+            assert leftover_is_matching(g, dec.vertices), g.ends
+            done += 1
+            grew += len(dec.ears) > 2
+        assert grew >= 60, grew
 
     def test_prefixes_are_open_ear_decompositions(self):
         pairs = [(i, (i + 1) % 8) for i in range(8)] + [(3, 0), (1, 6)]

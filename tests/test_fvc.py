@@ -147,6 +147,16 @@ class TestTreeCase:
         g = build(2, [(0, 1)], vertex_safe=[False, False])
         assert solve_tree_case(g) == frozenset({0})
 
+    def test_disconnected_has_no_tree(self):
+        """No reach test runs: for n >= 3 the safe spanning tree and the
+        anchors prove connectivity, and n = 2 needs an edge."""
+        assert solve_tree_case(build(2, [])) is None
+        assert solve_tree_case(build(2, [], vertex_safe=[True, False])) is None
+        assert solve_tree_case(build(4, [(0, 1), (2, 3)])) is None
+        assert solve_tree_case(build(5, [(0, 1), (1, 2), (3, 4)],
+                                     vertex_safe=[True, False, True, True, False])) is None
+        assert solve_tree_case(build(3, [(0, 1)], vertex_safe=[True, True, True])) is None
+
 
 class TestKPartition:
     def test_fix_a(self, fix_a):

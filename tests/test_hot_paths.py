@@ -7,21 +7,26 @@ CLI's `solve`, `exact` and `check` on golden instances of each problem,
 which reach `solve_fvc`, `solve_fgc`, `solve_kfgc`, `exact_solve` and the
 three checkers, and asserts that no record was built: neither cached on a
 parsed graph nor constructed anywhere.  A second test counts the checker
-calls of each `solve`.  The last two check that the exact search and
-`prune_minimal` validate their edge ids once and then call only the
-unchecked kernels.
+calls of each `solve`, and the whole-graph DFS runs of the FVC solve.
+Two more check that the exact search and `prune_minimal` validate their
+edge ids once and then call only the unchecked kernels, and the last that
+Algorithm 1 reads its union-find once per piece.
 """
 
 import json
+import math
 import os
+import random
 import sys
 
 import pytest
 
-from flexconn import cli, feasibility
+from flexconn import cli, feasibility, fvc, graph
 from flexconn.fgc import F1SolverHandle
-from flexconn.graph import Edge, LabeledGraph
+from flexconn.graph import Edge, LabeledGraph, UnionFind
 from flexconn.kfgc import kecss_prune_heuristic
+
+from conftest import random_connected
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -93,20 +98,39 @@ SOLVE_CASES = [(problem, entry) for problem, command, entry in CASES if command 
 @pytest.mark.parametrize("problem, entry", SOLVE_CASES, ids=[p for p, _ in SOLVE_CASES])
 def test_one_certificate_per_solve(tmp_path, monkeypatch, capsys, problem, entry):
     """No checker runs after the solver returns: `solve` writes the solver's
-    own certificate.  FVC and k-FGC check the instance's graph exactly twice,
-    on the input and on the returned set (FGC's F1 fallback prunes with the
-    checker, so only the first rule applies to it)."""
-    calls, parsed, returned = [], [], []
+    own certificate.  k-FGC checks the instance's graph exactly twice, on
+    the input and on the returned set (FGC's F1 fallback prunes with the
+    checker, so only the first rule applies to it).  FVC checks it once, on
+    the stitched set, and decides the input by exactly one whole-graph
+    low-link DFS before its first piece."""
+    calls, parsed, returned, dfs, pieces = [], [], [], [], []
     for name in CHECKERS:
         real = getattr(feasibility, name)
 
         def checker(g, *args, real=real, name=name):
-            calls.append((name, g, bool(returned)))
+            calls.append((name, g, bool(returned), args))
             return real(g, *args)
 
         for module in [m for key, m in sys.modules.items() if key.startswith("flexconn")]:
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, checker)
+    real_dfs = graph.low_link_incidence
+
+    def low_link(inc, keep=None, *args):
+        if parsed and inc is parsed[0].incidence and keep is None and not pieces:
+            dfs.append(inc)
+        return real_dfs(inc, keep, *args)
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("flexconn")]:
+        if getattr(module, "low_link_incidence", None) is real_dfs:
+            monkeypatch.setattr(module, "low_link_incidence", low_link)
+    real_piece = fvc._solve_piece
+
+    def solve_piece(*args):
+        pieces.append(args)
+        return real_piece(*args)
+
+    monkeypatch.setattr(fvc, "_solve_piece", solve_piece)
     real_solver, real_parse = getattr(cli, SOLVERS[problem]), cli.parse_instance
 
     def solver(*args, **kwargs):
@@ -128,10 +152,13 @@ def test_one_certificate_per_solve(tmp_path, monkeypatch, capsys, problem, entry
     capsys.readouterr()
     assert json.loads(out.read_text())["feasible"] is True
     assert len(returned) == 1 and calls
-    assert [name for name, _, after in calls if after] == []
-    if problem != "fgc":
-        own = [name for name, g, _ in calls if g is parsed[0]]
-        assert own == [f"check_{problem}"] * 2
+    assert [name for name, _, after, _ in calls if after] == []
+    own = [(name, args) for name, g, _, args in calls if g is parsed[0]]
+    if problem == "fvc":
+        assert own == [("check_fvc", (returned[0].edge_ids,))]
+        assert len(dfs) == 1 and pieces
+    elif problem == "kfgc":
+        assert [name for name, _ in own] == ["check_kfgc"] * 2
 
 
 KERNELS = {"fvc": "_fvc_kernel", "fgc": "_fgc_kernel", "kfgc": "_kfgc_kernel"}
@@ -181,3 +208,33 @@ def test_prune_minimal_validates_once(monkeypatch, n):
     assert kecss_prune_heuristic(g, 2) and len(validated) == 2
     monkeypatch.undo()
     assert feasibility.check_fgc(g, kept)
+
+
+def test_algorithm1_reads_the_union_find_once(monkeypatch):
+    """Algorithm 1 reads its parts from the union-find once per piece and
+    then merges the parts each bought cycle touches."""
+    real_groups, real_algorithm1 = UnionFind.groups, fvc.algorithm1_buy_good_cycles
+    reads, per_piece, bought = [], [], []
+
+    def groups(self):
+        reads.append(self)
+        return real_groups(self)
+
+    def algorithm1(*args):
+        del reads[:]
+        x1, s1, a = real_algorithm1(*args)
+        per_piece.append(len(reads))
+        bought.append(len(s1))
+        return x1, s1, a
+
+    monkeypatch.setattr(UnionFind, "groups", groups)
+    monkeypatch.setattr(fvc, "algorithm1_buy_good_cycles", algorithm1)
+    rng = random.Random(5)
+    while len(per_piece) < 10:
+        n = rng.randint(30, 60)
+        g = random_connected(rng, n, min(0.5, (math.log(n) + 1.5) / n + 0.06),
+                             vertex_safe_prob=0.15)
+        if feasibility.check_fvc(g, set(g.eids)):
+            fvc.solve_fvc(g)
+    assert per_piece == [1] * len(per_piece)
+    assert sum(bought) >= 4 * len(bought), bought
