@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .cycles import GoodCycleSearch
 from .ears import (EarDecomposition, build_long_ear_decomposition,
@@ -381,19 +381,6 @@ def algorithm1_buy_good_cycles(g: LabeledGraph, vd: FrozenSet[int],
     return x1, frozenset(s1), a
 
 
-def _block_labels(cur: Set[int], triples) -> Tuple[int, Dict[int, Set[int]]]:
-    """Block count of (cur, triples) plus, per vertex, the indices of the
-    blocks that contain it."""
-    ends = {key: (u, v) for key, u, v in triples}
-    bl, _ = block_decomposition_edges(cur, triples)
-    touching: Dict[int, Set[int]] = {v: set() for v in cur}
-    for i, block in enumerate(bl):
-        for key in block:
-            for x in ends[key]:
-                touching[x].add(i)
-    return len(bl), touching
-
-
 def algorithm2_make_2vc(g: LabeledGraph, vd: FrozenSet[int],
                         rainbow: RainbowSolution, s1: FrozenSet[int],
                         a: FrozenSet[int]) -> Tuple[FrozenSet[int], FrozenSet[int]]:
@@ -403,15 +390,16 @@ def algorithm2_make_2vc(g: LabeledGraph, vd: FrozenSet[int],
     while the induced-plus-pseudo graph has several blocks; second phase adds
     single block-reducing edges to the bought graph until it has one block.
 
-    Both graphs are connected: the pseudo-edges and S1 lie inside A and
-    connect it, and each pulled vertex brings two edges.  In a connected
+    Both graphs are connected, as `block_decomposition_edges`, the one block
+    decomposition, requires: the pseudo-edges and S1 lie inside A and connect
+    it, and each pulled vertex brings two edges into cur.  In a connected
     graph, adding an edge uw lowers the block count iff u and w share no
     block.  Adding a vertex with neighbours S lowers it iff two members of S
     share no block: otherwise, as subtrees of the block-cut tree have the
     Helly property, all of S lies in one block.  So one decomposition per
-    round decides: phase 1 takes the first v in sorted(vd - cur) whose
-    neighbours in cur hold such a pair, phase 2 the first edge by id whose
-    ends share no block.
+    round decides, from its blocks at each vertex: phase 1 takes the first v
+    in sorted(vd - cur) whose neighbours in cur hold such a pair, phase 2 the
+    first edge by id whose ends share no block.
     """
     pseudo = _pseudo_triples(rainbow.chosen)
     cur: Set[int] = set(a)
@@ -421,14 +409,14 @@ def algorithm2_make_2vc(g: LabeledGraph, vd: FrozenSet[int],
         return pseudo + [(eid, *g.edge_ends[eid]) for eid in sorted(s1 | s2)]
 
     while True:
-        count, touching = _block_labels(cur, _induced_triples(g, cur) + pseudo)
-        if count <= 1:
+        bl, _, touching = block_decomposition_edges(cur, _induced_triples(g, cur) + pseudo)
+        if len(bl) <= 1:
             break
         v = next((v for v in sorted(set(vd) - cur)
                   if any(not (touching[u] & touching[w])
                          for u, w in combinations(g.neighbor_sets[v] & cur, 2))), None)
         require(v is not None, "no block-reducing vertex found")
-        _, touching = _block_labels(cur, bought_triples())
+        _, _, touching = block_decomposition_edges(cur, bought_triples())
         incident = sorted((e, w) for w, e in g.incidence[v] if w in cur)
         pair = next(((eid1, eid2) for i, (eid1, u) in enumerate(incident)
                      for eid2, w in incident[i + 1:]
@@ -438,8 +426,8 @@ def algorithm2_make_2vc(g: LabeledGraph, vd: FrozenSet[int],
         s2.update(pair)
 
     while True:
-        count, touching = _block_labels(cur, bought_triples())
-        if count <= 1:
+        bl, _, touching = block_decomposition_edges(cur, bought_triples())
+        if len(bl) <= 1:
             break
         key = min((e for e, (u, v) in zip(g.eids, g.ends)
                    if u in cur and v in cur and e not in s1 and e not in s2

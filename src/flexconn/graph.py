@@ -178,17 +178,13 @@ class ContractionResult:
     vertex_map: Dict[int, int]      # original vertex id -> contracted vertex id
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    blocks: Tuple[FrozenSet[int], ...]
-    cut_vertices: FrozenSet[int]
-
-
 # ---------------------------------------------------------------------------
 # Low-level routines over keyed edge lists.  These work on arbitrary vertex
 # collections and arbitrary hashable edge keys, so the FVC pipeline can run
 # them on multigraphs mixing real edges and pseudo-edges.  `low_link_incidence`
 # is the one block DFS, on a dense incidence list; `low_link` relabels into it.
+# `block_decomposition_edges` is the one block decomposition (blocks, cut
+# vertices, the blocks at each vertex) and takes connected input only.
 # ---------------------------------------------------------------------------
 
 EdgeTriple = Tuple[Hashable, int, int]   # (key, u, v)
@@ -248,29 +244,27 @@ def is_connected(vertices: Iterable[int], edges: Iterable[EdgeTriple]) -> bool:
     return low_link(labels, ends, range(len(ends)))[0] == len(labels)
 
 
-def block_decomposition_edges(vertices: Iterable[int],
-                              edges: Iterable[EdgeTriple]) -> Tuple[List[List[Hashable]], Set[int]]:
-    """Blocks (as lists of edge keys) and cut vertices of a multigraph, from
-    one `low_link` per connected component.
+def block_decomposition_edges(vertices: Iterable[int], edges: Iterable[EdgeTriple]
+                              ) -> Tuple[List[List[Hashable]], Set[int], Dict[int, Set[int]]]:
+    """Blocks (as lists of edge keys), cut vertices and, per vertex, the
+    indices of the blocks that hold it, of a connected multigraph, from one
+    `low_link`.  Raises `InputError` if the graph is not connected.
 
     Parallel edges land in one block; self-loops lie in no block.
     """
-    edges = list(edges)
-    uf = UnionFind(vertices)
-    for _, u, v in edges:
-        uf.union(u, v)
-    comps: Dict[int, Tuple[List[int], List[Hashable]]] = {}
-    for x in uf.parent:
-        comps.setdefault(uf.find(x), ([], []))[0].append(x)
-    ends: Dict[Hashable, Tuple[int, int]] = {}
-    for key, u, v in edges:
-        ends[key] = (u, v)
-        comps[uf.find(u)][1].append(key)
+    labels = dict.fromkeys(vertices)
+    ends = {key: (u, v) for key, u, v in edges}
     bl: List[List[Hashable]] = []
-    cut: Set[int] = set()
-    for comp, keys in comps.values():
-        cut |= low_link(comp, ends, keys, bl)[1]
-    return bl, cut
+    reached, cut, _ = low_link(labels, ends, ends, bl)
+    if reached < len(labels):
+        raise InputError("block_decomposition_edges: graph must be connected")
+    touching: Dict[int, Set[int]] = {v: set() for v in labels}
+    for i, block in enumerate(bl):
+        for key in block:
+            u, v = ends[key]
+            touching[u].add(i)
+            touching[v].add(i)
+    return bl, cut, touching
 
 
 def edge_connectivity_at_least(vertices: Iterable[Hashable],
@@ -495,12 +489,6 @@ def contract_edges(g: LabeledGraph, eids: Iterable[int]) -> ContractionResult:
     for eid in chosen:
         uf.union(*g.edge_ends[eid])
     return _contract_classes(g, [uf.find(v) for v in range(g.n)])
-
-
-def blocks(g: LabeledGraph) -> BlockDecomposition:
-    bl, cut = block_decomposition_edges(range(g.n), [(e, *uv) for e, uv in zip(g.eids, g.ends)])
-    ordered = sorted((frozenset(b) for b in bl), key=lambda s: min(s))
-    return BlockDecomposition(blocks=tuple(ordered), cut_vertices=frozenset(cut))
 
 
 def cut_vertices(g: LabeledGraph) -> FrozenSet[int]:

@@ -5,8 +5,8 @@ import pytest
 
 from flexconn.errors import InputError
 from flexconn.feasibility import Solution
-from flexconn.graph import (LabeledGraph, UnionFind, blocks, is_connected,
-                            is_k_edge_connected)
+from flexconn.graph import (LabeledGraph, UnionFind, block_decomposition_edges,
+                            is_connected, is_k_edge_connected)
 
 
 def build(n, pairs, vertex_safe=None, edge_safe=None):
@@ -214,10 +214,9 @@ def solve_2ecss_blockwise(g, per_block):
     Valid because an edge set is a 2ECSS of the whole graph iff its
     restriction to every block is a 2ECSS of that block.
     """
-    if not is_connected(range(g.n), [(e.eid, e.u, e.v) for e in g.edges]):
-        raise InputError("blockwise 2ECSS needs a connected graph")
+    bl, _, _ = block_decomposition_edges(range(g.n), [(e.eid, e.u, e.v) for e in g.edges])
     out = set()
-    for blk in blocks(g).blocks:
+    for blk in bl:
         verts = set()
         for eid in blk:
             e = g.edge_by_id[eid]

@@ -6,7 +6,7 @@ import pytest
 from flexconn.ears import (build_long_ear_decomposition, find_forbidden_cycle,
                            find_potential_open_ear_ge4)
 from flexconn.errors import InputError
-from flexconn.graph import cut_vertices
+from flexconn.graph import block_decomposition_edges, cut_vertices
 
 from conftest import build, leftover_is_matching, petersen, random_connected
 
@@ -184,12 +184,11 @@ def _greedy_open_ear_decomposition(g):
 
 class Test2VCsAreExactlyTheEarDecomposable:
     def test_cross_module_equivalence(self):
-        from flexconn.graph import blocks, is_connected
         rng = random.Random(29)
         for _ in range(40):
             g = random_connected(rng, rng.randint(3, 9), 0.4)
-            dec = blocks(g)
-            is_2vc = len(dec.blocks) == 1 and g.n >= 3 and g.m >= 2
+            bl, _, _ = block_decomposition_edges(range(g.n), [(e.eid, e.u, e.v) for e in g.edges])
+            is_2vc = len(bl) == 1 and g.n >= 3 and g.m >= 2
             assert _greedy_open_ear_decomposition(g) == is_2vc
 
 

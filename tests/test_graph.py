@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from flexconn.errors import InputError
 from flexconn.fgc import double_safe_edges
 from flexconn.graph import (ContractionResult, Edge, LabeledGraph, UnionFind,
-                            blocks, contract_edges, contract_vertices,
-                            cut_vertices, is_k_edge_connected)
+                            block_decomposition_edges, contract_edges,
+                            contract_vertices, cut_vertices, is_k_edge_connected)
 
 from conftest import (brute_force_blocks, brute_force_k_edge_connected, build,
                       random_connected)
@@ -244,41 +244,43 @@ class TestAdjacencyView:
         assert g.edge_between(0, 0) is None
 
 
+def _blocks(g):
+    """The blocks of g as frozensets of edge ids, and its cut vertices."""
+    bl, cut, _ = block_decomposition_edges(range(g.n), [(e, *uv) for e, uv in zip(g.eids, g.ends)])
+    return [frozenset(b) for b in bl], cut
+
+
 class TestBlocks:
     def test_bowtie(self, bowtie):
-        dec = blocks(bowtie)
-        assert len(dec.blocks) == 2
-        assert dec.cut_vertices == frozenset({2})
+        bl, cut = _blocks(bowtie)
+        assert len(bl) == 2
+        assert cut == {2}
 
     def test_c4_single_block(self, c4):
-        dec = blocks(c4)
-        assert len(dec.blocks) == 1
-        assert not dec.cut_vertices
+        bl, cut = _blocks(c4)
+        assert len(bl) == 1
+        assert not cut
 
     def test_parallel_pair_is_one_block(self):
         g = LabeledGraph.build(2, [(0, 1), (0, 1)])
-        dec = blocks(g)
-        assert len(dec.blocks) == 1
-        assert dec.blocks[0] == frozenset({0, 1})
-
-    def test_edgeless(self):
-        g = LabeledGraph.build(3, [])
-        dec = blocks(g)
-        assert dec.blocks == ()
-        assert not dec.cut_vertices
+        assert _blocks(g) == ([frozenset({0, 1})], set())
 
     def test_matches_brute_force(self):
         rng = random.Random(13)
         for _ in range(25):
             g = random_connected(rng, rng.randint(2, 7), 0.5)
-            got = {frozenset(b) for b in blocks(g).blocks}
-            assert got == brute_force_blocks(g)
+            assert set(_blocks(g)[0]) == brute_force_blocks(g)
 
     def test_connected_block_count_bound(self):
         rng = random.Random(17)
         for _ in range(25):
             g = random_connected(rng, rng.randint(2, 8), 0.45)
-            assert len(blocks(g).blocks) <= g.n - 1
+            assert len(_blocks(g)[0]) <= g.n - 1
+
+    def test_edgeless(self):
+        """The decomposition takes connected graphs only."""
+        with pytest.raises(InputError, match="must be connected"):
+            _blocks(LabeledGraph.build(3, []))
 
 
 class TestCutVertices:

@@ -1,6 +1,6 @@
-"""Import hygiene of the library: every import sits at module top, and every
-submodule imports on its own, so no module relies on an import cycle being
-broken at call time."""
+"""Import hygiene of the library: every import sits at module top, every
+imported name is used, and every submodule imports on its own, so no module
+relies on an import cycle being broken at call time."""
 
 import ast
 import subprocess
@@ -25,6 +25,33 @@ def _function_level_imports(path: Path):
 def test_no_import_inside_a_function():
     found = [hit for path in sorted((SRC / "flexconn").glob("*.py"))
              for hit in _function_level_imports(path)]
+    assert found == []
+
+
+def _unused_imports(path: Path):
+    """Names a module imports but never reads; quoted annotations count as
+    reads.  `from __future__` imports are exempt."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    annotations = [a for n in ast.walk(tree)
+                   for a in (getattr(n, "annotation", None), getattr(n, "returns", None)) if a]
+    for quoted in (c.value for a in annotations for c in ast.walk(a)
+                   if isinstance(c, ast.Constant) and isinstance(c.value, str)):
+        used |= {n.id for n in ast.walk(ast.parse(quoted, mode="eval")) if isinstance(n, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_import():
+    # __init__.py imports only to re-export
+    found = [hit for module in MODULES for hit in _unused_imports(SRC / "flexconn" / f"{module}.py")]
     assert found == []
 
 

@@ -7,7 +7,9 @@ multigraph the cut vertices are those of the simple graph, since a parallel
 copy adds no new path; an edge is a bridge iff its endpoint pair has
 multiplicity 1 and is a bridge of the simple graph; and every copy of a pair
 lies in the block of that pair.  Self-loops are left out of the reference:
-they change nothing and lie in no block.
+they change nothing and lie in no block.  `block_decomposition_edges` takes
+connected graphs only; it is checked whole on those, and must reject the
+others.
 
 `check_fvc` and `check_fgc` are also compared with their earlier
 definitions, a union-find connectivity test followed by the earlier block
@@ -21,8 +23,8 @@ import pytest
 
 from flexconn.errors import InputError
 from flexconn.feasibility import check_fgc, check_fvc
-from flexconn.graph import (LabeledGraph, block_decomposition_edges, blocks,
-                            is_connected, low_link)
+from flexconn.graph import (LabeledGraph, block_decomposition_edges, is_connected,
+                            low_link)
 
 from conftest import (brute_force_blocks, random_connected,
                       reference_block_decomposition_edges)
@@ -47,16 +49,21 @@ def _reference(vertices, ends, eids):
     return len(component), set(nx.articulation_points(sub)), bridges
 
 
-def _reference_blocks(vertices, ends, eids, first_component_only):
-    """Blocks as a Counter of frozensets of edge ids."""
-    vertices = list(vertices)
+def _simple(vertices, ends, eids):
     simple = nx.Graph()
     simple.add_nodes_from(vertices)
     simple.add_edges_from(ends[e] for e in eids if ends[e][0] != ends[e][1])
+    return simple
+
+
+def _reference_blocks(vertices, ends, eids, first_component_only):
+    """Blocks as (frozenset of edge ids, frozenset of vertices) pairs."""
+    simple = _simple(vertices, ends, eids)
     if first_component_only and vertices:
         simple = simple.subgraph(nx.node_connected_component(simple, vertices[0]))
-    block_of = {}
+    block_of, held = {}, []
     for i, comp in enumerate(nx.biconnected_component_edges(simple)):
+        held.append(frozenset(x for uv in comp for x in uv))
         for u, v in comp:
             block_of[frozenset((u, v))] = i
     out = {}
@@ -64,7 +71,7 @@ def _reference_blocks(vertices, ends, eids, first_component_only):
         i = block_of.get(frozenset(ends[e]))
         if i is not None:
             out.setdefault(i, set()).add(e)
-    return Counter(frozenset(b) for b in out.values())
+    return [(frozenset(b), held[i]) for i, b in out.items()]
 
 
 def _as_counter(bl):
@@ -73,17 +80,27 @@ def _as_counter(bl):
 
 
 def _check_blocks(vertices, ends, eids):
-    """`low_link` blocks and `block_decomposition_edges` against networkx."""
+    """`low_link` blocks against networkx on the first vertex's component of
+    any graph; `block_decomposition_edges` (blocks, cut vertices, the blocks
+    at each vertex) on a connected graph, and its rejection of a
+    disconnected one.  Returns whether the graph is connected."""
     vertices, eids = list(vertices), list(eids)
     bl = []
     low_link(vertices, ends, eids, bl)
-    assert _as_counter(bl) == _reference_blocks(vertices, ends, eids, True)
-    got, cut = block_decomposition_edges(vertices, [(e, *ends[e]) for e in eids])
-    assert _as_counter(got) == _reference_blocks(vertices, ends, eids, False)
-    simple = nx.Graph()
-    simple.add_nodes_from(vertices)
-    simple.add_edges_from(ends[e] for e in eids if ends[e][0] != ends[e][1])
+    assert _as_counter(bl) == Counter(b for b, _ in _reference_blocks(vertices, ends, eids, True))
+    triples = [(e, *ends[e]) for e in eids]
+    simple = _simple(vertices, ends, eids)
+    if vertices and not nx.is_connected(simple):
+        with pytest.raises(InputError, match="must be connected"):
+            block_decomposition_edges(vertices, triples)
+        return False
+    got, cut, touching = block_decomposition_edges(vertices, triples)
+    ref = _reference_blocks(vertices, ends, eids, False)
+    assert _as_counter(got) == Counter(b for b, _ in ref)
     assert cut == set(nx.articulation_points(simple))
+    assert {v: {frozenset(got[i]) for i in touching[v]} for v in touching} == \
+        {v: {b for b, held in ref if v in held} for v in vertices}
+    return True
 
 
 def _random_labeled(rng, n):
@@ -149,25 +166,25 @@ class TestAgainstNetworkx:
 
 class TestBlocksAgainstNetworkx:
     def test_labeled_multigraphs(self):
-        """400 multigraphs, n 0-12, parallel edges, often disconnected; also
-        `blocks(g)` on the whole graph."""
+        """400 multigraphs, n 0-12, parallel edges, often disconnected; each
+        on a random subset of its ids and whole."""
         rng = random.Random(9004)
-        seen_parallel = seen_disconnected = 0
+        seen_parallel = seen_disconnected = seen_connected = 0
         for i in range(400):
             g = _random_labeled(rng, i % 13)
             keep = rng.uniform(0.4, 1.0)
             chosen = {e for e in g.edge_by_id if rng.random() < keep}
-            _check_blocks(range(g.n), g.edge_ends, chosen)
-            assert (Counter(blocks(g).blocks)
-                    == _reference_blocks(range(g.n), g.edge_ends, g.edge_ends, False))
+            connected = _check_blocks(range(g.n), g.edge_ends, chosen)
+            seen_connected += _check_blocks(range(g.n), g.edge_ends, g.edge_ends)
             seen_parallel += not g.is_simple
-            seen_disconnected += low_link(range(g.n), g.edge_ends, chosen)[0] < g.n
-        assert seen_parallel > 50 and seen_disconnected > 50
+            seen_disconnected += not connected
+        assert seen_parallel > 50 and seen_disconnected > 50 and seen_connected > 50
 
     def test_mixed_keys_and_labels(self):
         """300 multigraphs as Algorithm 2 builds them: int edge ids mixed
         with tuple keys ("pe", i), arbitrary vertex labels, a few self-loops."""
         rng = random.Random(9005)
+        seen = Counter()
         for i in range(300):
             n = i % 11
             labels = rng.sample(range(100), n)
@@ -176,7 +193,8 @@ class TestBlocksAgainstNetworkx:
             for j in range(m):
                 key = ("pe", j) if rng.random() < 0.4 else j
                 ends[key] = (rng.choice(labels), rng.choice(labels))
-            _check_blocks(labels, ends, ends)
+            seen[_check_blocks(labels, ends, ends)] += 1
+        assert seen[True] > 50 and seen[False] > 50, seen
 
     def test_long_cycle_and_path(self):
         n = 5000
@@ -186,10 +204,10 @@ class TestBlocksAgainstNetworkx:
             bl = []
             low_link(range(n), ends, ends, bl)
             assert _as_counter(bl) == Counter(frozenset(b) for b in expected)
-            got, _ = block_decomposition_edges(range(n), [(e, *ends[e]) for e in ends])
+            got, _, touching = block_decomposition_edges(range(n), [(e, *ends[e]) for e in ends])
             assert _as_counter(got) == _as_counter(bl)
-            g = LabeledGraph.build(n, [ends[e] for e in sorted(ends)])
-            assert Counter(blocks(g).blocks) == _as_counter(bl)
+            inner = 1 if ends is cycle else 2
+            assert [len(touching[v]) for v in range(n)] == [1] + [inner] * (n - 2) + [1]
 
     def test_small_cases(self):
         bl = []
@@ -200,13 +218,20 @@ class TestBlocksAgainstNetworkx:
         bl = []
         low_link([0], {3: (0, 0)}, [3], bl)
         assert bl == []
+        assert block_decomposition_edges([], []) == ([], set(), {})
+        assert block_decomposition_edges([7], [(3, 7, 7)]) == ([], set(), {7: set()})
+        assert block_decomposition_edges([0, 1], [(5, 0, 1), (8, 1, 0)]) == \
+            ([[5, 8]], set(), {0: {0}, 1: {0}})
+        with pytest.raises(InputError, match="must be connected"):
+            block_decomposition_edges([0, 1], [])
 
 
 class TestBlockMergingEdge:
     """In a connected graph, adding an edge uw lowers the block count iff u
     and w share no block; a same-block edge leaves it unchanged.  This is
-    the rule Algorithm 2 picks its edges by; the counts come from the brute
-    force block definition."""
+    the rule Algorithm 2 picks its edges by, and "share" is read as it reads
+    it, from the decomposition's blocks at u and at w; the counts come from
+    the brute force block definition."""
 
     @staticmethod
     def _sub(g, eids):
@@ -223,15 +248,14 @@ class TestBlockMergingEdge:
             for e in order:
                 if low_link(range(g.n), g.edge_ends, sub)[0] < g.n or rng.random() < 0.2:
                     sub.add(e.eid)
-            h = self._sub(g, sub)
-            before = len(brute_force_blocks(h))
-            dec = blocks(h)
-            assert len(dec.blocks) == before
+            before = len(brute_force_blocks(self._sub(g, sub)))
+            bl, _, touching = block_decomposition_edges(
+                range(g.n), [(k, *g.edge_ends[k]) for k in sub])
+            assert len(bl) == before
             for e in g.edges:
                 if e.eid in sub:
                     continue
-                share = any({e.u, e.v} <= {x for k in b for x in g.edge_ends[k]}
-                            for b in dec.blocks)
+                share = bool(touching[e.u] & touching[e.v])
                 after = len(brute_force_blocks(self._sub(g, sub | {e.eid})))
                 assert after == before if share else after < before, (g, sub, e)
                 merged += not share
