@@ -28,7 +28,7 @@ print("outside classes: K11=%s K12=%s K22=%s K23=%s"
 apx1 = build_apx1(g, dec, kp)
 print("direct construction buys", len(apx1), "edges")
 
-pe = build_pseudo_edges(g, dec, kp)
+pe = build_pseudo_edges(g, kp)
 print("pseudo-edges:", [(p.a, p.b, p.colour) for p in pe.edges])
 
 rainbow = solve_rainbow(pe, sorted(kp.vd))

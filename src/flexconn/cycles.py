@@ -5,8 +5,8 @@ of length >= 2, attaches to every large part at distinct vertices, touches
 at least one large part, and is only allowed to have length two between two
 large parts.  ``find_good_cycle`` builds one by merging the partition into a
 coarser one, searching a "nice" cycle there (entry and exit vertices of each
-large part must differ), and patching the result back; every returned cycle
-is re-validated by the independent checker below.
+large part must differ), and patching the result back.  No returned cycle
+is re-checked: ``is_good_cycle`` below is the validator tests hold them to.
 
 Algorithm 1 buys good cycles from one partition that each cycle coarsens,
 so ``GoodCycleSearch`` keeps that partition, each vertex's part, and the
@@ -113,8 +113,7 @@ class GoodCycleSearch:
         """A good cycle of the current parts, or None exactly when none can
         exist: no large part, or one and no two adjacent singletons."""
         g, nbr = self.g, self.nbr
-        parts = [self.parts[key] for key in sorted(self.parts)]
-        larges = len(parts) - len(nbr)
+        larges = len(self.parts) - len(nbr)
         if not larges:
             return None
         if larges == 1 and all(nbr.keys().isdisjoint(ws) for ws in nbr.values()):
@@ -124,10 +123,7 @@ class GoodCycleSearch:
         part_of = {v: i for i, p in enumerate(coarse) for v in p.vertices}
         nice = _find_nice_cycle(g, coarse, part_of)
         require(nice is not None, "a nice cycle must exist on a 2VC graph")
-        cycle_eids = _augment_to_good_cycle(g, coarse, part_of, nice)
-        triples = [(eid, *g.edge_ends[eid]) for eid in sorted(cycle_eids)]
-        require(is_good_cycle(parts, triples), "constructed cycle failed validation")
-        return set(cycle_eids)
+        return _augment_to_good_cycle(g, coarse, part_of, nice)
 
     def merge(self, cycle: Iterable[int]) -> None:
         """Join the parts that the edges of a found cycle touch."""
@@ -215,14 +211,14 @@ def _find_nice_cycle(g: LabeledGraph, coarse: Sequence[_Part], part_of: Dict[int
     for start_idx in range(len(coarse)):
         for a0 in sorted(coarse[start_idx].vertices):
             for (c, eid, r) in cross[a0]:
-                found = _extend_cycle(coarse, cross, part_of, start_idx, a0,
+                found = _extend_cycle(coarse, cross, start_idx, a0,
                                       [(eid, a0, c)], {start_idx, r}, r, c)
                 if found is not None:
                     return found
     return None
 
 
-def _extend_cycle(coarse, cross, part_of, start_idx, start_exit,
+def _extend_cycle(coarse, cross, start_idx, start_exit,
                   path_edges, visited, cur_idx, cur_entry):
     """Depth-first extension of a path of parts back to the start part.
 

@@ -47,22 +47,19 @@ class ReconstructionPlan:
 def preprocess(g: LabeledGraph) -> Tuple[List[LabeledGraph], ReconstructionPlan]:
     """Reduce to 2VC, forbidden-cycle-free pieces (or pieces below 5 vertices).
 
-    Order per step: tiny pieces are left for enumeration; a safe cut vertex x
-    splits the graph into the x-closures of the components of G - x; a
-    forbidden 4-cycle u-w-v-z (deg w = deg z = 2, wz absent) either forces
-    the edges uw, wv and drops w (u, v both unsafe) or lets us drop the edge
-    uw (v safe, and z relabeled safe whenever w is).
+    One low-link DFS over g decides feasibility (g connected, no unsafe cut
+    vertex) and gives the cut vertices of the first step.  Order per step:
+    tiny pieces are left for enumeration; a safe cut vertex x splits the
+    graph into the x-closures of the components of G - x; a forbidden
+    4-cycle u-w-v-z (deg w = deg z = 2, wz absent) either forces the edges
+    uw, wv and drops w (u, v both unsafe) or lets us drop the edge uw (v
+    safe, and z relabeled safe whenever w is).  Depth first, children in
+    order, with an explicit worklist so long chains of reductions cannot
+    exhaust the call stack.
     """
-    return _reduce(g, *low_link_incidence(g.incidence)[:2])
-
-
-def _reduce(g: LabeledGraph, reached: int, cuts: Set[int]
-            ) -> Tuple[List[LabeledGraph], ReconstructionPlan]:
-    """`preprocess`, given a low-link DFS's reach count and cut vertices of
-    g; depth first, children in order, with an explicit worklist so long
-    chains of reductions cannot exhaust the call stack."""
-    if reached < g.n:
-        raise InfeasibleInstanceError("graph is disconnected")
+    reached, cuts, _ = low_link_incidence(g.incidence)
+    if reached < g.n or not g.unsafe_vertex_set.isdisjoint(cuts):
+        raise InfeasibleInstanceError("FVC instance is infeasible")
     pieces: List[LabeledGraph] = []
     forced: Set[int] = set()
     events: List[Tuple] = []
@@ -197,30 +194,34 @@ def partition_k_sets(g: LabeledGraph, dec: EarDecomposition) -> KPartition:
                       k23_pairs=tuple(sorted(k23_pairs)))
 
 
-def _k22_edges(g: LabeledGraph, kp: KPartition, u: int, v: int) -> Set[int]:
-    su = _safe_vd_neighbors(g, u, kp.vd)
-    sv = _safe_vd_neighbors(g, v, kp.vd)
-    if su and sv:
-        return {g.edge_between(u, su[0]), g.edge_between(v, sv[0])}
-    for a, b in ((u, v), (v, u)):
-        anchors = _safe_vd_neighbors(g, a, kp.vd)
-        if g.vertex_safe[a] and anchors:
-            return {g.edge_between(a, b), g.edge_between(a, anchors[0])}
-    raise InputError("pair classified K22 without a qualifying anchor")
+def _k11_k22_edges(g: LabeledGraph, kp: KPartition) -> Set[int]:
+    """The K11 pendant rule and the K22 two-edge rule, shared by apx1 and
+    the realization of S_P: each K11 vertex takes one edge to its lowest
+    safe V(D) neighbour; a K22 pair takes one such edge from each end, or
+    else its own edge plus one such edge from a safe end."""
+    out = {g.edge_between(v, _safe_vd_neighbors(g, v, kp.vd)[0]) for v in kp.k11}
+    for u, v in kp.k22_pairs:
+        su, sv = (_safe_vd_neighbors(g, x, kp.vd) for x in (u, v))
+        if su and sv:
+            out |= {g.edge_between(u, su[0]), g.edge_between(v, sv[0])}
+            continue
+        for a, b, anchors in ((u, v, su), (v, u, sv)):
+            if g.vertex_safe[a] and anchors:
+                out |= {g.edge_between(a, b), g.edge_between(a, anchors[0])}
+                break
+        else:
+            raise InputError("pair classified K22 without a qualifying anchor")
+    return out
 
 
 def build_apx1(g: LabeledGraph, dec: EarDecomposition, kp: KPartition) -> FrozenSet[int]:
-    out: Set[int] = set(dec.edge_ids(g))
-    for v in sorted(kp.k11):
-        out.add(g.edge_between(v, _safe_vd_neighbors(g, v, kp.vd)[0]))
+    out: Set[int] = dec.edge_ids(g) | _k11_k22_edges(g, kp)
     for v in sorted(kp.k12):
         nbrs = g.neighbors(v)
         require(len(nbrs) >= 2 and all(w in kp.vd for w in nbrs),
                 "a K12 vertex must have >= 2 decomposition neighbours")
         out.add(g.edge_between(v, nbrs[0]))
         out.add(g.edge_between(v, nbrs[1]))
-    for u, v in kp.k22_pairs:
-        out |= _k22_edges(g, kp, u, v)
     for u, v in kp.k23_pairs:
         out.add(g.edge_between(u, v))
         out |= _k23_anchor_edges(g, kp, u, v)
@@ -243,7 +244,7 @@ def _k23_anchor_edges(g: LabeledGraph, kp: KPartition, u: int, v: int) -> Set[in
 # Pseudo-edges and their realization
 # ---------------------------------------------------------------------------
 
-def build_pseudo_edges(g: LabeledGraph, dec: EarDecomposition, kp: KPartition) -> PseudoEdgeSet:
+def build_pseudo_edges(g: LabeledGraph, kp: KPartition) -> PseudoEdgeSet:
     """One colour per K12 vertex and one per matched K23 pair; pseudo-edges
     are generated by the three anchor rules for pairs and the neighbour-pair
     rule for singletons."""
@@ -288,7 +289,7 @@ def realize_sp(g: LabeledGraph, kp: KPartition, rainbow: RainbowSolution) -> Fro
     """Replace each chosen pseudo-edge by real edges (first applicable of the
     six pair cases, lowest-index ties), plus the K11 pendant rule and the K22
     two-edge rule."""
-    out: Set[int] = set()
+    out = _k11_k22_edges(g, kp)
     for p in rainbow.chosen:
         if p.colour[0] == "v":
             u = p.colour[1]
@@ -296,12 +297,7 @@ def realize_sp(g: LabeledGraph, kp: KPartition, rainbow: RainbowSolution) -> Fro
             out.add(g.edge_between(u, p.b))
         else:
             out |= _realize_pair_pseudo(g, kp, p)
-    for v in sorted(kp.k11):
-        out.add(g.edge_between(v, _safe_vd_neighbors(g, v, kp.vd)[0]))
-    for u, v in kp.k22_pairs:
-        out |= _k22_edges(g, kp, u, v)
-    expected = kp.kterm
-    require(Fraction(len(out)) == expected,
+    require(len(out) == kp.kterm,
             "realized edge count must equal the literal per-class formula")
     return frozenset(out)
 
@@ -356,6 +352,8 @@ def algorithm1_buy_good_cycles(g: LabeledGraph, vd: FrozenSet[int],
     `GoodCycleSearch` per piece holds them, read once from a union-find of
     the pseudo-edges; each bought cycle merges the parts it touches, which
     is the recount of the components, so the cycles bought are unchanged.
+    The search stops only when one large part A is left and no two other
+    vertices are adjacent, so V(D) - A is independent without a scan.
     """
     uf = UnionFind(vd)
     for p in rainbow.chosen:
@@ -372,9 +370,6 @@ def algorithm1_buy_good_cycles(g: LabeledGraph, vd: FrozenSet[int],
     larges = [c for c in search.parts.values() if len(c) >= 2]
     require(len(larges) == 1, "exactly one large component must remain")
     a = larges[0]
-    rest = set(vd) - a
-    require(all(not (g.neighbor_sets[u] & rest) for u in rest),
-            "the remainder must be independent in the decomposition graph")
     x1 = frozenset(rainbow.singletons & a)
     require(2 * len(s1) <= 4 * rainbow.alpha_large + 3 * len(x1) - 4,
             "|S1| exceeded 2 alpha_large + 3/2 |X1| - 2")
@@ -472,13 +467,11 @@ def algorithm3_make_feasible(g: LabeledGraph, vd: FrozenSet[int],
 
 def solve_fvc(g: LabeledGraph) -> Solution:
     """Best of the two approximations, after preprocessing.  The stitched
-    set is the one the checker certifies (the piece stages are gated by
-    tests), and meta carries the internal lower bound and pipeline stats.
-    One low-link DFS over g decides feasibility and seeds `_reduce`."""
-    reached, cuts, _ = low_link_incidence(g.incidence)
-    if reached < g.n or not g.unsafe_vertex_set.isdisjoint(cuts):
-        raise InfeasibleInstanceError("FVC instance is infeasible")
-    pieces, plan = _reduce(g, reached, cuts)
+    set is the one output the checker certifies: the stages inside a piece
+    check only the paper's O(1) size bounds, and tests hold each stage's
+    output to its invariants.  Meta carries the internal lower bound and
+    pipeline stats."""
+    pieces, plan = preprocess(g)
     piece_solutions: List[FrozenSet[int]] = []
     piece_meta: List[dict] = []
     lower_bound = len(plan.forced_edge_ids)
@@ -529,7 +522,7 @@ def _solve_piece(g: LabeledGraph) -> Solution:
                      "lower_bound": max(g.n, math.ceil(kp.kterm))})
         return Solution(edge_ids=apx1, meta=meta)
 
-    pe = build_pseudo_edges(g, dec, kp)
+    pe = build_pseudo_edges(g, kp)
     rainbow = solve_rainbow(pe, sorted(kp.vd))
     x1, s1, a = algorithm1_buy_good_cycles(g, kp.vd, rainbow)
     x2, s2 = algorithm2_make_2vc(g, kp.vd, rainbow, s1, a)

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import InputError, require
-from .graph import UnionFind
 
 Colour = Tuple  # ("v", u) or ("p", u, v) with u < v
 
@@ -57,22 +56,7 @@ class RainbowSolution:
     singletons: FrozenSet[int]
 
 
-def _component_count(vd: Sequence[int], chosen: Iterable[PseudoEdge]) -> int:
-    uf = UnionFind(vd)
-    for p in chosen:
-        uf.union(p.a, p.b)
-    return uf.component_count()
-
-
-def _singletons(vd: Sequence[int], chosen: Iterable[PseudoEdge]) -> Set[int]:
-    touched = set()
-    for p in chosen:
-        touched.add(p.a)
-        touched.add(p.b)
-    return set(vd) - touched
-
-
-def max_rainbow_forest(pe: PseudoEdgeSet, vd: Sequence[int]) -> List[PseudoEdge]:
+def max_rainbow_forest(pe: PseudoEdgeSet) -> List[PseudoEdge]:
     """Maximum forest using each colour at most once (graphic x partition
     matroid intersection, augmenting along shortest exchange paths)."""
     ground = sorted(pe.edges)
@@ -175,7 +159,9 @@ def max_rainbow_forest(pe: PseudoEdgeSet, vd: Sequence[int]) -> List[PseudoEdge]
 def solve_rainbow(pe: PseudoEdgeSet, vd: Sequence[int]) -> RainbowSolution:
     """One pseudo-edge per colour with the minimum number of components of
     (vd, chosen); no single same-colour replacement lowers the number of
-    isolated vertices."""
+    isolated vertices.  No count is rechecked: the augmentations keep the
+    forest acyclic, so `alpha` = |vd| - |forest| is the minimum, which
+    filling unused colours, able only to merge, keeps."""
     if not pe.edges:
         raise InputError("solve_rainbow: empty pseudo-edge set")
     vd = sorted(vd)
@@ -183,31 +169,27 @@ def solve_rainbow(pe: PseudoEdgeSet, vd: Sequence[int]) -> RainbowSolution:
     if any(p.a not in inside or p.b not in inside for p in pe.edges):
         raise InputError("pseudo-edge endpoint outside decomposition")
     by_colour = pe.by_colour()
-    forest = max_rainbow_forest(pe, vd)
+    forest = max_rainbow_forest(pe)
     alpha = len(vd) - len(forest)
-    require(_component_count(vd, forest) == alpha, "rainbow forest not acyclic")
-
     chosen: Dict[Colour, PseudoEdge] = {p.colour: p for p in forest}
     for colour, cands in by_colour.items():
         if colour not in chosen:
             chosen[colour] = cands[0]
-    picks = sorted(chosen.values())
-    require(_component_count(vd, picks) == alpha,
-            "filling unused colours must not change the component count")
-
-    picks = _minimize_singletons(vd, picks, by_colour, alpha)
-    singles = frozenset(_singletons(vd, picks))
+    picks = _minimize_singletons(vd, sorted(chosen.values()), by_colour)
+    singles = frozenset(inside.difference(*((p.a, p.b) for p in picks)))
     alpha_large = alpha - len(singles)
     return RainbowSolution(chosen=tuple(picks), alpha=alpha,
                            alpha_large=alpha_large, singletons=singles)
 
 
-def _minimize_singletons(vd, picks: List[PseudoEdge], by_colour, alpha: int) -> List[PseudoEdge]:
+def _minimize_singletons(vd, picks: List[PseudoEdge], by_colour) -> List[PseudoEdge]:
     """Take the first same-colour swap, in sorted order, that lowers the
     number of singletons, until none does.  `touch[v]` counts the picks at
     v, so a swap p -> cand is scored in O(1) as the recount of the trial
     list: the ends only p touches are bared, the bare ends of cand covered.
-    An accepted swap still builds the list and checks its components."""
+    An accepted swap keeps the component count: cand covers a vertex left
+    bare without p, which takes one component off, and dropping p adds at
+    most one back; the count was already the minimum."""
     current = list(picks)
     touch = dict.fromkeys(vd, 0)
     for p in current:
@@ -226,10 +208,8 @@ def _minimize_singletons(vd, picks: List[PseudoEdge], by_colour, alpha: int) -> 
                     continue
                 singles = bared - (touch[cand.a] == 0) - (touch[cand.b] == 0)
                 if singles < best:
-                    trial = [cand if q == p else q for q in current]
-                    require(_component_count(vd, trial) == alpha,
-                            "singleton swap changed the component count")
-                    current, best, p = trial, singles, cand    # restore cand's touches
+                    current = [cand if q == p else q for q in current]
+                    best, p = singles, cand    # restore cand's touches
                     improved = True
                     break
             touch[p.a] += 1

@@ -1,10 +1,14 @@
+import functools
 import itertools
+import math
 import random
 
 import pytest
 
+from flexconn.ears import build_long_ear_decomposition
 from flexconn.errors import InputError
-from flexconn.feasibility import Solution
+from flexconn.feasibility import Solution, check_fvc
+from flexconn.fvc import build_pseudo_edges, partition_k_sets, preprocess, solve_tree_case
 from flexconn.graph import (LabeledGraph, UnionFind, block_decomposition_edges,
                             is_connected, is_k_edge_connected)
 
@@ -183,18 +187,51 @@ def brute_force_k_edge_connected(g, k):
     return True
 
 
+@functools.lru_cache(maxsize=None)
+def fvc_scale_pieces():
+    """The preprocessed pieces on >= 5 vertices of 265 seeded feasible FVC
+    instances, drawn as the fvc-scale benchmark draws them but with n from
+    15: G(n, p) just above the connectivity threshold, 15% safe vertices.
+    Every such piece is 2VC, simple and forbidden-cycle-free."""
+    rng = random.Random(17_2026)
+    pieces, done = [], 0
+    while done < 265:
+        n = rng.randint(15, 60)
+        g = random_connected(rng, n, min(0.5, (math.log(n) + 1.5) / n + 0.06),
+                             vertex_safe_prob=0.15)
+        if check_fvc(g, set(g.eids)):
+            done += 1
+            pieces += [piece for piece in preprocess(g)[0] if piece.n >= 5]
+    return tuple(pieces)
+
+
+@functools.lru_cache(maxsize=None)
+def apx2_inputs():
+    """(piece, K-partition, pseudo-edges) of each piece of `fvc_scale_pieces`
+    that `fvc._solve_piece` takes to apx2: no spanning-tree solution and
+    |K12| + |K23| > 2."""
+    out = []
+    for g in fvc_scale_pieces():
+        if solve_tree_case(g) is None:
+            kp = partition_k_sets(g, build_long_ear_decomposition(g))
+            if len(kp.k12) + len(kp.k23) > 2:
+                out.append((g, kp, build_pseudo_edges(g, kp)))
+    return tuple(out)
+
+
+def rainbow_components(vd, chosen):
+    """The number of components of (vd, chosen pseudo-edges)."""
+    uf = UnionFind(sorted(vd))
+    for p in chosen:
+        uf.union(p.a, p.b)
+    return uf.component_count()
+
+
 def brute_force_rainbow_components(pe, vd):
     """Exhaustive one-edge-per-colour minimum of the component count; the
     independent oracle for rainbow optimality (use only for few colours)."""
-    best = None
-    for combo in itertools.product(*pe.by_colour().values()):
-        uf = UnionFind(sorted(vd))
-        for p in combo:
-            uf.union(p.a, p.b)
-        c = uf.component_count()
-        if best is None or c < best:
-            best = c
-    return best
+    return min(rainbow_components(vd, combo)
+               for combo in itertools.product(*pe.by_colour().values()))
 
 
 def leftover_is_matching(g, vd):

@@ -191,8 +191,9 @@ def test_criterion_6_good_cycles_and_phases():
                     for eid in sorted(cyc)]
             assert is_good_cycle(part_list, trip)
             cycles_checked += 1
-    # phase invariants (one large component, independent remainder, one
-    # block) are enforced by in-solver checks; drive them through full runs
+    # phase invariants (one large component, one block) are enforced by
+    # in-solver checks, and the independent remainder by
+    # tests/test_fvc.py; drive them through full runs
     pipeline_runs = 0
     rng2 = random.Random(6607)
     while pipeline_runs < 25:

@@ -1,9 +1,11 @@
 import random
 
-from flexconn.cycles import find_good_cycle, is_good_cycle
+from flexconn.cycles import GoodCycleSearch, find_good_cycle, is_good_cycle
+from flexconn.fvc import algorithm1_buy_good_cycles
 from flexconn.graph import connected_components, cut_vertices, is_connected
+from flexconn.rainbow import solve_rainbow
 
-from conftest import build, random_connected
+from conftest import apx2_inputs, build, random_connected
 
 
 def triples_of(g, eids):
@@ -103,3 +105,27 @@ class TestFindGoodCycle:
             random.Random(produced).shuffle(shuffled)
             assert find_good_cycle(g, set(range(g.n)), shuffled) == cyc
             produced += 1
+
+
+def test_algorithm1_buys_good_cycles_on_pipeline_pieces(monkeypatch):
+    """`GoodCycleSearch.find` does not re-validate the cycles it builds;
+    this test holds every cycle Algorithm 1 buys on the apx2 pieces of a
+    seeded fvc-scale corpus to `is_good_cycle`, against the parts it was
+    found on.  Checked mutant: `_exit_choices` also yielding `entry` for a
+    multi-vertex part lets a cycle enter and leave a large part at one
+    vertex, and this test fails."""
+    real_find = GoodCycleSearch.find
+    bought = []
+
+    def checked_find(self):
+        parts = list(self.parts.values())
+        cyc = real_find(self)
+        if cyc is not None:
+            assert is_good_cycle(parts, triples_of(self.g, cyc)), (self.g.ends, parts, cyc)
+            bought.append(cyc)
+        return cyc
+
+    monkeypatch.setattr(GoodCycleSearch, "find", checked_find)
+    for g, kp, pe in apx2_inputs():
+        algorithm1_buy_good_cycles(g, kp.vd, solve_rainbow(pe, sorted(kp.vd)))
+    assert len(bought) >= 4 * len(apx2_inputs()), len(bought)

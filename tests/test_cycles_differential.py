@@ -126,14 +126,14 @@ def _old_find_nice_cycle(g, vd, coarse):
     for start_idx in range(len(coarse)):
         for a0 in sorted(coarse[start_idx].vertices):
             for (c, eid, r) in cross[a0]:
-                found = _old_extend_cycle(coarse, cross, part_of, start_idx, a0,
+                found = _old_extend_cycle(coarse, cross, start_idx, a0,
                                           [(eid, a0, c)], {start_idx, r}, r, c)
                 if found is not None:
                     return found
     return None
 
 
-def _old_extend_cycle(coarse, cross, part_of, start_idx, start_exit,
+def _old_extend_cycle(coarse, cross, start_idx, start_exit,
                       path_edges, visited, cur_idx, cur_entry):
     big_start = len(coarse[start_idx].vertices) >= 2
     path = list(path_edges)

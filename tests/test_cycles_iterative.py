@@ -1,7 +1,8 @@
 """The iterative nice-cycle extension against the recursive one it replaced.
 
 `reference_extend_cycle` is the recursive `cycles._extend_cycle`, kept
-verbatim.  Every call the library makes while finding good cycles on random
+verbatim but for the unused `part_of` parameter, which both have dropped.
+Every call the library makes while finding good cycles on random
 2-vertex-connected graphs is answered by both, and the answers must agree.
 A ring of 300 two-vertex parts needs a path through all of them, which the
 recursive version cannot build under a tight recursion limit.
@@ -20,7 +21,7 @@ from conftest import build, random_connected
 DEAD_ENDS = []   # parts at which the reference gave up, at any depth
 
 
-def reference_extend_cycle(coarse, cross, part_of, start_idx, start_exit,
+def reference_extend_cycle(coarse, cross, start_idx, start_exit,
                            path_edges, visited, cur_idx, cur_entry):
     for a in cycles._exit_choices(coarse[cur_idx], cur_entry):
         for (c, eid, r) in cross[a]:
@@ -36,7 +37,7 @@ def reference_extend_cycle(coarse, cross, part_of, start_idx, start_exit,
                 return [(e, u, v) for e, u, v in edges]
             if r in visited:
                 continue
-            found = reference_extend_cycle(coarse, cross, part_of, start_idx, start_exit,
+            found = reference_extend_cycle(coarse, cross, start_idx, start_exit,
                                            path_edges + [(eid, a, c)], visited | {r}, r, c)
             if found is not None:
                 return found

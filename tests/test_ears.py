@@ -8,7 +8,7 @@ from flexconn.ears import (build_long_ear_decomposition, find_forbidden_cycle,
 from flexconn.errors import InputError
 from flexconn.graph import block_decomposition_edges, cut_vertices
 
-from conftest import build, leftover_is_matching, petersen, random_connected
+from conftest import build, fvc_scale_pieces, leftover_is_matching, petersen, random_connected
 
 
 class TestInitialCycle:
@@ -102,14 +102,31 @@ class TestInvariants:
         assert grew >= 60, grew
 
     def test_prefixes_are_open_ear_decompositions(self):
+        """The first ear is a cycle of g on >= 4 vertices, and each later
+        ear an open path of >= 4 edges of g whose two ends, and only those,
+        lie on earlier ears.  The build does not re-check its ears; this
+        test does, on a fixture and on every piece of a seeded fvc-scale
+        corpus.  Checked mutants of `find_potential_open_ear_ge4`: skipping
+        y3 only when `y3 in (x, y1)` lets ears run through V(D), and the
+        build's own size bound then fails on every corpus piece; blocking
+        only x and y1 on the tail path lets an ear come back through y2,
+        which the size bound lets pass and this test does not."""
         pairs = [(i, (i + 1) % 8) for i in range(8)] + [(3, 0), (1, 6)]
-        g = build(8, pairs)
-        dec = build_long_ear_decomposition(g)
-        seen = set(dec.ears[0])
-        for ear in dec.ears[1:]:
-            assert ear[0] in seen and ear[-1] in seen and ear[0] != ear[-1]
-            assert all(v not in seen for v in ear[1:-1])
-            seen.update(ear)
+        grew = 0
+        for g in (build(8, pairs),) + fvc_scale_pieces():
+            dec = build_long_ear_decomposition(g)
+            cycle = dec.ears[0]
+            assert len(cycle) >= 4 and len(set(cycle)) == len(cycle)
+            assert all(b in g.neighbor_sets[a] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+            seen = set(cycle)
+            for ear in dec.ears[1:]:
+                assert len(ear) >= 5 and len(set(ear)) == len(ear), ear
+                assert ear[0] in seen and ear[-1] in seen and ear[0] != ear[-1], ear
+                assert all(v not in seen for v in ear[1:-1]), ear
+                assert all(b in g.neighbor_sets[a] for a, b in zip(ear, ear[1:])), ear
+                seen.update(ear)
+            grew += len(dec.ears) > 2
+        assert grew >= 200, grew
 
 
 def _greedy_open_ear_decomposition(g):

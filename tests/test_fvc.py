@@ -16,7 +16,7 @@ from flexconn.fvc import (algorithm1_buy_good_cycles, algorithm2_make_2vc,
                           realize_sp, solve_fvc, solve_tree_case)
 from flexconn.rainbow import solve_rainbow
 
-from conftest import FIX_A_PAIRS, FIX_A_SAFE, build, random_connected
+from conftest import FIX_A_PAIRS, FIX_A_SAFE, apx2_inputs, build, random_connected
 
 
 def fvc_opt(g):
@@ -221,7 +221,7 @@ class TestApx2Machinery:
     def _pipeline(self, g):
         dec = build_long_ear_decomposition(g)
         kp = partition_k_sets(g, dec)
-        pe = build_pseudo_edges(g, dec, kp)
+        pe = build_pseudo_edges(g, kp)
         rainbow = solve_rainbow(pe, sorted(kp.vd))
         return dec, kp, pe, rainbow
 
@@ -247,11 +247,26 @@ class TestApx2Machinery:
         assert len(apx2) == 8
         assert check_fvc(fix_b, apx2)
 
+    def test_algorithm1_leaves_an_independent_remainder(self):
+        """Algorithm 1 stops when no good cycle exists, which with one
+        large part A left means no two vertices of V(D) - A are adjacent, so
+        it does not scan the remainder; this test does, on the apx2 pieces
+        of a seeded fvc-scale corpus.  Checked mutant: `GoodCycleSearch.find`
+        returning None whenever one large part is left stops the buying
+        early, and this test fails."""
+        bare = 0
+        for g, kp, pe in apx2_inputs():
+            _, _, a = algorithm1_buy_good_cycles(g, kp.vd, solve_rainbow(pe, sorted(kp.vd)))
+            rest = kp.vd - a
+            assert all(not (g.neighbor_sets[u] & rest) for u in rest), (g.ends, a)
+            bare += len(rest) >= 2
+        assert bare >= 50, bare
 
-def _apx2(g, dec, kp):
+
+def _apx2(g, kp):
     """The apx2 set from the public stage functions, as `_solve_piece`
     assembles it."""
-    rainbow = solve_rainbow(build_pseudo_edges(g, dec, kp), sorted(kp.vd))
+    rainbow = solve_rainbow(build_pseudo_edges(g, kp), sorted(kp.vd))
     x1, s1, a = algorithm1_buy_good_cycles(g, kp.vd, rainbow)
     x2, s2 = algorithm2_make_2vc(g, kp.vd, rainbow, s1, a)
     _, s3, _, _ = algorithm3_make_feasible(g, kp.vd, a, x2)
@@ -284,7 +299,7 @@ def _stage_sets(per_stage=40):
             kp = partition_k_sets(piece, dec)
             out["apx1"].append((piece, build_apx1(piece, dec, kp)))
             if len(kp.k12) + len(kp.k23) > 2:
-                out["apx2"].append((piece, _apx2(piece, dec, kp)))
+                out["apx2"].append((piece, _apx2(piece, kp)))
     return out
 
 

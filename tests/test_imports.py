@@ -1,6 +1,8 @@
-"""Import hygiene of the library: every import sits at module top, every
-imported name is used, and every submodule imports on its own, so no module
-relies on an import cycle being broken at call time."""
+"""Import and definition hygiene of the library: every import sits at module
+top, every imported name is used, and every submodule imports on its own, so
+no module relies on an import cycle being broken at call time.  Every
+function parameter is read, and every module-level private function has a
+caller in the library."""
 
 import ast
 import subprocess
@@ -53,6 +55,54 @@ def test_no_unused_import():
     # __init__.py imports only to re-export
     found = [hit for module in MODULES for hit in _unused_imports(SRC / "flexconn" / f"{module}.py")]
     assert found == []
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(), str(path))
+            for path in sorted((SRC / "flexconn").glob("*.py"))}
+
+
+def _unread_parameters(name, tree):
+    """Parameters, `self` and `cls` aside, that no code of their function
+    reads; a nested function reading one counts."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a]
+        read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for a in params:
+            if a.arg not in ("self", "cls") and a.arg not in read:
+                yield f"{name}:{fn.lineno} {getattr(fn, 'name', 'lambda')}({a.arg})"
+
+
+def test_every_parameter_is_read():
+    trees = _trees()
+    assert [hit for name, tree in trees.items() for hit in _unread_parameters(name, tree)] == []
+
+
+def _references(tree, skip):
+    """Names read and attributes taken in `tree`, outside the node `skip`."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        todo.extend(ast.iter_child_nodes(node))
+
+
+def test_every_private_function_has_a_caller():
+    trees = _trees()
+    private = [(name, fn) for name, tree in trees.items() for fn in tree.body
+               if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")]
+    uncalled = [f"{name}:{fn.lineno} {fn.name}" for name, fn in private
+                if not any(fn.name in set(_references(tree, fn)) for tree in trees.values())]
+    assert uncalled == []
 
 
 @pytest.mark.parametrize("module", MODULES)

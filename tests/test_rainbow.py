@@ -3,9 +3,9 @@ import random
 import pytest
 
 from flexconn.errors import InputError
-from flexconn.rainbow import PseudoEdge, PseudoEdgeSet, solve_rainbow
+from flexconn.rainbow import PseudoEdge, PseudoEdgeSet, max_rainbow_forest, solve_rainbow
 
-from conftest import brute_force_rainbow_components
+from conftest import apx2_inputs, brute_force_rainbow_components, rainbow_components
 
 
 def make(edges):
@@ -74,3 +74,24 @@ class TestSolveRainbow:
         sol = solve_rainbow(pe, range(5))
         assert sol.alpha == sol.alpha_large + len(sol.singletons)
         assert sol.alpha == 3  # {0,1}, {2,3}, {4}
+
+
+def test_pipeline_picks_keep_the_minimum_component_count():
+    """`solve_rainbow` does not recount components; this test does, on the
+    pseudo-edges of the apx2 pieces of a seeded fvc-scale corpus.  The
+    maximum rainbow forest is a forest, and the returned picks, after the
+    unused colours are filled and the singleton swaps taken, have exactly
+    `alpha` = |V(D)| - |forest| components.  Checked mutant:
+    `max_rainbow_forest` taking `quick = sorted(sinks)` adds edges that
+    close cycles, and this test fails."""
+    swapped = 0
+    for _, kp, pe in apx2_inputs():
+        vd = sorted(kp.vd)
+        forest = max_rainbow_forest(pe)
+        assert rainbow_components(vd, forest) == len(vd) - len(forest), pe
+        sol = solve_rainbow(pe, vd)
+        assert sol.alpha == len(vd) - len(forest)
+        assert rainbow_components(vd, sol.chosen) == sol.alpha, pe
+        swapped += sol.chosen != tuple(sorted(forest))
+    # the swap pass changed the picks on a good share of the pieces
+    assert swapped >= len(apx2_inputs()) // 3, swapped

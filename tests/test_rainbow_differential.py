@@ -5,14 +5,19 @@ The earlier form, copied below, recounted every singleton of the whole
 trial list for each swap it tried.  The current one scores a trial from
 per-vertex touch counts.  Few golden instances reach apx2, so the two run
 on the picks that `solve_rainbow` hands over for 2,000 random pseudo-edge
-sets; they must return the same picks or raise the same error.
+sets; they must return the same picks or raise the same error.  The
+earlier form also recounted the components of every accepted swap; the
+current one takes the count as kept, so the wrapper hands the earlier form
+the count of the picks it gets and its check stays in force here.
 """
 
 import random
 
 from flexconn import rainbow
 from flexconn.errors import require
-from flexconn.rainbow import PseudoEdge, PseudoEdgeSet, _component_count, solve_rainbow
+from flexconn.rainbow import PseudoEdge, PseudoEdgeSet, solve_rainbow
+
+from conftest import rainbow_components
 
 
 def _old_singletons(vd, chosen):
@@ -35,7 +40,7 @@ def _old_minimize_singletons(vd, picks, by_colour, alpha):
                     continue
                 trial = [cand if q == p else q for q in current]
                 if len(_old_singletons(vd, trial)) < best:
-                    require(_component_count(vd, trial) == alpha,
+                    require(rainbow_components(vd, trial) == alpha,
                             "singleton swap changed the component count")
                     current = trial
                     best = len(_old_singletons(vd, current))
@@ -70,13 +75,14 @@ def test_minimize_singletons_matches_earlier_form(monkeypatch):
     real = rainbow._minimize_singletons
     seen = {"calls": 0, "swapped": 0}
 
-    def both(vd, picks, by_colour, alpha):
+    def both(vd, picks, by_colour):
+        alpha = rainbow_components(vd, picks)
         want = _outcome(_old_minimize_singletons, vd, list(picks), by_colour, alpha)
-        got = _outcome(real, vd, list(picks), by_colour, alpha)
+        got = _outcome(real, vd, list(picks), by_colour)
         assert got == want, (vd, picks)
         seen["calls"] += 1
         seen["swapped"] += want != sorted(picks)
-        return real(vd, picks, by_colour, alpha)
+        return real(vd, picks, by_colour)
 
     monkeypatch.setattr(rainbow, "_minimize_singletons", both)
     rng = random.Random(15_2024)
