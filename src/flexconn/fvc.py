@@ -381,9 +381,13 @@ def algorithm2_make_2vc(g: LabeledGraph, vd: FrozenSet[int],
                         a: FrozenSet[int]) -> Tuple[FrozenSet[int], FrozenSet[int]]:
     """Grow the large component to a single block; returns (x2, s2).
 
-    First phase pulls in outside vertices (plus two attachment edges each)
-    while the induced-plus-pseudo graph has several blocks; second phase adds
-    single block-reducing edges to the bought graph until it has one block.
+    B is the bought graph (pseudo-edges, S1 and S2 on cur), H is g[cur]
+    plus the pseudo-edges.  Each round decomposes B and stops when B is one
+    block.  While H has several blocks it pulls in an outside vertex with
+    two attachment edges (phase 1), then it adds one block-reducing edge to
+    B (phase 2).  S1 and S2 are edges of g inside cur, so B is a spanning
+    subgraph of H, and a one-block B means a one-block H.  Phase-2 rounds
+    leave cur, and so H, as it is: H is decomposed until it shows one block.
 
     Both graphs are connected, as `block_decomposition_edges`, the one block
     decomposition, requires: the pseudo-edges and S1 lie inside A and connect
@@ -391,44 +395,42 @@ def algorithm2_make_2vc(g: LabeledGraph, vd: FrozenSet[int],
     graph, adding an edge uw lowers the block count iff u and w share no
     block.  Adding a vertex with neighbours S lowers it iff two members of S
     share no block: otherwise, as subtrees of the block-cut tree have the
-    Helly property, all of S lies in one block.  So one decomposition per
-    round decides, from its blocks at each vertex: phase 1 takes the first v
-    in sorted(vd - cur) whose neighbours in cur hold such a pair, phase 2 the
-    first edge by id whose ends share no block.
+    Helly property, all of S lies in one block.  So the blocks at each
+    vertex decide: phase 1 takes the first v in sorted(vd - cur) whose
+    neighbours in cur hold such a pair in H, and the first pair of its edges
+    by id whose ends share no block of B; phase 2 the first edge by id
+    whose ends share no block of B.
     """
     pseudo = _pseudo_triples(rainbow.chosen)
     cur: Set[int] = set(a)
     s2: Set[int] = set()
-
-    def bought_triples():
-        return pseudo + [(eid, *g.edge_ends[eid]) for eid in sorted(s1 | s2)]
-
+    split = True    # H has not shown one block yet
     while True:
-        bl, _, touching = block_decomposition_edges(cur, _induced_triples(g, cur) + pseudo)
+        bought = pseudo + [(eid, *g.edge_ends[eid]) for eid in sorted(s1 | s2)]
+        bl, _, touching = block_decomposition_edges(cur, bought)
         if len(bl) <= 1:
             break
-        v = next((v for v in sorted(set(vd) - cur)
-                  if any(not (touching[u] & touching[w])
-                         for u, w in combinations(g.neighbor_sets[v] & cur, 2))), None)
-        require(v is not None, "no block-reducing vertex found")
-        _, _, touching = block_decomposition_edges(cur, bought_triples())
-        incident = sorted((e, w) for w, e in g.incidence[v] if w in cur)
-        pair = next(((eid1, eid2) for i, (eid1, u) in enumerate(incident)
-                     for eid2, w in incident[i + 1:]
-                     if u != w and not (touching[u] & touching[w])), None)
-        require(pair is not None, "no block-reducing edge pair found")
-        cur.add(v)
-        s2.update(pair)
-
-    while True:
-        bl, _, touching = block_decomposition_edges(cur, bought_triples())
-        if len(bl) <= 1:
-            break
-        key = min((e for e, (u, v) in zip(g.eids, g.ends)
-                   if u in cur and v in cur and e not in s1 and e not in s2
-                   and not (touching[u] & touching[v])), default=None)
-        require(key is not None, "a block-reducing edge must exist")
-        s2.add(key)
+        if split:
+            hbl, _, h_touching = block_decomposition_edges(cur, _induced_triples(g, cur) + pseudo)
+            split = len(hbl) > 1
+        if split:
+            v = next((v for v in sorted(set(vd) - cur)
+                      if any(not (h_touching[u] & h_touching[w])
+                             for u, w in combinations(g.neighbor_sets[v] & cur, 2))), None)
+            require(v is not None, "no block-reducing vertex found")
+            incident = sorted((e, w) for w, e in g.incidence[v] if w in cur)
+            pair = next(((eid1, eid2) for i, (eid1, u) in enumerate(incident)
+                         for eid2, w in incident[i + 1:]
+                         if u != w and not (touching[u] & touching[w])), None)
+            require(pair is not None, "no block-reducing edge pair found")
+            cur.add(v)
+            s2.update(pair)
+        else:
+            key = min((e for e, (u, v) in zip(g.eids, g.ends)
+                       if u in cur and v in cur and e not in s1 and e not in s2
+                       and not (touching[u] & touching[v])), default=None)
+            require(key is not None, "a block-reducing edge must exist")
+            s2.add(key)
 
     x2 = frozenset(cur - a)
     require(len(s2) <= len(x2) + len(vd) - rainbow.alpha - rainbow.alpha_large,

@@ -215,9 +215,6 @@ class UnionFind:
         self.size[ra] += self.size[rb]
         return True
 
-    def component_count(self) -> int:
-        return sum(1 for x in self.parent if self.parent[x] == x)
-
     def groups(self) -> List[Set[int]]:
         """The current classes, in no particular order."""
         comps: Dict[int, Set[int]] = {}

@@ -11,9 +11,8 @@ isolated vertices without touching the component count.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .errors import InputError, require
 
@@ -57,100 +56,74 @@ class RainbowSolution:
 
 
 def max_rainbow_forest(pe: PseudoEdgeSet) -> List[PseudoEdge]:
-    """Maximum forest using each colour at most once (graphic x partition
-    matroid intersection, augmenting along shortest exchange paths)."""
+    """Maximum forest using each colour at most once: graphic x partition
+    matroid intersection, augmenting along shortest exchange paths.
+
+    Each augmentation labels the trees of the forest I once.  The sources
+    are the non-members whose ends lie in two trees; the sinks those of a
+    colour I lacks; the lowest source that is a sink is taken at once.
+    Otherwise a search runs from the sources in ascending ground order.  A
+    non-member x leads to the member of its colour.  A member y leads to
+    the non-members z with I - y + z a forest: z's ends lie in one tree,
+    so z closes a fundamental cycle, which passes y iff z's ends fall on
+    the two sides of y in that tree.  These arcs are listed only when the
+    search reaches y, in ascending ground order, as Cunningham's search
+    needs only the arcs it reaches (SIAM J. Comput. 1986).
+    """
     ground = sorted(pe.edges)
     in_set: List[bool] = [False] * len(ground)
-
-    def forest_adj(members: List[int]) -> Dict[int, List[Tuple[int, int]]]:
+    while True:
+        members = [i for i, flag in enumerate(in_set) if flag]
+        outside = [i for i, flag in enumerate(in_set) if not flag]
+        colour_of_member: Dict[Colour, int] = {ground[i].colour: i for i in members}
         adj: Dict[int, List[Tuple[int, int]]] = {}
         for i in members:
             p = ground[i]
             adj.setdefault(p.a, []).append((p.b, i))
             adj.setdefault(p.b, []).append((p.a, i))
-        return adj
 
-    def forest_path(adj, src: int, dst: int) -> Optional[List[int]]:
-        """Ground indices along the forest path src..dst, None if separated."""
-        if src == dst:
-            return []
-        if src not in adj:
-            return None
-        parent: Dict[int, Tuple[int, int]] = {src: (-1, -1)}
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
-            if x == dst:
-                break
-            for y, i in adj.get(x, ()):
-                if y not in parent:
-                    parent[y] = (x, i)
-                    queue.append(y)
-        if dst not in parent:
-            return None
-        out = []
-        x = dst
-        while x != src:
-            px, i = parent[x]
-            out.append(i)
-            x = px
-        return out
+        def reach(start: int, cut: int = -1) -> Set[int]:
+            """The vertices of start's tree, less those past member `cut`."""
+            seen, todo = {start}, [start]
+            while todo:
+                for w, i in adj.get(todo.pop(), ()):
+                    if i != cut and w not in seen:
+                        seen.add(w)
+                        todo.append(w)
+            return seen
 
-    while True:
-        members = [i for i, flag in enumerate(in_set) if flag]
-        colour_of_member: Dict[Colour, int] = {ground[i].colour: i for i in members}
-        adj = forest_adj(members)
-        sources: List[int] = []
-        path_through: Dict[int, List[int]] = {}
-        for i, p in enumerate(ground):
-            if in_set[i]:
-                continue
-            fp = forest_path(adj, p.a, p.b)
-            if fp is None:
-                sources.append(i)
-            else:
-                path_through[i] = fp
-        sinks = {i for i, p in enumerate(ground)
-                 if not in_set[i] and p.colour not in colour_of_member}
-
-        quick = sorted(set(sources) & sinks)
-        if quick:
-            in_set[quick[0]] = True
+        tree: Dict[int, int] = {}
+        for v in adj:
+            if v not in tree:
+                tree.update(dict.fromkeys(reach(v), v))
+        sources = [i for i in outside
+                   if tree.get(ground[i].a, ground[i].a) != tree.get(ground[i].b, ground[i].b)]
+        sinks = {i for i in outside if ground[i].colour not in colour_of_member}
+        quick = next((i for i in sources if i in sinks), None)
+        if quick is not None:
+            in_set[quick] = True
             continue
 
-        # arcs y->z for y in I, z outside with I-y+z acyclic
-        out_of_member: Dict[int, List[int]] = {i: [] for i in members}
-        for z, fp in path_through.items():
-            for y in fp:
-                out_of_member[y].append(z)
-        for y in out_of_member:
-            out_of_member[y].sort()
-
-        parent_arc: Dict[int, int] = {}
-        queue = deque()
-        for z in sorted(sources):
-            parent_arc[z] = -1
-            queue.append(z)
-        reached_sink = None
-        while queue and reached_sink is None:
-            x = queue.popleft()
+        parent_arc: Dict[int, int] = dict.fromkeys(sources, -1)
+        queue = list(sources)
+        for x in queue:    # breadth-first: the loop reaches what it appends
             if not in_set[x]:
                 if x in sinks:
-                    reached_sink = x
                     break
-                # M2 exchange: the unique member sharing x's colour
                 y = colour_of_member.get(ground[x].colour)
                 if y is not None and y not in parent_arc:
                     parent_arc[y] = x
                     queue.append(y)
             else:
-                for z in out_of_member[x]:
-                    if z not in parent_arc:
+                # every source is labelled, so an unlabelled z with its ends
+                # on the two sides of x has its forest cycle through x
+                side = reach(ground[x].a, x)
+                for z in outside:
+                    if z not in parent_arc and (ground[z].a in side) != (ground[z].b in side):
                         parent_arc[z] = x
                         queue.append(z)
-        if reached_sink is None:
+        else:
             return [ground[i] for i in members]
-        x = reached_sink
         while x != -1:
             in_set[x] = not in_set[x]
             x = parent_arc[x]
@@ -166,6 +139,8 @@ def solve_rainbow(pe: PseudoEdgeSet, vd: Sequence[int]) -> RainbowSolution:
         raise InputError("solve_rainbow: empty pseudo-edge set")
     vd = sorted(vd)
     inside = set(vd)
+    if len(inside) < len(vd):
+        raise InputError("repeated decomposition vertex")
     if any(p.a not in inside or p.b not in inside for p in pe.edges):
         raise InputError("pseudo-edge endpoint outside decomposition")
     by_colour = pe.by_colour()

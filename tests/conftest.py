@@ -224,7 +224,7 @@ def rainbow_components(vd, chosen):
     uf = UnionFind(sorted(vd))
     for p in chosen:
         uf.union(p.a, p.b)
-    return uf.component_count()
+    return len(uf.groups())
 
 
 def brute_force_rainbow_components(pe, vd):

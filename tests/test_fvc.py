@@ -7,14 +7,14 @@ from fractions import Fraction
 import pytest
 
 from flexconn.ears import build_long_ear_decomposition
-from flexconn.errors import InfeasibleInstanceError
+from flexconn.errors import InfeasibleInstanceError, InputError
 from flexconn.exact import exact_solve
 from flexconn.feasibility import Instance, check_fvc
 from flexconn.fvc import (algorithm1_buy_good_cycles, algorithm2_make_2vc,
                           algorithm3_make_feasible, build_apx1,
                           build_pseudo_edges, partition_k_sets, preprocess,
                           realize_sp, solve_fvc, solve_tree_case)
-from flexconn.rainbow import solve_rainbow
+from flexconn.rainbow import PseudoEdge, PseudoEdgeSet, solve_rainbow
 
 from conftest import FIX_A_PAIRS, FIX_A_SAFE, apx2_inputs, build, random_connected
 
@@ -231,6 +231,14 @@ class TestApx2Machinery:
         assert got == {(0, 2, ("v", 4)), (1, 3, ("v", 5)), (0, 1, ("v", 6))}
         assert rainbow.alpha == 1 and rainbow.alpha_large == 1
         assert not rainbow.singletons
+
+    def test_rainbow_rejects_a_repeated_vertex(self):
+        """A repeated vertex of V(D) would count as a second component."""
+        pe = PseudoEdgeSet(edges=(PseudoEdge(0, 1, ("v", 5)),))
+        sol = solve_rainbow(pe, [0, 1, 2])
+        assert (sol.alpha, sol.alpha_large) == (2, 1)
+        with pytest.raises(InputError, match="repeated decomposition vertex"):
+            solve_rainbow(pe, [0, 0, 1, 2])
 
     def test_fix_b_algorithms(self, fix_b):
         dec, kp, pe, rainbow = self._pipeline(fix_b)

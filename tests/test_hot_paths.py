@@ -9,8 +9,9 @@ three checkers, and asserts that no record was built: neither cached on a
 parsed graph nor constructed anywhere.  A second test counts the checker
 calls of each `solve`, and the whole-graph DFS runs of the FVC solve.
 Two more check that the exact search and `prune_minimal` validate their
-edge ids once and then call only the unchecked kernels, and the last that
-Algorithm 1 reads its union-find once per piece.
+edge ids once and then call only the unchecked kernels, one that
+Algorithm 1 reads its union-find once per piece, and the last that
+Algorithm 2 decomposes one graph when it has nothing to add.
 """
 
 import json
@@ -26,7 +27,7 @@ from flexconn.fgc import F1SolverHandle
 from flexconn.graph import Edge, LabeledGraph, UnionFind
 from flexconn.kfgc import kecss_prune_heuristic
 
-from conftest import random_connected
+from conftest import apx2_inputs, random_connected
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -238,3 +239,29 @@ def test_algorithm1_reads_the_union_find_once(monkeypatch):
             fvc.solve_fvc(g)
     assert per_piece == [1] * len(per_piece)
     assert sum(bought) >= 4 * len(bought), bought
+
+
+def test_algorithm2_decomposes_once_when_it_adds_nothing(monkeypatch):
+    """Algorithm 2 decomposes the bought graph first and stops when it is
+    one block, so a piece that it leaves unchanged costs one block
+    decomposition, not one of each graph."""
+    real_blocks, real_algorithm2 = fvc.block_decomposition_edges, fvc.algorithm2_make_2vc
+    calls, unchanged = [], []
+
+    def blocks(*args):
+        calls.append(args)
+        return real_blocks(*args)
+
+    def algorithm2(*args):
+        del calls[:]
+        x2, s2 = real_algorithm2(*args)
+        if not x2 and not s2:
+            unchanged.append(len(calls))
+        return x2, s2
+
+    monkeypatch.setattr(fvc, "block_decomposition_edges", blocks)
+    monkeypatch.setattr(fvc, "algorithm2_make_2vc", algorithm2)
+    for g, _, _ in apx2_inputs():
+        fvc._solve_piece(g)
+    assert len(unchanged) >= len(apx2_inputs()) // 2, len(unchanged)
+    assert unchanged == [1] * len(unchanged)

@@ -1,8 +1,9 @@
 """Import and definition hygiene of the library: every import sits at module
 top, every imported name is used, and every submodule imports on its own, so
 no module relies on an import cycle being broken at call time.  Every
-function parameter is read, and every module-level private function has a
-caller in the library."""
+function parameter is read, every module-level private function has a
+caller in the library, and every nested function is read by the function
+that encloses it."""
 
 import ast
 import subprocess
@@ -103,6 +104,41 @@ def test_every_private_function_has_a_caller():
     uncalled = [f"{name}:{fn.lineno} {fn.name}" for name, fn in private
                 if not any(fn.name in set(_references(tree, fn)) for tree in trees.values())]
     assert uncalled == []
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _nested_functions(fn):
+    """The functions defined in `fn`'s own body, not in a deeper one."""
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, FUNCTIONS):
+            if not isinstance(node, ast.Lambda):
+                yield node
+        else:
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _unread_nested_functions(name, tree):
+    """Nested functions that the enclosing function never reads: a helper
+    left behind when the code that called it went away."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, FUNCTIONS):
+            for inner in _nested_functions(fn):
+                if inner.name not in set(_references(fn, inner)):
+                    yield f"{name}:{inner.lineno} {fn.name}.{inner.name}"
+
+
+def test_every_nested_function_is_read():
+    """Checked mutant: a `def forest_adj(members)` left uncalled inside
+    `rainbow.max_rainbow_forest` fails this test."""
+    trees = _trees()
+    nested = [inner for tree in trees.values() for fn in ast.walk(tree)
+              if isinstance(fn, FUNCTIONS) for inner in _nested_functions(fn)]
+    assert len(nested) >= 5
+    assert [hit for name, tree in trees.items() for hit in _unread_nested_functions(name, tree)] == []
 
 
 @pytest.mark.parametrize("module", MODULES)
