@@ -13,16 +13,14 @@ import sys
 import warnings
 from typing import Optional
 
-from .errors import FlexconnError, InfeasibleInstanceError, InputError
+from .errors import FlexconnError, InfeasibleInstanceError, InputError, require_positive_k
 from .exact import exact_solve
-from .feasibility import PROBLEMS, Instance, Solution, checker_for, require_positive_k
-from .fgc import solve_fgc
-from .fvc import solve_fvc
+from .feasibility import PROBLEMS, Instance, Solution, checker_for
 from .harness import (ExperimentConfig, check_arithmetic_lemmas,
                       gen_random_instance, gen_safe_tree_family,
-                      lemma_report_text, run_ratio_experiment)
+                      lemma_report_text, run_ratio_experiment, solve)
 from .io import parse_instance, write_error, write_instance, write_solution
-from .kfgc import KecssSolverHandle, solve_kfgc
+from .kfgc import KecssSolverHandle
 
 EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE = 0, 1, 2
 
@@ -125,14 +123,7 @@ def _load_instance(args, problem: str, k) -> Instance:
 
 def _cmd_solve(args) -> int:
     inst = _load_instance(args, args.problem, args.k)
-    g = inst.graph
-    sub = None if args.exact_cap is None else KecssSolverHandle(cap_n=args.exact_cap)
-    if inst.problem == "fvc":
-        sol = solve_fvc(g)
-    elif inst.problem == "fgc":
-        sol = solve_fgc(g, solver=sub)
-    else:
-        sol = solve_kfgc(g, inst.k, sub=sub)
+    sol = solve(inst, None if args.exact_cap is None else KecssSolverHandle(cap_n=args.exact_cap))
     sol.meta["feasible"] = True    # each solver certifies the set it returns
     _emit(write_solution(sol), args.output)
     return EXIT_OK

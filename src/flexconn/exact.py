@@ -6,45 +6,44 @@ so the first hit is both minimum and lexicographically smallest.  The main
 prune: whenever an edge is skipped, the remaining "optimistic" graph (chosen
 plus all undecided edges) must still be feasible.
 
-Twin ordering (`exact_kecss` only).  Parallel edges of one endpoint pair
-are twins, ordered by id.  The search may include a twin only if its
-lower-id twin is included, and excluding an edge also drops its higher
-twins from the optimistic graph.  This returns the same edge set as the
-unordered search.  k-edge-connectivity does not change when one parallel
-edge is swapped for another.  So if a feasible s-subset S used a twin e'
-without its lower twin e, then S - e' + e would be feasible too.  It agrees
-with S before e and includes e where S does not, so the include-first order
-reaches it before S.  The first hit of the unordered search therefore obeys
-the twin order, and the ordered search, which visits the twin-ordered
-subsets in the same relative order, stops at the same set.  The prune
-stays sound: no twin-ordered completion of the branch uses the dropped
-twins, and the predicate is monotone.  `exact_solve` does not order twins:
-its checkers tell parallel edges apart by their safety.
+Twin ordering.  Parallel edges of one endpoint pair and one safety are
+twins, ordered by id.  The search may include a twin only if its lower-id
+twin is included, and excluding an edge also drops its higher twins from
+the optimistic graph.  This returns the same edge set as the unordered
+search.  The FGC and k-FGC kernels decide by the edges' endpoints and
+safety alone, and FVC graphs are simple, so no kernel changes its answer
+when one twin is swapped for another.  So if a feasible s-subset S used a
+twin e' without its lower twin e, then S - e' + e would be feasible too.
+It agrees with S before e and includes e where S does not, so the
+include-first order reaches it before S.  The first hit of the unordered
+search therefore obeys the twin order, and the ordered search, which
+visits the twin-ordered subsets in the same relative order, stops at the
+same set.  The prune stays sound: no twin-ordered completion of the branch
+uses the dropped twins, and the predicate is monotone.
 
-Degree and component bounds (both searches).  `req[v]` is a degree that
-every feasible set gives v (`_required_degrees`; k everywhere for kECSS),
-and every feasible set is connected.  A node with r edges still to pick
-and chosen set C is pruned when 2r < sum_v max(0, req[v] - deg_C(v)) or
-when (V, C) has more than r + 1 components: one more edge raises the
-degree of two vertices by one and joins at most two components, so no
-s-subset below the node is feasible.  An excluded edge is also pruned when
-one of its endpoints has fewer than req edges left in the optimistic
-graph, which no subset of that graph can then repair.  The degree bound
-also makes the first size tried at least ceil(sum req / 2).  Every pruned
-subtree holds no feasible s-subset, so the include-first order stops at
-the same first hit as the search without them, and the twin argument
-above is unchanged.
+Degree and component bounds.  `req[v]` is a degree that every feasible set
+gives v (`_required_degrees`), and every feasible set is connected.  A node
+with r edges still to pick and chosen set C is pruned when
+2r < sum_v max(0, req[v] - deg_C(v)) or when (V, C) has more than r + 1
+components: one more edge raises the degree of two vertices by one and
+joins at most two components, so no s-subset below the node is feasible.
+An excluded edge is also pruned when one of its endpoints has fewer than
+req edges left in the optimistic graph, which no subset of that graph can
+then repair.  The degree bound also makes the first size tried at least
+ceil(sum req / 2).  Every pruned subtree holds no feasible s-subset, so the
+include-first order stops at the same first hit as the search without
+them, and the twin argument above is unchanged.
 
-Last pick (both searches).  With one edge left to pick, the search tests
-the leaves chosen + e for the available e in id order that pass both
-bounds, and returns the first that passes; it runs no optimistic test at
-that level.  Each later leaf is a subset of the optimistic graph left by
-excluding e; if that graph fails, so does each such leaf (the predicate is
-monotone), so the first hit is unchanged.  Twins give the same set.
+Last pick.  With one edge left to pick, the search tests the leaves
+chosen + e for the available e in id order that pass both bounds, and
+returns the first that passes; it runs no optimistic test at that level.
+Each later leaf is a subset of the optimistic graph left by excluding e; if
+that graph fails, so does each such leaf (the predicate is monotone), so
+the first hit is unchanged.  Twins give the same set.
 
-Spanning-tree level (`exact_solve` only).  Every feasible set is
-connected, so none has fewer than n - 1 edges, and the feasible
-(n-1)-sets are the spanning trees that the problem allows:
+Spanning-tree level.  Every feasible set is connected, so none has fewer
+than n - 1 edges, and the feasible (n-1)-sets are the spanning trees that
+the problem allows:
 - FGC and k-FGC: every edge of a tree is a bridge, and removing an unsafe
   one disconnects the tree, so the feasible trees are the spanning trees
   of the safe edges, the bases of their graphic matroid;
@@ -60,6 +59,11 @@ the greedy algorithm", 1971).  That basis is the lexicographically first
 (n-1)-set, which is where the include-first search stops at that size.  If
 the greedy set has fewer than n - 1 edges, the matroid's rank is below
 n - 1, no (n-1)-set is feasible, and the search starts at size n.
+
+kECSS (`exact_kecss`) is this search on `kecss_instance`: the same columns
+with every edge unsafe, as k-FGC at k - 1, whose feasible sets survive the
+removal of any k - 1 edges.  At k = 1 every edge is safe and the problem is
+FGC, that is connectivity, so the answer is the greedy spanning tree.
 """
 
 from __future__ import annotations
@@ -67,10 +71,9 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .errors import InfeasibleInstanceError, InputError
+from .errors import InfeasibleInstanceError, InputError, require_positive_k
 from .feasibility import Instance, Solution, predicates_for
-from .graph import (LabeledGraph, UnionFind, is_k_edge_connected, max_safe_forest,
-                    subset_k_edge_connected)
+from .graph import LabeledGraph, UnionFind, max_safe_forest
 
 DEFAULT_CAP_N = 10
 
@@ -78,22 +81,27 @@ DEFAULT_CAP_N = 10
 def _minimum_feasible(g: LabeledGraph,
                       predicate: Callable[[LabeledGraph, Set[int]], bool],
                       lower_bound: int,
-                      req: List[int],
-                      next_twin: Optional[Dict[int, int]] = None) -> Optional[Set[int]]:
+                      req: List[int]) -> Optional[Set[int]]:
     """Smallest, then lexicographically first, edge set passing `predicate`.
 
     The caller checks that the full edge set passes.  `req[v]` is a degree
     every feasible set gives v, and every feasible set is connected (the
-    degree and component bounds in the module docstring).  `next_twin` maps
-    an edge id to the next higher id of an edge the predicate treats as
-    interchangeable with it; such an edge is used only after its lower twin.
+    degree and component bounds in the module docstring).  The predicate
+    must not tell twins apart (the twin ordering in the module docstring).
     """
-    next_twin = next_twin or {}
     n = g.n
-    eids = sorted(g.eids)
+    rows = sorted(zip(g.eids, g.ends, g.edge_safe))
+    eids = [e for e, _, _ in rows]
     m = len(eids)
-    tails = [g.edge_ends[e][0] for e in eids]
-    heads = [g.edge_ends[e][1] for e in eids]
+    tails = [u for _, (u, _), _ in rows]
+    heads = [v for _, (_, v), _ in rows]
+    next_twin: Dict[int, int] = {}    # edge id -> the id of its next higher twin
+    last: Dict[Tuple[int, int, bool], int] = {}
+    for eid, (u, v), safe in rows:
+        key = (u, v, safe) if u <= v else (v, u, safe)
+        if key in last:
+            next_twin[last[key]] = eid
+        last[key] = eid
     room = [g.degree(v) for v in range(n)]    # degree in the optimistic graph
     deg = [0] * n             # degree in the chosen set
     parent = list(range(n))   # union-find over the chosen set, undone on pop
@@ -267,26 +275,19 @@ def exact_solve(inst: Instance, cap_n: int = DEFAULT_CAP_N) -> Solution:
                           "apx_size": len(best), "exact": True})
 
 
-def exact_kecss(g: LabeledGraph, k: int, cap_n: int = DEFAULT_CAP_N) -> Solution:
-    if g.n > cap_n:
-        raise InputError(f"exact_kecss: n={g.n} exceeds cap {cap_n}")
-    if not is_k_edge_connected(g, k):
-        raise InputError(f"exact_kecss: graph is not {k}-edge-connected")
-    if g.n <= 1:
-        return Solution(edge_ids=frozenset(), meta={"apx_size": 0, "exact": True, "k_ec": k})
-    next_twin: Dict[int, int] = {}
-    last: Dict[Tuple[int, int], int] = {}
-    for eid, (u, v) in sorted(zip(g.eids, g.ends)):
-        pair = (u, v) if u <= v else (v, u)
-        if pair in last:
-            next_twin[last[pair]] = eid
-        last[pair] = eid
-    # k >= 1, so k-edge-connectivity includes connectivity; the lower bound
-    # max(n - 1, ceil(nk / 2)) is the search's own, from degree k everywhere
-    best = _minimum_feasible(g, lambda g, s: subset_k_edge_connected(g, s, k),
-                             0, [k] * g.n, next_twin)
-    if best is None:
-        raise InputError("exact_kecss: unexpectedly found no solution")
-    return Solution(edge_ids=frozenset(best),
-                    meta={"apx_size": len(best), "exact": True, "k_ec": k})
+def kecss_instance(g: LabeledGraph, k: int) -> Instance:
+    """kECSS on g as an instance on g's columns: k-FGC at k - 1 with every
+    edge unsafe, or at k = 1 FGC with every edge safe (connectivity)."""
+    require_positive_k(k)
+    gk = LabeledGraph(g.n, g.vertex_safe, g.eids, g.ends, (k == 1,) * g.m)
+    return Instance(gk, "fgc") if k == 1 else Instance(gk, "kfgc", k - 1)
 
+
+def exact_kecss(g: LabeledGraph, k: int, cap_n: int = DEFAULT_CAP_N) -> Solution:
+    """Minimum, then lexicographically first, k-edge-connected spanning
+    subgraph: `exact_solve` on `kecss_instance(g, k)`."""
+    try:
+        best = exact_solve(kecss_instance(g, k), cap_n).edge_ids
+    except InfeasibleInstanceError:
+        raise InputError(f"exact_kecss: graph is not {k}-edge-connected") from None
+    return Solution(edge_ids=best, meta={"apx_size": len(best), "exact": True, "k_ec": k})

@@ -21,17 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, FrozenSet, Iterable, Set
 
-from .errors import InputError
+from .errors import InputError, require_positive_k
 from .graph import LabeledGraph, edge_connectivity_at_least, low_link_incidence
 
 PROBLEMS = ("fgc", "fvc", "kfgc")
-
-
-def require_positive_k(k) -> None:
-    """k must be an int >= 1.  The type test also refuses True (bool is an
-    int subclass), 2.5 and "2"."""
-    if type(k) is not int or k < 1:
-        raise InputError(f"k must be a positive integer (got {k!r})")
 
 
 def require_problem_k(problem: str, k) -> None:

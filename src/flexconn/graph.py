@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import (Container, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence,
                     Set, Tuple)
 
-from .errors import InputError
+from .errors import InputError, require_positive_k
 
 
 @dataclass(frozen=True)
@@ -402,15 +402,6 @@ def low_link_incidence(inc: Sequence[Sequence[Tuple[int, Hashable]]],
     return len(low), cut, bridges
 
 
-def subset_k_edge_connected(g: LabeledGraph, eids: Iterable[int], k: int) -> bool:
-    """True iff the spanning subgraph (V(g), eids) is k-edge-connected.  At
-    k = 2 a set is used as given, and the DFS stops at the first bridge."""
-    if k == 2:
-        keep = eids if isinstance(eids, (set, frozenset)) else set(eids)
-        return low_link_incidence(g.incidence, keep, None, (), keep)[0] == g.n
-    return edge_connectivity_at_least(range(g.n), [(e, *g.edge_ends[e]) for e in eids], k)
-
-
 def _max_flow_at_least(out: List[List[int]], head: List[int],
                        residual: List[int], t: int, k: int) -> bool:
     """True iff k augmenting paths run from vertex 0 to t; uses up `residual`."""
@@ -496,6 +487,6 @@ def cut_vertices(g: LabeledGraph) -> FrozenSet[int]:
 
 
 def is_k_edge_connected(g: LabeledGraph, k: int) -> bool:
-    if k < 1:
-        raise InputError("is_k_edge_connected: k must be >= 1")
-    return subset_k_edge_connected(g, g.eids, k)
+    require_positive_k(k)
+    return edge_connectivity_at_least(range(g.n),
+                                      [(e, u, v) for e, (u, v) in zip(g.eids, g.ends)], k)

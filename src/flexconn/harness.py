@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import InputError
 from .exact import exact_solve
@@ -21,7 +21,7 @@ from .feasibility import Instance, Solution, checker_for, require_problem_k
 from .fgc import solve_fgc
 from .fvc import solve_fvc
 from .graph import LabeledGraph, is_connected
-from .kfgc import solve_kfgc
+from .kfgc import KecssSolverHandle, solve_kfgc
 
 ELEVEN_SEVENTHS = Fraction(11, 7)
 
@@ -113,12 +113,14 @@ def _feasible_instance(cfg: ExperimentConfig, row: int) -> Tuple[Instance, int]:
     raise InputError("could not sample a feasible instance; adjust config")
 
 
-def _solve(cfg: ExperimentConfig, inst: Instance) -> Solution:
-    if cfg.problem == "fvc":
+def solve(inst: Instance, sub: Optional[KecssSolverHandle] = None) -> Solution:
+    """The approximation solver of the instance's problem; `sub` is the
+    kECSS subsolver of FGC and k-FGC (each driver's default if None)."""
+    if inst.problem == "fvc":
         return solve_fvc(inst.graph)
-    if cfg.problem == "fgc":
-        return solve_fgc(inst.graph)
-    return solve_kfgc(inst.graph, inst.k)
+    if inst.problem == "fgc":
+        return solve_fgc(inst.graph, solver=sub)
+    return solve_kfgc(inst.graph, inst.k, sub=sub)
 
 
 def run_ratio_experiment(cfg: ExperimentConfig) -> str:
@@ -132,7 +134,7 @@ def run_ratio_experiment(cfg: ExperimentConfig) -> str:
         inst, used_seed = _feasible_instance(cfg, row)
         g = inst.graph
         t0 = time.perf_counter()
-        sol = _solve(cfg, inst)
+        sol = solve(inst)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         opt_txt = ratio_opt_txt = ""
         if g.n <= cfg.exact_cap:

@@ -20,8 +20,8 @@ import json
 import warnings
 from typing import List, Optional, Set, Tuple
 
-from .errors import InputError
-from .feasibility import Instance, Solution, require_positive_k
+from .errors import InputError, require_positive_k
+from .feasibility import Instance, Solution
 from .graph import LabeledGraph
 
 

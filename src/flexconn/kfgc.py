@@ -2,7 +2,9 @@
 
 Compute a maximum safe spanning forest, contract it (loops dropped, parallel
 unsafe edges kept), solve (k+1)ECSS on the contraction with a pluggable
-subsolver, and return forest plus core.  The corrected size analysis gives
+subsolver, and return forest plus core.  Every edge of the core is unsafe,
+so (k+1)ECSS on it is k-FGC on it, and the subsolver decides it with the
+k-FGC kernel (`exact.kecss_instance`).  The corrected size analysis gives
 |ALG| <= 2 OPT - |forest| whenever the subsolver is exact; the older claim
 2 OPT - k|forest| >= |forest| + (k+1)(n - |forest|) is false for k >= 3
 (see the safe-spanning-tree family in the harness).
@@ -13,20 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Optional
 
-from .errors import InfeasibleInstanceError, InputError, require
-from .exact import _kfgc_lower_bound, exact_kecss
-from .feasibility import Solution, check_kfgc, prune_minimal
-from .graph import (LabeledGraph, contract_edges, is_k_edge_connected,
-                    max_safe_forest, subset_k_edge_connected)
+from .errors import InfeasibleInstanceError, require
+from .exact import _kfgc_lower_bound, exact_kecss, kecss_instance
+from .feasibility import Solution, check_kfgc, predicates_for, prune_minimal
+from .graph import LabeledGraph, contract_edges, max_safe_forest
 
 
 def kecss_prune_heuristic(g: LabeledGraph, k: int) -> FrozenSet[int]:
     """Inclusion-minimal k-edge-connected spanning subgraph by ascending-id
-    pruning.  A minimal kECSS is a union of k forests (Nagamochi and
-    Ibaraki, Algorithmica 1992), so it keeps at most k(n-1) edges."""
-    if not is_k_edge_connected(g, k):
-        raise InputError(f"graph is not {k}-edge-connected")
-    kept = prune_minimal(g, set(g.eids), lambda gg, s: subset_k_edge_connected(gg, s, k))
+    pruning with the kernel of `kecss_instance(g, k)`.  A minimal kECSS is
+    a union of k forests (Nagamochi and Ibaraki, Algorithmica 1992), so it
+    keeps at most k(n-1) edges."""
+    inst = kecss_instance(g, k)
+    kept = prune_minimal(inst.graph, g.eids, predicates_for(inst)[1])
     require(len(kept) <= k * max(0, g.n - 1), "minimal kECSS above the k(n-1) bound")
     return kept
 
@@ -34,9 +35,10 @@ def kecss_prune_heuristic(g: LabeledGraph, k: int) -> FrozenSet[int]:
 @dataclass(frozen=True)
 class KecssSolverHandle:
     """The kECSS subsolver of both drivers: FGC solves 2ECSS on the doubled
-    graph, k-FGC solves (k+1)ECSS on the contracted core.  Exact search up
-    to `cap_n` vertices, the prune heuristic above; either way the result
-    is inclusion-minimal (an optimum, or a pruned set)."""
+    graph, k-FGC solves (k+1)ECSS on the contracted core.  Up to `cap_n`
+    vertices `exact_kecss`, above it the prune heuristic; both decide
+    kECSS as k-FGC at k - 1 with every edge unsafe (`kecss_instance`), and
+    either result is inclusion-minimal (an optimum, or a pruned set)."""
     cap_n: int = 10
 
     def kind(self, n: int) -> str:

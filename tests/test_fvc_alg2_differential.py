@@ -2,11 +2,12 @@
 
 The earlier form, copied below, re-counted the blocks of the grown graph
 once per trial vertex and looked for a block-reducing edge with a separate
-block decomposition.  The current one decomposes each graph once per round
-and decides from shared blocks alone.  The goldens barely reach this code
-(on the FVC golden corpus Algorithm 2 pulls no vertex and adds no phase-2
-edge), so the comparison runs on synthetic inputs that meet Algorithm 2's
-preconditions:
+block decomposition.  The current one decomposes the bought graph once per
+round, and g[cur] plus the pseudo-edges only until that graph shows one
+block, and decides from shared blocks alone.  The goldens barely reach this
+code (on the FVC golden corpus Algorithm 2 pulls no vertex and adds no
+phase-2 edge), so the comparison runs on synthetic inputs that meet
+Algorithm 2's preconditions:
 - a random connected simple graph g with V(D) = V;
 - a connected vertex set A, random pseudo-edges inside A, and S1 the
   lowest-id edges of g[A] that make A connected together with them;

@@ -22,9 +22,11 @@ import sys
 
 import pytest
 
-from flexconn import cli, feasibility, fvc, graph
-from flexconn.fgc import F1SolverHandle
+from flexconn import cli, feasibility, fvc, graph, harness
+from flexconn.exact import exact_kecss
+from flexconn.fgc import F1SolverHandle, double_safe_edges
 from flexconn.graph import Edge, LabeledGraph, UnionFind
+from flexconn.io import parse_instance
 from flexconn.kfgc import kecss_prune_heuristic
 
 from conftest import apx2_inputs, random_connected
@@ -132,7 +134,7 @@ def test_one_certificate_per_solve(tmp_path, monkeypatch, capsys, problem, entry
         return real_piece(*args)
 
     monkeypatch.setattr(fvc, "_solve_piece", solve_piece)
-    real_solver, real_parse = getattr(cli, SOLVERS[problem]), cli.parse_instance
+    real_solver, real_parse = getattr(harness, SOLVERS[problem]), cli.parse_instance
 
     def solver(*args, **kwargs):
         sol = real_solver(*args, **kwargs)
@@ -144,7 +146,7 @@ def test_one_certificate_per_solve(tmp_path, monkeypatch, capsys, problem, entry
         parsed.append(inst.graph)
         return inst
 
-    monkeypatch.setattr(cli, SOLVERS[problem], solver)
+    monkeypatch.setattr(harness, SOLVERS[problem], solver)
     monkeypatch.setattr(cli, "parse_instance", parse)
     inst = tmp_path / "g.flex"
     inst.write_text(_text(entry, entry.get("k") if problem == "kfgc" else None))
@@ -162,8 +164,9 @@ def test_one_certificate_per_solve(tmp_path, monkeypatch, capsys, problem, entry
         assert [name for name, _ in own] == ["check_kfgc"] * 2
 
 
-KERNELS = {"fvc": "_fvc_kernel", "fgc": "_fgc_kernel", "kfgc": "_kfgc_kernel"}
-EXACT_CASES = [("fvc", {}), ("fgc", {}), ("kfgc", {"k": 2})]
+KERNELS = {"fvc": "_fvc_kernel", "fgc": "_fgc_kernel", "kfgc": "_kfgc_kernel",
+           "kecss": "_fgc_kernel"}
+EXACT_CASES = [("fvc", {}), ("fgc", {}), ("kfgc", {"k": 2}), ("kecss", {})]
 
 
 def _spy(monkeypatch, name, calls):
@@ -180,8 +183,11 @@ def _spy(monkeypatch, name, calls):
 def test_exact_validates_once(tmp_path, monkeypatch, capsys, problem, match):
     """`exact` validates the edge ids once, in its entry check; the search
     calls only the kernel.  Every exact golden case of the problem is run,
-    and on some of them the search runs past the spanning-tree level."""
-    entries = _goldens("solver_golden.json", kind="exact", problem=problem, **match)
+    and on some of them the search runs past the spanning-tree level.  The
+    kECSS case runs `exact_kecss` at k = 2 on the doubled graph of each FGC
+    golden case, as the FGC driver does."""
+    entries = _goldens("solver_golden.json", kind="exact",
+                       problem="fgc" if problem == "kecss" else problem, **match)
     validated, kernel, searched = [], [], 0
     _spy(monkeypatch, "_edge_set", validated)
     _spy(monkeypatch, KERNELS[problem], kernel)
@@ -189,7 +195,11 @@ def test_exact_validates_once(tmp_path, monkeypatch, capsys, problem, match):
     for entry in entries:
         inst.write_text(_text(entry, entry.get("k") if problem == "kfgc" else None))
         del validated[:], kernel[:]
-        assert cli.main(["exact", "--problem", problem, "-i", str(inst), "-o", str(sol)]) == 0
+        if problem == "kecss":
+            doubled = double_safe_edges(parse_instance(_text(entry), problem="fgc").graph)
+            assert exact_kecss(doubled, 2).edge_ids
+        else:
+            assert cli.main(["exact", "--problem", problem, "-i", str(inst), "-o", str(sol)]) == 0
         assert len(validated) == 1, entry
         searched += len(kernel) > 1
     capsys.readouterr()

@@ -11,11 +11,13 @@ the multigraph; a cut that splits a clique crosses at least BLOW - 1 of its
 edges.  So min(lambda(H), BLOW - 1) = min(lambda(G), BLOW - 1), which
 decides every k <= BLOW - 1.
 
-`exact_kecss` orders parallel twins; `reference_minimum_feasible` below is
-the unordered search it replaced, kept verbatim.  Both must return the same
-edge set.  The same reference, which prunes only by the predicate, checks
-the degree and component bounds of `exact_solve` on FVC, FGC and k-FGC, and
-its greedy spanning-tree level: the reference enumerates that level too.
+`exact_solve` orders parallel twins, and `exact_kecss` runs it;
+`reference_minimum_feasible` below is the unordered search it replaced,
+kept verbatim.  Both must return the same edge set, on kECSS and on FGC and
+k-FGC multigraphs with safe and unsafe twins.  The same reference, which
+prunes only by the predicate, checks the degree and component bounds of
+`exact_solve` on FVC, FGC and k-FGC, and its greedy spanning-tree level:
+the reference enumerates that level too.
 The last-pick scan, which runs no optimistic test when one edge is left to
 pick, is checked against the reference on searches whose last pick fails
 at least two candidates before its hit.
@@ -29,12 +31,11 @@ import pytest
 
 from flexconn import exact
 from flexconn.errors import InfeasibleInstanceError
-from flexconn.exact import _minimum_feasible, exact_kecss, exact_solve
+from flexconn.exact import _minimum_feasible, exact_kecss, exact_solve, kecss_instance
 from flexconn.feasibility import Instance, checker_for, predicates_for
 from flexconn.fvc import solve_tree_case
 from flexconn.graph import (LabeledGraph, edge_connectivity_at_least,
-                            is_connected, is_k_edge_connected,
-                            subset_k_edge_connected)
+                            is_connected, is_k_edge_connected)
 from flexconn.kfgc import _kfgc_lower_bound, max_safe_forest
 
 from conftest import build
@@ -166,11 +167,17 @@ class TestEdgeConnectivityCases:
         assert edge_connectivity_at_least(range(n), path + [(n, n - 1, 0)], 2)
 
     def test_subset_helper(self):
+        # the kernel of the kECSS instance decides subsets of g's edges
         g = build(3, [(0, 1), (1, 2), (2, 0), (0, 1)])
-        assert subset_k_edge_connected(g, {0, 1, 2}, 2)
-        assert not subset_k_edge_connected(g, {0, 1, 3}, 2)
-        assert subset_k_edge_connected(g, {0, 1}, 1)
-        assert not subset_k_edge_connected(g, {0, 1, 2, 3}, 3)
+
+        def kernel(ids, k):
+            inst = kecss_instance(g, k)
+            return predicates_for(inst)[1](inst.graph, ids)
+
+        assert kernel({0, 1, 2}, 2)
+        assert not kernel({0, 1, 3}, 2)
+        assert kernel({0, 1}, 1)
+        assert not kernel({0, 1, 2, 3}, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +233,9 @@ def reference_exact_kecss(g, k):
     return reference_minimum_feasible(g, predicate, lb)
 
 
-def random_multigraph(rng, n):
+def random_multigraph(rng, n, safe_prob=0.5):
     """Connected simple base graph, each edge repeated 1-3 times, the copies
-    shuffled so twins get scattered ids."""
+    shuffled so twins get scattered ids, each copy safe with `safe_prob`."""
     while True:
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < 0.55]
@@ -236,10 +243,10 @@ def random_multigraph(rng, n):
             break
     copies = [pair for pair in pairs for _ in range(rng.choice((1, 1, 2, 2, 3)))]
     rng.shuffle(copies)
-    return build(n, copies, edge_safe=[rng.random() < 0.5 for _ in copies])
+    return build(n, copies, edge_safe=[rng.random() < safe_prob for _ in copies])
 
 
-@pytest.mark.parametrize("k, want, n_max", [(2, 200, 6), (3, 120, 5)])
+@pytest.mark.parametrize("k, want, n_max", [(1, 200, 6), (2, 200, 6), (3, 120, 5)])
 def test_exact_kecss_twin_order_matches_unordered_search(k, want, n_max):
     rng = random.Random(7000 + k)
     done = with_twins = 0
@@ -344,6 +351,30 @@ def test_exact_solve_bounds_match_unbounded_search(problem, k, want):
         assert seen["safe_not_spanning"] >= want // 20, dict(seen)
 
 
+@pytest.mark.parametrize("problem, k, n_max", [("fgc", 1, 6), ("kfgc", 2, 5), ("kfgc", 3, 5)])
+def test_exact_solve_twin_order_matches_unordered_search(problem, k, n_max):
+    """Twins are keyed by endpoint pair and safety: on multigraphs whose
+    pairs carry safe and unsafe copies, the twin-ordered search returns the
+    unordered search's set.  Keyed by the pair alone, an excluded unsafe
+    edge would drop its safe parallel copies with it."""
+    rng = random.Random(f"twins:{problem}:{k}")
+    seen = defaultdict(int)
+    while seen["feasible"] < 70:
+        g = random_multigraph(rng, rng.randint(3, n_max), safe_prob=0.3)
+        inst = Instance(graph=g, problem=problem, k=k)
+        expected = reference_exact_solve(inst)
+        if expected is None:
+            continue
+        assert set(exact_solve(inst).edge_ids) == expected, g
+        seen["feasible"] += 1
+        keys = {(min(u, v), max(u, v), s) for (u, v), s in zip(g.ends, g.edge_safe)}
+        seen["equal_safety_twins"] += len(keys) < g.m
+        seen["mixed_safety_pair"] += len({key[:2] for key in keys}) < len(keys)
+        seen["searched"] += len(expected) > g.n - 1
+    assert seen["equal_safety_twins"] >= 35, dict(seen)
+    assert min(seen["mixed_safety_pair"], seen["searched"]) >= 15, dict(seen)
+
+
 # ---------------------------------------------------------------------------
 # the last pick: a scan of leaf tests without the optimistic test
 # ---------------------------------------------------------------------------
@@ -399,9 +430,13 @@ TWIN_LAST_PICK = [(2, 920), (2, 1483), (2, 4572), (2, 14087), (2, 15311),
 @pytest.mark.parametrize("k, seed", TWIN_LAST_PICK)
 def test_exact_kecss_last_pick_rejects_twins_of_a_miss(monkeypatch, k, seed):
     log = []
-    real = exact.subset_k_edge_connected
-    monkeypatch.setattr(exact, "subset_k_edge_connected",
-                        lambda g, ids, k: _recording(lambda h, s: real(h, s, k), log)(g, ids))
+    real = exact.predicates_for
+
+    def recorded(inst):
+        checker, kernel = real(inst)
+        return checker, _recording(kernel, log)
+
+    monkeypatch.setattr(exact, "predicates_for", recorded)
     rng = random.Random(f"last-pick:kecss:{k}:{seed}")
     g = random_multigraph(rng, rng.randint(4, 6 if k == 2 else 5))
     hit = set(exact_kecss(g, k).edge_ids)

@@ -64,6 +64,16 @@ class TestKecssPrune:
                 done += 1
 
 
+@pytest.mark.parametrize("k", [True, 0, 2.5, 3.0, "2"], ids=repr)
+def test_kecss_entry_points_refuse_a_k_that_is_not_a_positive_int(k):
+    # as check_kfgc does: True is not read as 1, nor 3.0 as 3
+    k5 = build(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    for entry in (exact_kecss, kecss_prune_heuristic, is_k_edge_connected,
+                  lambda g, k: check_kfgc(g, g.eids, k)):
+        with pytest.raises(InputError, match="k must be a positive integer"):
+            entry(k5, k)
+
+
 class TestKecssSolverHandle:
     # n = 5: ascending-id pruning keeps 6 edges, the optimum has 5
     PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)]
