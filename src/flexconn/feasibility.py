@@ -9,10 +9,12 @@ of F is a bridge.  So the edge predicate is chosen by k, not by problem.
 
 Public checkers validate the ids and k, then call an unchecked kernel on a
 set of the graph's own ids; internal loops validate once and call only the
-kernel.  The FGC (k = 1) and FVC kernels run one low-link DFS over the
-graph's cached incidence list, filtered by F (`graph.low_link_incidence`):
-it reaches every vertex iff (V,F) is connected, and it stops at the first
-unsafe bridge or cut vertex.  The k-FGC kernel decides the contraction form
+kernel.  All three problems need (V,F) connected, so a public checker
+turns down a set of fewer than n - 1 edges before the incidence list is
+built: a header may declare millions of vertices.  The FGC (k = 1) and
+FVC kernels run one low-link DFS over the graph's cached incidence list,
+filtered by F (`graph.low_link_incidence`): it reaches every vertex iff
+(V,F) is connected, and it stops at the first unsafe bridge or cut vertex.  The k-FGC kernel decides the contraction form
 at k >= 2; the literal form is compared with both in `tests/test_feasibility.py`.
 """
 
@@ -97,11 +99,13 @@ def _kfgc_kernel(g: LabeledGraph, chosen: Set[int], k: int) -> bool:
 
 
 def check_fgc(g: LabeledGraph, eids: Iterable[int]) -> bool:
-    return _fgc_kernel(g, _edge_set(g, eids))
+    chosen = _edge_set(g, eids)
+    return len(chosen) >= g.n - 1 and _fgc_kernel(g, chosen)
 
 
 def check_fvc(g: LabeledGraph, eids: Iterable[int]) -> bool:
-    return _fvc_kernel(g, _edge_set(g, eids))
+    chosen = _edge_set(g, eids)
+    return len(chosen) >= g.n - 1 and _fvc_kernel(g, chosen)
 
 
 def check_kfgc(g: LabeledGraph, eids: Iterable[int], k: int) -> bool:
@@ -109,7 +113,8 @@ def check_kfgc(g: LabeledGraph, eids: Iterable[int], k: int) -> bool:
     require_positive_k(k)
     if k == 1:
         return check_fgc(g, eids)
-    return _kfgc_kernel(g, _edge_set(g, eids), k)
+    chosen = _edge_set(g, eids)
+    return len(chosen) >= g.n - 1 and _kfgc_kernel(g, chosen, k)
 
 
 def predicates_for(instance: Instance):

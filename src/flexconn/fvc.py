@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from itertools import combinations, product
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .cycles import GoodCycleSearch
 from .ears import (EarDecomposition, build_long_ear_decomposition,
@@ -57,6 +57,8 @@ def preprocess(g: LabeledGraph) -> Tuple[List[LabeledGraph], ReconstructionPlan]
     order, with an explicit worklist so long chains of reductions cannot
     exhaust the call stack.
     """
+    if g.m < g.n - 1:    # disconnected; decided before the incidence list is built
+        raise InfeasibleInstanceError("FVC instance is infeasible")
     reached, cuts, _ = low_link_incidence(g.incidence)
     if reached < g.n or not g.unsafe_vertex_set.isdisjoint(cuts):
         raise InfeasibleInstanceError("FVC instance is infeasible")
@@ -145,6 +147,12 @@ def solve_tree_case(g: LabeledGraph) -> Optional[FrozenSet[int]]:
 
 @dataclass(frozen=True)
 class KPartition:
+    """The leftover vertices, those outside V(D), in the paper's classes
+    (see `partition_k_sets`).  An anchor of x is a V(D) neighbour, and
+    `anchors[x]` lists those of each leftover x in ascending order.
+    `fixed` holds the edges that apx1 and S_P both buy: for a K11 vertex,
+    the edge to its lowest safe anchor; for a K22 pair, one such edge from
+    each end, or else the pair's own edge and one from its safe end."""
     vd: FrozenSet[int]
     k11: FrozenSet[int]
     k12: FrozenSet[int]
@@ -152,6 +160,8 @@ class KPartition:
     k23: FrozenSet[int]
     k22_pairs: Tuple[Tuple[int, int], ...]
     k23_pairs: Tuple[Tuple[int, int], ...]
+    anchors: Dict[int, Tuple[int, ...]]
+    fixed: FrozenSet[int]
 
     @property
     def kterm(self) -> Fraction:
@@ -161,67 +171,60 @@ class KPartition:
                 + Fraction(3, 2) * len(self.k23))
 
 
-def _safe_vd_neighbors(g: LabeledGraph, v: int, vd: FrozenSet[int]) -> List[int]:
-    return [w for w in g.neighbors(v) if w in vd and g.vertex_safe[w]]
-
-
 def partition_k_sets(g: LabeledGraph, dec: EarDecomposition) -> KPartition:
+    """One ascending pass over the leftover vertices; their edges form a
+    matching.  A vertex with no partner is K11 if it has a safe anchor,
+    else K12.  A pair uv is K22 if both ends have one, or if a safe end
+    has one, else K23.  Both are classified, and their `fixed` edges
+    chosen, at their higher end."""
     vd = frozenset(dec.vertices)
-    leftover = set(range(g.n)) - vd
-    comps = connected_components(leftover, _induced_triples(g, leftover))
-    k11: Set[int] = set()
-    k12: Set[int] = set()
-    k22_pairs: List[Tuple[int, int]] = []
-    k23_pairs: List[Tuple[int, int]] = []
-    for comp in comps:
-        require(len(comp) <= 2, "leftover vertices must form a matching")
-        if len(comp) == 1:
-            v = min(comp)
-            (k11 if _safe_vd_neighbors(g, v, vd) else k12).add(v)
-        else:
-            u, v = sorted(comp)
-            u_anchor = bool(_safe_vd_neighbors(g, u, vd))
-            v_anchor = bool(_safe_vd_neighbors(g, v, vd))
-            cond_a = u_anchor and v_anchor
-            cond_b = ((g.vertex_safe[u] and u_anchor)
-                      or (g.vertex_safe[v] and v_anchor))
-            (k22_pairs if cond_a or cond_b else k23_pairs).append((u, v))
-    k22 = {x for p in k22_pairs for x in p}
-    k23 = {x for p in k23_pairs for x in p}
-    return KPartition(vd=vd, k11=frozenset(k11), k12=frozenset(k12),
-                      k22=frozenset(k22), k23=frozenset(k23),
-                      k22_pairs=tuple(sorted(k22_pairs)),
-                      k23_pairs=tuple(sorted(k23_pairs)))
-
-
-def _k11_k22_edges(g: LabeledGraph, kp: KPartition) -> Set[int]:
-    """The K11 pendant rule and the K22 two-edge rule, shared by apx1 and
-    the realization of S_P: each K11 vertex takes one edge to its lowest
-    safe V(D) neighbour; a K22 pair takes one such edge from each end, or
-    else its own edge plus one such edge from a safe end."""
-    out = {g.edge_between(v, _safe_vd_neighbors(g, v, kp.vd)[0]) for v in kp.k11}
-    for u, v in kp.k22_pairs:
-        su, sv = (_safe_vd_neighbors(g, x, kp.vd) for x in (u, v))
-        if su and sv:
-            out |= {g.edge_between(u, su[0]), g.edge_between(v, sv[0])}
+    safe = g.vertex_safe
+    anchors: Dict[int, Tuple[int, ...]] = {}
+    first_safe: Dict[int, Optional[int]] = {}
+    k11, k12, fixed = set(), set(), set()
+    k22_pairs, k23_pairs = [], []
+    for v in range(g.n):
+        if v in vd:
             continue
-        for a, b, anchors in ((u, v, su), (v, u, sv)):
-            if g.vertex_safe[a] and anchors:
-                out |= {g.edge_between(a, b), g.edge_between(a, anchors[0])}
-                break
+        anchors[v] = tuple(w for w in g.neighbors(v) if w in vd)
+        sv = first_safe[v] = next((w for w in anchors[v] if safe[w]), None)
+        partners = [w for w in g.neighbors(v) if w not in vd]
+        require(len(partners) <= 1, "leftover vertices must form a matching")
+        if not partners:
+            if sv is None:
+                k12.add(v)
+            else:
+                k11.add(v)
+                fixed.add(g.edge_between(v, sv))
+            continue
+        u = partners[0]
+        if u > v:
+            continue
+        su = first_safe[u]
+        if su is not None and sv is not None:
+            fixed |= {g.edge_between(u, su), g.edge_between(v, sv)}
+        elif safe[u] and su is not None:
+            fixed |= {g.edge_between(u, v), g.edge_between(u, su)}
+        elif safe[v] and sv is not None:
+            fixed |= {g.edge_between(u, v), g.edge_between(v, sv)}
         else:
-            raise InputError("pair classified K22 without a qualifying anchor")
-    return out
+            k23_pairs.append((u, v))
+            continue
+        k22_pairs.append((u, v))
+    return KPartition(vd=vd, k11=frozenset(k11), k12=frozenset(k12),
+                      k22=frozenset(x for p in k22_pairs for x in p),
+                      k23=frozenset(x for p in k23_pairs for x in p),
+                      k22_pairs=tuple(sorted(k22_pairs)),
+                      k23_pairs=tuple(sorted(k23_pairs)),
+                      anchors=anchors, fixed=frozenset(fixed))
 
 
 def build_apx1(g: LabeledGraph, dec: EarDecomposition, kp: KPartition) -> FrozenSet[int]:
-    out: Set[int] = dec.edge_ids(g) | _k11_k22_edges(g, kp)
-    for v in sorted(kp.k12):
-        nbrs = g.neighbors(v)
-        require(len(nbrs) >= 2 and all(w in kp.vd for w in nbrs),
-                "a K12 vertex must have >= 2 decomposition neighbours")
-        out.add(g.edge_between(v, nbrs[0]))
-        out.add(g.edge_between(v, nbrs[1]))
+    out: Set[int] = dec.edge_ids(g) | kp.fixed
+    for v in kp.k12:
+        a = kp.anchors[v]
+        require(len(a) >= 2, "a K12 vertex must have >= 2 decomposition neighbours")
+        out |= {g.edge_between(v, a[0]), g.edge_between(v, a[1])}
     for u, v in kp.k23_pairs:
         out.add(g.edge_between(u, v))
         out |= _k23_anchor_edges(g, kp, u, v)
@@ -231,12 +234,9 @@ def build_apx1(g: LabeledGraph, dec: EarDecomposition, kp: KPartition) -> Frozen
 
 
 def _k23_anchor_edges(g: LabeledGraph, kp: KPartition, u: int, v: int) -> Set[int]:
-    au = [w for w in g.neighbors(u) if w in kp.vd]
-    av = [w for w in g.neighbors(v) if w in kp.vd]
-    for x in au:
-        for y in av:
-            if x != y:
-                return {g.edge_between(u, x), g.edge_between(v, y)}
+    for x, y in product(kp.anchors[u], kp.anchors[v]):
+        if x != y:
+            return {g.edge_between(u, x), g.edge_between(v, y)}
     raise InputError("K23 pair with a single shared anchor contradicts 2VC input")
 
 
@@ -248,36 +248,21 @@ def build_pseudo_edges(g: LabeledGraph, kp: KPartition) -> PseudoEdgeSet:
     """One colour per K12 vertex and one per matched K23 pair; pseudo-edges
     are generated by the three anchor rules for pairs and the neighbour-pair
     rule for singletons."""
-    vd = kp.vd
     out: Set[PseudoEdge] = set()
-    for u in sorted(kp.k12):
-        nbrs = g.neighbors(u)
-        require(all(w in vd for w in nbrs), "K12 neighbours must be anchors")
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1:]:
-                out.add(PseudoEdge(a, b, ("v", u)))
+    for u in kp.k12:
+        out.update(PseudoEdge(a, b, ("v", u)) for a, b in combinations(kp.anchors[u], 2))
     for u, v in kp.k23_pairs:
         colour = ("p", u, v)
-        au = [w for w in g.neighbors(u) if w in vd]
-        av = [w for w in g.neighbors(v) if w in vd]
-        for x, y in ((u, v), (v, u)):
-            ax = au if x == u else av
-            ay = av if x == u else au
-            # rule 1: one anchor each, distinct
-            for a in ax:
-                for b in ay:
-                    if a != b:
-                        out.add(PseudoEdge(min(a, b), max(a, b), colour))
+        au, av = kp.anchors[u], kp.anchors[v]
+        # rule 1: one anchor each, distinct
+        out.update(PseudoEdge(min(a, b), max(a, b), colour) for a in au for b in av if a != b)
+        for x, ax, ay in ((u, au, av), (v, av, au)):
             # rule 2: x safely anchored, pseudo across y's anchor pairs
-            if any(g.vertex_safe[a] for a in ax) and len(ay) >= 2:
-                for i, a in enumerate(ay):
-                    for b in ay[i + 1:]:
-                        out.add(PseudoEdge(a, b, colour))
+            if any(g.vertex_safe[a] for a in ax):
+                out.update(PseudoEdge(a, b, colour) for a, b in combinations(ay, 2))
             # rule 3: x itself safe, pseudo across x's anchor pairs
             if g.vertex_safe[x]:
-                for i, a in enumerate(ax):
-                    for b in ax[i + 1:]:
-                        out.add(PseudoEdge(a, b, colour))
+                out.update(PseudoEdge(a, b, colour) for a, b in combinations(ax, 2))
     pe = PseudoEdgeSet(edges=tuple(sorted(out)))
     colours = set(pe.colours())
     wanted = {("v", u) for u in kp.k12} | {("p", u, v) for u, v in kp.k23_pairs}
@@ -286,15 +271,13 @@ def build_pseudo_edges(g: LabeledGraph, kp: KPartition) -> PseudoEdgeSet:
 
 
 def realize_sp(g: LabeledGraph, kp: KPartition, rainbow: RainbowSolution) -> FrozenSet[int]:
-    """Replace each chosen pseudo-edge by real edges (first applicable of the
-    six pair cases, lowest-index ties), plus the K11 pendant rule and the K22
-    two-edge rule."""
-    out = _k11_k22_edges(g, kp)
+    """The fixed K11 and K22 edges, plus the real edges of each chosen
+    pseudo-edge (first applicable of the six pair cases, lowest-index ties)."""
+    out = set(kp.fixed)
     for p in rainbow.chosen:
         if p.colour[0] == "v":
             u = p.colour[1]
-            out.add(g.edge_between(u, p.a))
-            out.add(g.edge_between(u, p.b))
+            out |= {g.edge_between(u, p.a), g.edge_between(u, p.b)}
         else:
             out |= _realize_pair_pseudo(g, kp, p)
     require(len(out) == kp.kterm,
@@ -319,15 +302,11 @@ def _realize_pair_pseudo(g: LabeledGraph, kp: KPartition, p: PseudoEdge) -> Set[
         return {u1, u2, uv}
     if g.vertex_safe[v] and None not in (w1, w2):
         return {w1, w2, uv}
-    # case 5 / 6: both anchors on one endpoint, the other hangs off a safe vertex
-    if None not in (w1, w2):
-        anchors = _safe_vd_neighbors(g, u, kp.vd)
-        if anchors:
-            return {w1, w2, g.edge_between(u, anchors[0])}
-    if None not in (u1, u2):
-        anchors = _safe_vd_neighbors(g, v, kp.vd)
-        if anchors:
-            return {u1, u2, g.edge_between(v, anchors[0])}
+    # case 5 / 6: both anchors on one endpoint, the other on its lowest safe anchor
+    for both, x in (((w1, w2), u), ((u1, u2), v)):
+        anchor = next((a for a in kp.anchors[x] if g.vertex_safe[a]), None)
+        if None not in both and anchor is not None:
+            return {*both, g.edge_between(x, anchor)}
     raise InputError(f"no realization case applies to pseudo-edge {p}")
 
 

@@ -1,12 +1,13 @@
 """Core undirected multigraph with safe/unsafe labels and stable edge ids.
 
-Vertices are 0..n-1.  Edge ids are assigned once (typically in input file
-order) and survive contraction, so solutions can always be reported in
-original-instance ids.  Graphs are immutable; every operation here is a pure
-function returning new values.  Edges are parallel columns in edge order
-(`eids`, `ends`, `edge_safe`); the `Edge` records of `edges` and `edge_by_id`
-are built only on request.  A graph is validated once, on entry (`build`,
-`from_edges`, `io.parse_instance`); graphs derived from it are not checked.
+Vertices are 0..n-1.  Edge ids are non-negative ints, assigned once
+(typically in input file order); they survive contraction, so solutions can
+always be reported in original-instance ids.  Graphs are immutable; every
+operation here is a pure function returning new values.  Edges are parallel
+columns in edge order (`eids`, `ends`, `edge_safe`); the `Edge` records of
+`edges` and `edge_by_id` are built only on request.  A graph is validated
+once, on entry (`build`, `from_edges`, `io.parse_instance`); graphs derived
+from it are not checked.
 """
 
 from __future__ import annotations
@@ -149,6 +150,8 @@ class LabeledGraph:
             raise InputError("vertex_safe length must equal n")
         seen = set()
         for eid, (u, v) in zip(self.eids, self.ends):
+            if type(eid) is not int or eid < 0:    # True and 2.0 are not read as 1 and 2
+                raise InputError(f"edge id {eid!r} is not a non-negative integer")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge {eid} endpoint out of range")
             if u == v:

@@ -229,6 +229,14 @@ class TestAdjacencyView:
          "edge 7 is a self-loop"),
         (lambda: LabeledGraph.from_edges(3, (True,) * 3, [Edge(7, 0, 1), Edge(7, 1, 2)]),
          "duplicate edge id 7"),
+        (lambda: LabeledGraph.from_edges(3, (True,) * 3, [Edge(-1, 0, 1), Edge(2, 1, 2)]),
+         "edge id -1 is not a non-negative integer"),
+        (lambda: LabeledGraph.from_edges(2, (True,) * 2, [Edge(True, 0, 1)]),
+         "edge id True is not a non-negative integer"),
+        (lambda: LabeledGraph.from_edges(2, (True,) * 2, [Edge(2.0, 0, 1)]),
+         "edge id 2.0 is not a non-negative integer"),
+        (lambda: LabeledGraph.from_edges(2, (True,) * 2, [Edge("3", 0, 1)]),
+         "edge id '3' is not a non-negative integer"),
     ])
     def test_entry_points_validate(self, make, message):
         with pytest.raises(InputError, match=f"^{message}$"):
