@@ -14,7 +14,7 @@ for n, k in ((6, 3), (9, 4)):
     inst = gen_safe_tree_family(n, k)
     g = inst.graph
     forest = max_safe_forest(g)
-    core = contract_edges(g, forest).graph
+    core = contract_edges(g, forest)
     sol = solve_kfgc(g, k)
     opt = exact_solve(inst).size if n <= 8 else n - 1
     ell = len(forest)

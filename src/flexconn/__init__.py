@@ -10,8 +10,7 @@ from .errors import (FlexconnError, InfeasibleInstanceError, InputError,
                      InvariantViolation)
 from .feasibility import (Instance, Solution, check_fgc, check_fvc,
                           check_kfgc, prune_minimal)
-from .graph import (ContractionResult, Edge, LabeledGraph, contract_edges,
-                    contract_vertices, cut_vertices, is_k_edge_connected)
+from .graph import LabeledGraph, contract_edges, cut_vertices, is_k_edge_connected
 from .ears import EarDecomposition, build_long_ear_decomposition, find_potential_open_ear_ge4
 from .exact import exact_kecss, exact_solve
 from .fvc import (KPartition, algorithm1_buy_good_cycles, algorithm2_make_2vc,

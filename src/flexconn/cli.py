@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import FlexconnError, InfeasibleInstanceError, InputError, require_positive_k
 from .exact import exact_solve
-from .feasibility import PROBLEMS, Instance, Solution, checker_for
+from .feasibility import PROBLEMS, Instance, Solution, predicates_for
 from .harness import (ExperimentConfig, check_arithmetic_lemmas,
                       gen_random_instance, gen_safe_tree_family,
                       lemma_report_text, run_ratio_experiment, solve)
@@ -155,7 +155,7 @@ def _cmd_check(args) -> int:
     for eid in edges:
         if type(eid) is not int:   # bool is an int subclass; 3.0 == 3 hashes alike
             raise InputError(f"solution edge id {json.dumps(eid)} is not an integer")
-    ok = checker_for(inst)(inst.graph, set(edges))
+    ok = predicates_for(inst)[0](inst.graph, set(edges))
     _emit(json.dumps({"problem": problem, "k": inst.k,
                       "size": len(set(edges)), "feasible": ok}) + "\n",
           args.output)

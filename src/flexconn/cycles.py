@@ -14,7 +14,7 @@ singletons' neighbour lists across its rounds; a bought cycle merges the
 parts it touches, which is exactly the recount, so the cycles found do not
 change.  ``find_good_cycle`` is one round of it.  A round costs the
 singletons' neighbourhoods plus the vertices the search visits, not a pass
-over ``g.edges``: the cross edges of a vertex are built from
+over every edge of ``g``: the cross edges of a vertex are built from
 ``g.incidence`` when the search first reaches it, sorted by (other end,
 edge id), and that order fixes which cycle is returned.
 """

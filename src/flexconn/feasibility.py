@@ -21,7 +21,7 @@ at k >= 2; the literal form is compared with both in `tests/test_feasibility.py`
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, Iterable, Set
+from typing import FrozenSet, Iterable, Set
 
 from .errors import InputError, require_positive_k
 from .graph import LabeledGraph, edge_connectivity_at_least, low_link_incidence
@@ -126,11 +126,6 @@ def predicates_for(instance: Instance):
     if k == 1:
         return check_fgc, _fgc_kernel
     return (lambda g, eids: check_kfgc(g, eids, k)), (lambda g, chosen: _kfgc_kernel(g, chosen, k))
-
-
-def checker_for(instance: Instance) -> Callable[[LabeledGraph, Iterable[int]], bool]:
-    """By k for FGC and k-FGC; at k = 1 `check_fgc` itself, with no wrapper."""
-    return predicates_for(instance)[0]
 
 
 def prune_minimal(g: LabeledGraph, eids: Iterable[int], checker) -> FrozenSet[int]:

@@ -35,13 +35,7 @@ APPROX_NUM, APPROX_DEN = 11, 7
 @dataclass(frozen=True)
 class ReconstructionPlan:
     forced_edge_ids: FrozenSet[int]
-    events: Tuple[Tuple, ...] = ()
-
-    def stitch(self, piece_solutions: Sequence[FrozenSet[int]]) -> FrozenSet[int]:
-        out = set(self.forced_edge_ids)
-        for sol in piece_solutions:
-            out |= sol
-        return frozenset(out)
+    events: Tuple[Tuple, ...]
 
 
 def preprocess(g: LabeledGraph) -> Tuple[List[LabeledGraph], ReconstructionPlan]:
@@ -453,15 +447,15 @@ def solve_fvc(g: LabeledGraph) -> Solution:
     output to its invariants.  Meta carries the internal lower bound and
     pipeline stats."""
     pieces, plan = preprocess(g)
-    piece_solutions: List[FrozenSet[int]] = []
+    stitched = set(plan.forced_edge_ids)
     piece_meta: List[dict] = []
     lower_bound = len(plan.forced_edge_ids)
     for piece in pieces:
         sol = _solve_piece(piece)
-        piece_solutions.append(sol.edge_ids)
+        stitched |= sol.edge_ids
         piece_meta.append(sol.meta)
         lower_bound += sol.meta["lower_bound"]
-    total = plan.stitch(piece_solutions)
+    total = frozenset(stitched)
     require(check_fvc(g, total), "stitched FVC solution failed the checker")
     meta = {
         "problem": "fvc", "n": g.n, "m": g.m, "k": 1,

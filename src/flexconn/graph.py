@@ -4,10 +4,9 @@ Vertices are 0..n-1.  Edge ids are non-negative ints, assigned once
 (typically in input file order); they survive contraction, so solutions can
 always be reported in original-instance ids.  Graphs are immutable; every
 operation here is a pure function returning new values.  Edges are parallel
-columns in edge order (`eids`, `ends`, `edge_safe`); the `Edge` records of
-`edges` and `edge_by_id` are built only on request.  A graph is validated
-once, on entry (`build`, `from_edges`, `io.parse_instance`); graphs derived
-from it are not checked.
+columns in edge order (`eids`, `ends`, `edge_safe`).  A graph is validated
+once, on entry (`build`, `io.parse_instance`); graphs derived from it are
+not checked.
 """
 
 from __future__ import annotations
@@ -18,17 +17,6 @@ from typing import (Container, Dict, FrozenSet, Hashable, Iterable, List, Option
                     Set, Tuple)
 
 from .errors import InputError, require_positive_k
-
-
-@dataclass(frozen=True)
-class Edge:
-    eid: int
-    u: int
-    v: int
-    safe: bool = True
-
-    def pair(self) -> Tuple[int, int]:
-        return (self.u, self.v) if self.u <= self.v else (self.v, self.u)
 
 
 @dataclass(frozen=True)
@@ -43,30 +31,18 @@ class LabeledGraph:
     def build(n: int,
               pairs: Sequence[Tuple[int, int]],
               vertex_safe: Optional[Sequence[bool]] = None,
-              edge_safe: Optional[Sequence[bool]] = None) -> "LabeledGraph":
-        """Construct with edge ids 0,1,... in the order of `pairs`."""
+              edge_safe: Optional[Sequence[bool]] = None,
+              eids: Optional[Sequence[int]] = None) -> "LabeledGraph":
+        """The validated graph of the edges `pairs`, in that order, with ids
+        `eids` (0, 1, ... by default); vertices and edges default to safe."""
         vs = tuple(True for _ in range(n)) if vertex_safe is None else tuple(vertex_safe)
         es = tuple(True for _ in pairs) if edge_safe is None else tuple(edge_safe)
+        ids = tuple(range(len(pairs))) if eids is None else tuple(eids)
         if len(es) != len(pairs):
             raise InputError("edge_safe length must equal number of edges")
-        return LabeledGraph(n, vs, tuple(range(len(pairs))),
-                            tuple((u, v) for u, v in pairs), es)._checked()
-
-    @staticmethod
-    def from_edges(n: int, vertex_safe: Sequence[bool],
-                   edges: Iterable[Edge]) -> "LabeledGraph":
-        """Construct from `Edge` records, which keep their ids and order."""
-        rows = [(e.eid, (e.u, e.v), e.safe) for e in edges]
-        return _from_rows(n, tuple(vertex_safe), rows)._checked()
-
-    @cached_property
-    def edges(self) -> Tuple[Edge, ...]:
-        """The `Edge` records in edge order, built on first use."""
-        return tuple(Edge(e, u, v, s) for e, (u, v), s in self._rows())
-
-    @cached_property
-    def edge_by_id(self) -> Dict[int, Edge]:
-        return {e.eid: e for e in self.edges}
+        if len(ids) != len(pairs):
+            raise InputError("eids length must equal number of edges")
+        return LabeledGraph(n, vs, ids, tuple((u, v) for u, v in pairs), es)._checked()
 
     def _rows(self) -> Iterable[Tuple[int, Tuple[int, int], bool]]:
         """(eid, (u, v), safe) per edge, in edge order."""
@@ -173,12 +149,6 @@ class LabeledGraph:
 def _from_rows(n: int, vertex_safe: Tuple[bool, ...], rows: List[tuple]) -> LabeledGraph:
     """The graph of (eid, (u, v), safe) rows; unchecked, for derived graphs."""
     return LabeledGraph(n, vertex_safe, *(tuple(zip(*rows)) or ((), (), ())))
-
-
-@dataclass(frozen=True)
-class ContractionResult:
-    graph: LabeledGraph
-    vertex_map: Dict[int, int]      # original vertex id -> contracted vertex id
 
 
 # ---------------------------------------------------------------------------
@@ -434,44 +404,15 @@ def _max_flow_at_least(out: List[List[int]], head: List[int],
 # Spec-level operations on LabeledGraph.
 # ---------------------------------------------------------------------------
 
-def _contract_classes(g: LabeledGraph, cls: Sequence[Hashable]) -> ContractionResult:
-    """Merge the vertices with equal class `cls[v]`; loops are dropped.
+def contract_edges(g: LabeledGraph, eids: Iterable[int]) -> LabeledGraph:
+    """Contract every connected component of (V, eids) to a single vertex;
+    loops are dropped.
 
     Merged vertices are numbered by first appearance over 0..n-1, that is
     by their smallest member.  A merged vertex is safe iff all its members
     are.  Cross-edge multiplicity and edge ids are preserved: a surviving
     edge keeps its id.
     """
-    index: Dict[Hashable, int] = {}
-    vertex_map = {v: index.setdefault(cls[v], len(index)) for v in range(g.n)}
-    vsafe = [True] * len(index)
-    for v in range(g.n):
-        if not g.vertex_safe[v]:
-            vsafe[vertex_map[v]] = False
-    graph = _from_rows(len(index), tuple(vsafe),
-                       [(e, (a, b), s) for e, (u, v), s in g._rows()
-                        if (a := vertex_map[u]) != (b := vertex_map[v])])
-    return ContractionResult(graph=graph, vertex_map=vertex_map)
-
-
-def contract_vertices(g: LabeledGraph, group: Iterable[int]) -> ContractionResult:
-    """Contract the vertex set `group` into one vertex; loops are dropped.
-
-    The contracted vertex inherits id by order: vertices are renumbered
-    0..n'-1 with the merged vertex placed at the position of its smallest
-    member.  Cross-edge multiplicity is preserved.
-    """
-    members = set(group)
-    if not members:
-        raise InputError("contract_vertices: empty vertex set")
-    if any(not (0 <= v < g.n) for v in members):
-        raise InputError("contract_vertices: vertex out of range")
-    anchor = min(members)
-    return _contract_classes(g, [anchor if v in members else v for v in range(g.n)])
-
-
-def contract_edges(g: LabeledGraph, eids: Iterable[int]) -> ContractionResult:
-    """Contract every connected component of (V, eids) to a single vertex."""
     chosen = set(eids)
     unknown = chosen - g.edge_ends.keys()
     if unknown:
@@ -479,7 +420,15 @@ def contract_edges(g: LabeledGraph, eids: Iterable[int]) -> ContractionResult:
     uf = UnionFind(range(g.n))
     for eid in chosen:
         uf.union(*g.edge_ends[eid])
-    return _contract_classes(g, [uf.find(v) for v in range(g.n)])
+    index: Dict[int, int] = {}
+    vertex_map = [index.setdefault(uf.find(v), len(index)) for v in range(g.n)]
+    vsafe = [True] * len(index)
+    for v in range(g.n):
+        if not g.vertex_safe[v]:
+            vsafe[vertex_map[v]] = False
+    return _from_rows(len(index), tuple(vsafe),
+                      [(e, (a, b), s) for e, (u, v), s in g._rows()
+                       if (a := vertex_map[u]) != (b := vertex_map[v])])
 
 
 def cut_vertices(g: LabeledGraph) -> FrozenSet[int]:

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 from .errors import InputError
 from .exact import exact_solve
-from .feasibility import Instance, Solution, checker_for, require_problem_k
+from .feasibility import Instance, Solution, predicates_for, require_problem_k
 from .fgc import solve_fgc
 from .fvc import solve_fvc
 from .graph import LabeledGraph, is_connected
@@ -108,7 +108,7 @@ def _feasible_instance(cfg: ExperimentConfig, row: int) -> Tuple[Instance, int]:
         inst = gen_random_instance(n, cfg.p, cfg.edge_safe_prob,
                                    cfg.vertex_safe_prob, cfg.problem, cfg.k,
                                    seed=sub_seed)
-        if checker_for(inst)(inst.graph, set(inst.graph.eids)):
+        if predicates_for(inst)[0](inst.graph, set(inst.graph.eids)):
             return inst, sub_seed
     raise InputError("could not sample a feasible instance; adjust config")
 

@@ -55,8 +55,7 @@ def solve_kfgc(g: LabeledGraph, k: int,
     if not check_kfgc(g, set(g.eids), k):   # refuses a k that is not a positive int
         raise InfeasibleInstanceError("k-FGC instance is infeasible")
     forest = max_safe_forest(g)
-    contraction = contract_edges(g, forest)
-    core_graph = contraction.graph
+    core_graph = contract_edges(g, forest)
     # the forest is maximum, so every safe edge became a loop and was dropped
     require(not any(core_graph.edge_safe),
             "contracted core must contain only unsafe edges")

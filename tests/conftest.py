@@ -68,14 +68,13 @@ def random_connected(rng, n, p, vertex_safe_prob=1.0, edge_safe_prob=1.0):
 def brute_force_blocks(g):
     """Maximal connected cut-vertex-free edge subsets, straight from the
     block definition; exponential, for small graphs only."""
-    eids = sorted(g.edge_by_id)
+    eids = sorted(g.eids)
     candidates = []
     for r in range(1, len(eids) + 1):
         for combo in itertools.combinations(eids, r):
             verts = set()
             for eid in combo:
-                e = g.edge_by_id[eid]
-                verts.update((e.u, e.v))
+                verts.update(g.edge_ends[eid])
             if _connected_no_cut(g, verts, set(combo)):
                 candidates.append(frozenset(combo))
     return {c for c in candidates
@@ -177,12 +176,12 @@ def brute_force_k_edge_connected(g, k):
     """k-edge-connectivity by removing every (k-1)-subset of edges."""
     if g.n <= 1:
         return True
-    eids = sorted(g.edge_by_id)
-    if not is_connected(range(g.n), [(e, g.edge_by_id[e].u, g.edge_by_id[e].v) for e in eids]):
+    eids = sorted(g.eids)
+    if not is_connected(range(g.n), [(e, *g.edge_ends[e]) for e in eids]):
         return False
     for removed in itertools.combinations(eids, min(k - 1, len(eids))):
         keep = [e for e in eids if e not in set(removed)]
-        if not is_connected(range(g.n), [(e, g.edge_by_id[e].u, g.edge_by_id[e].v) for e in keep]):
+        if not is_connected(range(g.n), [(e, *g.edge_ends[e]) for e in keep]):
             return False
     return True
 
@@ -251,17 +250,15 @@ def solve_2ecss_blockwise(g, per_block):
     Valid because an edge set is a 2ECSS of the whole graph iff its
     restriction to every block is a 2ECSS of that block.
     """
-    bl, _, _ = block_decomposition_edges(range(g.n), [(e.eid, e.u, e.v) for e in g.edges])
+    bl, _, _ = block_decomposition_edges(range(g.n), [(e, u, v) for e, (u, v) in zip(g.eids, g.ends)])
     out = set()
     for blk in bl:
         verts = set()
         for eid in blk:
-            e = g.edge_by_id[eid]
-            verts.update((e.u, e.v))
+            verts.update(g.edge_ends[eid])
         sub = g.induced(verts)
         if sub.m == 1:
             raise InputError("a bridge block cannot be 2-edge-connected")
         out |= per_block.solve(sub, 2)
-    assert is_k_edge_connected(LabeledGraph.from_edges(
-        g.n, g.vertex_safe, (e for e in g.edges if e.eid in out)), 2)
+    assert is_k_edge_connected(g.without_edges(set(g.eids) - out), 2)
     return Solution(edge_ids=frozenset(out), meta={"apx_size": len(out)})

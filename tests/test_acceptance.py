@@ -42,7 +42,7 @@ def _feasible_fvc(rng, n_lo, n_hi, p=None, vprob=0.4):
         n = rng.randint(n_lo, n_hi)
         pp = p if p is not None else rng.uniform(0.35, 0.55)
         g = random_connected(rng, n, pp, vertex_safe_prob=vprob)
-        if check_fvc(g, set(g.edge_by_id)):
+        if check_fvc(g, set(g.eids)):
             return g
 
 
@@ -74,7 +74,7 @@ def test_criterion_2_fvc_oracle_free_guarantee():
         n = 15 + (i * 7) % 46
         p = min(0.5, (math.log(n) + 1.5) / n + 0.06)
         g = random_connected(rng, n, p, vertex_safe_prob=0.15)
-        if not check_fvc(g, set(g.edge_by_id)):
+        if not check_fvc(g, set(g.eids)):
             continue
         sol = solve_fvc(g)
         for piece in sol.meta["pieces"]:
@@ -108,7 +108,7 @@ def test_criterion_4_ear_invariants():
         n = rng.randint(5, 40)
         p = min(0.6, (math.log(n) + 1.6) / n + 0.08)
         g = random_connected(rng, n, p, vertex_safe_prob=rng.uniform(0.1, 0.9))
-        if not check_fvc(g, set(g.edge_by_id)):
+        if not check_fvc(g, set(g.eids)):
             continue
         pieces, _ = preprocess(g)
         for piece in pieces:
@@ -162,7 +162,7 @@ def test_criterion_6_good_cycles_and_phases():
     produced = 0
     while produced < 120:
         g = random_connected(rng, rng.randint(4, 11), 0.5)
-        triples = [(e.eid, e.u, e.v) for e in g.edges]
+        triples = [(e, u, v) for e, (u, v) in zip(g.eids, g.ends)]
         if not is_connected(range(g.n), triples) or cut_vertices(g):
             continue
         verts = list(range(g.n))
@@ -187,7 +187,7 @@ def test_criterion_6_good_cycles_and_phases():
         produced += 1
         cyc = find_good_cycle(g, set(range(g.n)), part_list)
         if cyc is not None:
-            trip = [(eid, g.edge_by_id[eid].u, g.edge_by_id[eid].v)
+            trip = [(eid, *g.edge_ends[eid])
                     for eid in sorted(cyc)]
             assert is_good_cycle(part_list, trip)
             cycles_checked += 1
@@ -222,12 +222,12 @@ def test_criterion_8_fgc_with_exact_subsolvers():
     while done < 120:
         g = random_connected(rng, rng.randint(3, 8), rng.uniform(0.35, 0.55),
                              edge_safe_prob=rng.uniform(0.2, 0.8))
-        if not check_fgc(g, set(g.edge_by_id)):
+        if not check_fgc(g, set(g.eids)):
             continue
         sol = solve_fgc(g, solver=solver)
         assert check_fgc(g, sol.edge_ids)
         opt = exact_solve(Instance(graph=g, problem="fgc")).edge_ids
-        opt_s = sum(1 for e in opt if g.edge_by_id[e].safe)
+        opt_s = sum(1 for e in opt if e not in g.unsafe_edge_set)
         opt_u = len(opt) - opt_s
         assert sol.meta["f2_size"] <= 2 * opt_s + opt_u
         assert sol.size <= 2 * len(opt)
@@ -257,8 +257,8 @@ def test_criterion_9_2ecss_bounds_and_blockwise():
         if not (is_k_edge_connected(g1, 2) and is_k_edge_connected(g2, 2)):
             continue
         offset = g1.n - 1
-        pairs = [(e.u, e.v) for e in g1.edges]
-        pairs += [(e.u + offset, e.v + offset) for e in g2.edges]
+        pairs = list(g1.ends)
+        pairs += [(u + offset, v + offset) for u, v in g2.ends]
         g = build(g1.n + g2.n - 1, pairs)
         assert solve_2ecss_blockwise(g, solver).size == exact_kecss(g, 2, cap_n=12).size
         chains += 1
@@ -275,7 +275,7 @@ def test_criterion_10_kfgc():
         p = 0.5 + 0.15 * k
         g = random_connected(rng, rng.randint(3, 8), min(p, 0.95),
                              edge_safe_prob=0.45 + 0.1 * k)
-        if not check_kfgc(g, set(g.edge_by_id), k):
+        if not check_kfgc(g, set(g.eids), k):
             continue
         sol = solve_kfgc(g, k, sub=sub)
         assert check_kfgc(g, sol.edge_ids, k)
@@ -285,7 +285,7 @@ def test_criterion_10_kfgc():
         # contracted-core bounds
         from flexconn.graph import contract_edges
         forest = max_safe_forest(g)
-        core_graph = contract_edges(g, forest).graph
+        core_graph = contract_edges(g, forest)
         if core_graph.n >= 2:
             from flexconn.kfgc import kecss_prune_heuristic
             pruned = kecss_prune_heuristic(core_graph, k + 1)

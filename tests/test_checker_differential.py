@@ -33,7 +33,7 @@ nx = pytest.importorskip("networkx")
 
 
 def random_subsets(rng, g, count):
-    eids = sorted(g.edge_by_id)
+    eids = sorted(g.eids)
     for _ in range(count):
         q = rng.choice((0.4, 0.6, 0.8, 0.9, 1.0))
         yield {e for e in eids if rng.random() < q}
@@ -86,7 +86,7 @@ def test_check_fgc_matches_bridges_on_multigraphs():
             h = nx_multigraph(g, chosen)
             connected = nx.is_connected(h)
             unsafe_bridges = [(u, v) for u, v in nx.bridges(h)
-                              if not g.edge_by_id[next(iter(h[u][v]))].safe]
+                              if next(iter(h[u][v])) in g.unsafe_edge_set]
             assert check_fgc(g, chosen) == (connected and not unsafe_bridges), (g, chosen)
             tags["disconnected"] += not connected
             tags["unsafe bridges >= 2"] += connected and len(unsafe_bridges) >= 2
@@ -101,7 +101,7 @@ def nx_kfgc(g, chosen, k):
         return False, None
     uf = nx.utils.UnionFind(range(g.n))
     for e in chosen:
-        if g.edge_by_id[e].safe:
+        if e not in g.unsafe_edge_set:
             uf.union(*g.edge_ends[e])
     h = nx.Graph()
     h.add_nodes_from({uf[v] for v in range(g.n)})

@@ -9,7 +9,7 @@ from conftest import apx2_inputs, build, random_connected
 
 
 def triples_of(g, eids):
-    return [(eid, g.edge_by_id[eid].u, g.edge_by_id[eid].v) for eid in sorted(eids)]
+    return [(eid, *g.edge_ends[eid]) for eid in sorted(eids)]
 
 
 class TestChecker:
@@ -66,7 +66,7 @@ class TestFindGoodCycle:
         produced = 0
         while produced < 40:
             g = random_connected(rng, rng.randint(4, 10), 0.55)
-            triples = [(e.eid, e.u, e.v) for e in g.edges]
+            triples = [(e, u, v) for e, (u, v) in zip(g.eids, g.ends)]
             if not is_connected(range(g.n), triples) or g.n < 3 or cut_vertices(g):
                 continue
             # random partition with connected parts: grow parts from seeds

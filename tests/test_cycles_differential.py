@@ -116,10 +116,10 @@ def _old_find_nice_cycle(g, vd, coarse):
         for v in p.vertices:
             part_of[v] = i
     cross = {v: [] for v in vd}
-    for e in g.edges:
-        if e.u in part_of and e.v in part_of and part_of[e.u] != part_of[e.v]:
-            cross[e.u].append((e.v, e.eid, part_of[e.v]))
-            cross[e.v].append((e.u, e.eid, part_of[e.u]))
+    for e, (u, v) in zip(g.eids, g.ends):
+        if u in part_of and v in part_of and part_of[u] != part_of[v]:
+            cross[u].append((v, e, part_of[v]))
+            cross[v].append((u, e, part_of[u]))
     for v in cross:
         cross[v].sort()
 
@@ -318,7 +318,7 @@ def test_find_good_cycle_matches_earlier_form_on_random_partitions():
         want = _outcome(_old_find_good_cycle, g, vd, parts)
         shuffled = [set(p) for p in parts]
         rng.shuffle(shuffled)
-        assert _outcome(find_good_cycle, g, vd, shuffled) == want, (g.edges, parts)
+        assert _outcome(find_good_cycle, g, vd, shuffled) == want, (g.ends, parts)
         found += isinstance(want, set)
         errors += isinstance(want, tuple)
     # both outcomes other than None were compared, many times
@@ -359,7 +359,7 @@ def test_algorithm1_matches_earlier_form_on_apx2_pieces(monkeypatch):
         n = 15 + (i * 7) % 66
         p = min(0.5, (math.log(n) + 1.5) / n + 0.06)
         g = random_connected(rng, n, p, vertex_safe_prob=0.15)
-        if check_fvc(g, set(g.edge_by_id)):
+        if check_fvc(g, set(g.eids)):
             fvc.solve_fvc(g)
     # most pieces buy several cycles before the last, empty, search
     assert sum(compared) >= 4 * len(compared), compared

@@ -86,7 +86,7 @@ def test_same_cycle_as_recursive_reference(monkeypatch):
         parts = _random_connected_partition(rng, g)
         cyc = find_good_cycle(g, set(range(g.n)), parts)
         if cyc is not None:
-            triples = [(e, g.edge_by_id[e].u, g.edge_by_id[e].v) for e in sorted(cyc)]
+            triples = [(e, *g.edge_ends[e]) for e in sorted(cyc)]
             assert is_good_cycle(parts, triples)
             found += 1
     # calls that fail, and calls that backtrack out of dead ends, were compared
@@ -106,7 +106,7 @@ def test_ring_of_300_parts_without_deep_recursion():
     k = 300
     n = 2 * k
     g = build(n, [(i, (i + 1) % n) for i in range(n)])
-    assert is_connected(range(n), [(e.eid, e.u, e.v) for e in g.edges])
+    assert is_connected(range(n), [(e, u, v) for e, (u, v) in zip(g.eids, g.ends)])
     parts = [frozenset({2 * i, 2 * i + 1}) for i in range(k)]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 60)

@@ -70,7 +70,7 @@ class TestInvariants:
         while done < 30:
             g = random_connected(rng, rng.randint(5, 12), 0.5)
             from flexconn.graph import cut_vertices, is_connected
-            triples = [(e.eid, e.u, e.v) for e in g.edges]
+            triples = [(e, u, v) for e, (u, v) in zip(g.eids, g.ends)]
             if not is_connected(range(g.n), triples) or cut_vertices(g):
                 continue
             if find_forbidden_cycle(g) is not None:
@@ -135,18 +135,18 @@ def _greedy_open_ear_decomposition(g):
     from collections import deque
     cycle = None
     # find any cycle: BFS between the endpoints of some edge, avoiding it
-    for e in g.edges:
-        parent = {e.u: None}
-        queue = deque([e.u])
+    for u, v in g.ends:
+        parent = {u: None}
+        queue = deque([u])
         while queue:
             x = queue.popleft()
             for w in g.neighbors(x):
-                if w in parent or (x == e.u and w == e.v and len(parent) == 1):
+                if w in parent or (x == u and w == v and len(parent) == 1):
                     continue
                 parent[w] = x
                 queue.append(w)
-        if e.v in parent:
-            path = [e.v]
+        if v in parent:
+            path = [v]
             while path[-1] is not None:
                 path.append(parent[path[-1]])
             cycle = path[:-1]
@@ -160,9 +160,9 @@ def _greedy_open_ear_decomposition(g):
     while True:
         grew = False
         # absorb chords
-        for e in g.edges:
-            if e.eid not in covered_edges and e.u in covered and e.v in covered:
-                covered_edges.add(e.eid)
+        for e, (u, v) in zip(g.eids, g.ends):
+            if e not in covered_edges and u in covered and v in covered:
+                covered_edges.add(e)
                 grew = True
         # attach one open ear: path leaving covered and returning elsewhere
         for x in sorted(covered):
@@ -204,7 +204,7 @@ class Test2VCsAreExactlyTheEarDecomposable:
         rng = random.Random(29)
         for _ in range(40):
             g = random_connected(rng, rng.randint(3, 9), 0.4)
-            bl, _, _ = block_decomposition_edges(range(g.n), [(e.eid, e.u, e.v) for e in g.edges])
+            bl, _, _ = block_decomposition_edges(range(g.n), [(e, u, v) for e, (u, v) in zip(g.eids, g.ends)])
             is_2vc = len(bl) == 1 and g.n >= 3 and g.m >= 2
             assert _greedy_open_ear_decomposition(g) == is_2vc
 

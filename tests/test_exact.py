@@ -5,7 +5,7 @@ import pytest
 
 from flexconn.errors import InfeasibleInstanceError, InputError
 from flexconn.exact import exact_kecss, exact_solve
-from flexconn.feasibility import Instance, check_fvc, checker_for
+from flexconn.feasibility import Instance, check_fvc, predicates_for
 from flexconn.graph import is_k_edge_connected
 
 from conftest import FIX_A_PAIRS, FIX_A_SAFE, build, random_connected
@@ -49,8 +49,8 @@ class TestExactSolve:
                                  vertex_safe_prob=0.5, edge_safe_prob=0.5)
             for problem in ("fvc", "fgc"):
                 inst = Instance(graph=g, problem=problem)
-                checker = checker_for(inst)
-                if not checker(g, set(g.edge_by_id)):
+                checker = predicates_for(inst)[0]
+                if not checker(g, set(g.eids)):
                     continue
                 sol = exact_solve(inst)
                 assert checker(g, sol.edge_ids)
@@ -63,7 +63,7 @@ class TestExactSolve:
             g = random_connected(rng, rng.randint(3, 7), 0.6,
                                  vertex_safe_prob=0.6)
             inst = Instance(graph=g, problem="fvc")
-            if not check_fvc(g, set(g.edge_by_id)):
+            if not check_fvc(g, set(g.eids)):
                 continue
             from flexconn.fvc import solve_tree_case
             sol = exact_solve(inst)

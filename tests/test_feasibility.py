@@ -62,7 +62,7 @@ class TestCheckKfgc:
         rng = random.Random(5)
         for _ in range(40):
             g = random_connected(rng, rng.randint(2, 7), 0.6, edge_safe_prob=0.5)
-            chosen = {e.eid for e in g.edges if rng.random() < 0.8}
+            chosen = {e for e in g.eids if rng.random() < 0.8}
             for k in (1, 2):
                 got = check_kfgc(g, chosen, k)
                 assert got == _literal_kfgc(g, chosen, k)
@@ -71,18 +71,18 @@ class TestCheckKfgc:
         rng = random.Random(6)
         for _ in range(40):
             g = random_connected(rng, rng.randint(2, 8), 0.5, edge_safe_prob=0.5)
-            chosen = {e.eid for e in g.edges if rng.random() < 0.8}
+            chosen = {e for e in g.eids if rng.random() < 0.8}
             assert check_kfgc(g, chosen, 1) == check_fgc(g, chosen)
 
 
 def _literal_kfgc(g, chosen, k):
-    triples = [(e, g.edge_by_id[e].u, g.edge_by_id[e].v) for e in chosen]
+    triples = [(e, *g.edge_ends[e]) for e in chosen]
     if not is_connected(range(g.n), triples):
         return False
-    unsafe = sorted(e for e in chosen if not g.edge_by_id[e].safe)
+    unsafe = sorted(e for e in chosen if e in g.unsafe_edge_set)
     for removed in itertools.combinations(unsafe, min(k, len(unsafe))):
         keep = chosen - set(removed)
-        kept = [(e, g.edge_by_id[e].u, g.edge_by_id[e].v) for e in keep]
+        kept = [(e, *g.edge_ends[e]) for e in keep]
         if not is_connected(range(g.n), kept):
             return False
     return True
@@ -107,7 +107,7 @@ class TestKfgcLiteralForm:
         for i in range(150):
             n = i % 7
             g = _random_multigraph(rng, n, rng.randint(0, 10) if n >= 2 else 0)
-            eids = sorted(g.edge_by_id)
+            eids = sorted(g.eids)
             assert len(eids) <= 10
             for r in range(len(eids) + 1):
                 for combo in itertools.combinations(eids, r):
@@ -125,13 +125,13 @@ class TestKfgcLiteralForm:
             n = rng.randint(6, 10)
             base = random_connected(rng, n, rng.uniform(0.3, 0.7),
                                     edge_safe_prob=rng.uniform(0.2, 0.7))
-            extra = [e.pair() for e in base.edges if rng.random() < 0.2]
-            pairs = [(e.u, e.v) for e in base.edges] + extra
-            g = build(n, pairs, edge_safe=[e.safe for e in base.edges]
+            extra = [tuple(sorted(uv)) for uv in base.ends if rng.random() < 0.2]
+            pairs = list(base.ends) + extra
+            g = build(n, pairs, edge_safe=list(base.edge_safe)
                       + [rng.random() < 0.5 for _ in extra])
             for _ in range(25):
-                chosen = {e.eid for e in g.edges if rng.random() < 0.85}
-                unsafe = sorted(e for e in chosen if not g.edge_by_id[e].safe)
+                chosen = {e for e in g.eids if rng.random() < 0.85}
+                unsafe = sorted(e for e in chosen if e in g.unsafe_edge_set)
                 chosen -= set(rng.sample(unsafe, max(0, len(unsafe) - 12)))
                 sampled += 1
                 for k in (1, 2):
@@ -156,9 +156,9 @@ class TestPruneMinimal:
         for _ in range(30):
             g = random_connected(rng, rng.randint(3, 8), 0.5,
                                  vertex_safe_prob=0.5, edge_safe_prob=0.5)
-            if not check_fgc(g, set(g.edge_by_id)):
+            if not check_fgc(g, set(g.eids)):
                 continue
-            pruned = prune_minimal(g, set(g.edge_by_id), check_fgc)
+            pruned = prune_minimal(g, set(g.eids), check_fgc)
             assert prune_minimal(g, pruned, check_fgc) == pruned
             for eid in pruned:
                 assert not check_fgc(g, set(pruned) - {eid})

@@ -24,7 +24,7 @@ class TestDoubling:
         g = build(3, [(0, 1), (1, 2), (0, 2)], edge_safe=[True, False, True])
         doubled = double_safe_edges(g)
         assert doubled.m == 5
-        assert sorted(e.eid for e in doubled.edges) == [0, 1, 2, 3, 5]
+        assert sorted(doubled.eids) == [0, 1, 2, 3, 5]
 
     def test_c4_all_unsafe(self):
         g = build(4, [(0, 1), (1, 2), (2, 3), (3, 0)], edge_safe=[False] * 4)
@@ -111,8 +111,8 @@ class TestBlockwise:
             if not (is_k_edge_connected(g1, 2) and is_k_edge_connected(g2, 2)):
                 continue
             offset = g1.n - 1  # glue vertex: last of g1 = vertex 0 of g2
-            pairs = [(e.u, e.v) for e in g1.edges]
-            pairs += [(e.u + offset, e.v + offset) for e in g2.edges]
+            pairs = list(g1.ends)
+            pairs += [(u + offset, v + offset) for u, v in g2.ends]
             g = build(g1.n + g2.n - 1, pairs)
             blockwise = solve_2ecss_blockwise(g, EXACT).size
             direct = exact_kecss(g, 2, cap_n=12).size
@@ -142,7 +142,7 @@ class TestSolveFgc:
 
         def f1(g):
             seen.append(g)
-            return set(g.edge_by_id)
+            return set(g.eids)
 
         sol = solve_fgc(c4, f1=F1SolverHandle(fn=f1))
         assert seen == [c4]
@@ -155,12 +155,12 @@ class TestSolveFgc:
         done = 0
         while done < 25:
             g = random_connected(rng, rng.randint(3, 8), 0.5, edge_safe_prob=0.5)
-            if not check_fgc(g, set(g.edge_by_id)):
+            if not check_fgc(g, set(g.eids)):
                 continue
             sol = solve_fgc(g, solver=EXACT)
             assert check_fgc(g, sol.edge_ids)
             opt = fgc_opt(g)
-            opt_s = sum(1 for e in opt if g.edge_by_id[e].safe)
+            opt_s = sum(1 for e in opt if e not in g.unsafe_edge_set)
             opt_u = len(opt) - opt_s
             assert sol.meta["f2_size"] <= 2 * opt_s + opt_u
             assert sol.size <= 2 * len(opt)

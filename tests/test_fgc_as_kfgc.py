@@ -22,7 +22,7 @@ import pytest
 
 from flexconn.errors import InfeasibleInstanceError
 from flexconn.exact import exact_solve
-from flexconn.feasibility import Instance, check_fgc, check_kfgc, checker_for
+from flexconn.feasibility import Instance, check_fgc, check_kfgc, predicates_for
 from flexconn.graph import contract_edges, is_connected, is_k_edge_connected
 
 from conftest import build
@@ -64,8 +64,8 @@ def contraction_form(g, chosen):
     """The k-FGC contraction test at k = 1, from the graph module."""
     kept = sorted(chosen)
     sub = build(g.n, [g.edge_ends[e] for e in kept],
-                edge_safe=[g.edge_by_id[e].safe for e in kept])
-    core = contract_edges(sub, [i for i, e in enumerate(kept) if g.edge_by_id[e].safe]).graph
+                edge_safe=[e not in g.unsafe_edge_set for e in kept])
+    core = contract_edges(sub, [i for i, e in enumerate(kept) if e not in g.unsafe_edge_set])
     return core.n == 1 or is_k_edge_connected(core, 2)
 
 
@@ -74,7 +74,7 @@ def literal_form(g, chosen):
     def connected(keep):
         return is_connected(range(g.n), [(e, *g.edge_ends[e]) for e in keep])
     return connected(chosen) and all(connected(chosen - {e})
-                                     for e in chosen if not g.edge_by_id[e].safe)
+                                     for e in chosen if e in g.unsafe_edge_set)
 
 
 def test_checkers_agree_at_k1():
@@ -95,10 +95,11 @@ def test_checkers_agree_at_k1():
 
 
 def test_checker_for_returns_check_fgc_itself_at_k1(c4):
-    # no wrapper layer on the exact search's hot path
-    assert checker_for(Instance(graph=c4, problem="fgc")) is check_fgc
-    assert checker_for(Instance(graph=c4, problem="kfgc", k=1)) is check_fgc
-    assert checker_for(Instance(graph=c4, problem="kfgc", k=2)) is not check_fgc
+    # the checker of `predicates_for` at k = 1: no wrapper layer on the exact
+    # search's hot path
+    assert predicates_for(Instance(graph=c4, problem="fgc"))[0] is check_fgc
+    assert predicates_for(Instance(graph=c4, problem="kfgc", k=1))[0] is check_fgc
+    assert predicates_for(Instance(graph=c4, problem="kfgc", k=2))[0] is not check_fgc
 
 
 # Metamorphic sweep.
@@ -125,7 +126,7 @@ def relabelled(inst, vperm, eorder):
         vertex_safe[vperm[v]] = g.vertex_safe[v]
     pairs = [tuple(vperm[x] for x in g.edge_ends[e]) for e in eorder]
     h = build(g.n, pairs, vertex_safe=vertex_safe,
-              edge_safe=[g.edge_by_id[e].safe for e in eorder])
+              edge_safe=[e not in g.unsafe_edge_set for e in eorder])
     return Instance(graph=h, problem=inst.problem, k=inst.k)
 
 
@@ -152,7 +153,7 @@ def test_optimum_invariant_under_relabelling(problem, k):
         other = optimum(relabelled(inst, list(range(g.n)), ids))
         assert size(other) == size(best), inst
         if other is not None:
-            assert checker_for(inst)(g, {ids[e] for e in other})
+            assert predicates_for(inst)[0](g, {ids[e] for e in other})
     assert feasible >= 20
 
 
@@ -165,7 +166,7 @@ def test_optimum_monotone_when_a_safe_element_turns_unsafe(problem, k):
         if problem == "fvc":
             safe = [v for v in range(g.n) if g.vertex_safe[v]]
         else:   # prefer a safe edge of the optimum, where the change can bite
-            safe = [e for e in sorted(before or g.eids) if g.edge_by_id[e].safe]
+            safe = [e for e in sorted(before or g.eids) if e not in g.unsafe_edge_set]
         if not safe:
             continue
         x = rng.choice(safe)

@@ -82,7 +82,7 @@ class TestPreprocess:
         while done < 10:
             g = random_connected(rng, rng.randint(5, 8), 0.4,
                                  vertex_safe_prob=0.35)
-            if not check_fvc(g, set(g.edge_by_id)):
+            if not check_fvc(g, set(g.eids)):
                 continue
             sol = solve_fvc(g)
             assert check_fvc(g, sol.edge_ids)
@@ -98,17 +98,17 @@ class TestPreprocess:
             base = random_connected(rng, rng.randint(4, 6), 0.6,
                                     vertex_safe_prob=0.5)
             from flexconn.graph import cut_vertices as cv
-            triples = [(e.eid, e.u, e.v) for e in base.edges]
+            triples = [(e, u, v) for e, (u, v) in zip(base.eids, base.ends)]
             from flexconn.graph import is_connected
             if not is_connected(range(base.n), triples) or cv(base):
                 continue
             u, v = rng.sample(range(base.n), 2)
             w, z = base.n, base.n + 1
-            pairs = [(e.u, e.v) for e in base.edges]
+            pairs = list(base.ends)
             pairs += [(u, w), (w, v), (v, z), (z, u)]
             vs = list(base.vertex_safe) + [False, False]
             g = build(base.n + 2, pairs, vertex_safe=vs)
-            if not check_fvc(g, set(g.edge_by_id)):
+            if not check_fvc(g, set(g.eids)):
                 continue
             if g.degree(w) != 2 or g.degree(z) != 2:
                 continue
@@ -185,7 +185,7 @@ class TestKPartition:
         while done < 15:
             g = random_connected(rng, rng.randint(5, 10), 0.45,
                                  vertex_safe_prob=0.3)
-            if not check_fvc(g, set(g.edge_by_id)):
+            if not check_fvc(g, set(g.eids)):
                 continue
             pieces, _ = preprocess(g)
             for piece in pieces:
@@ -363,7 +363,7 @@ class TestSolveFvc:
         while done < 40:
             g = random_connected(rng, rng.randint(4, 9), 0.45,
                                  vertex_safe_prob=0.4)
-            if not check_fvc(g, set(g.edge_by_id)):
+            if not check_fvc(g, set(g.eids)):
                 continue
             sol = solve_fvc(g)
             assert check_fvc(g, sol.edge_ids)
@@ -378,7 +378,7 @@ class TestSolveFvc:
         while done < 8:
             g = random_connected(rng, rng.randint(15, 24), 0.25,
                                  vertex_safe_prob=0.15)
-            if not check_fvc(g, set(g.edge_by_id)):
+            if not check_fvc(g, set(g.eids)):
                 continue
             sol = solve_fvc(g)
             for piece in sol.meta["pieces"]:

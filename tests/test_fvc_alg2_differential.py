@@ -61,13 +61,13 @@ def _old_algorithm2(g, vd, rainbow, s1, a):
     pseudo = [(("pe", i), p.a, p.b) for i, p in enumerate(rainbow.chosen)]
 
     def induced(inside):
-        return [(e.eid, e.u, e.v) for e in g.edges if e.u in inside and e.v in inside]
+        return [(e, u, v) for e, (u, v) in zip(g.eids, g.ends) if u in inside and v in inside]
 
     cur = set(a)
     s2 = set()
 
     def bought_triples():
-        return pseudo + [(eid, g.edge_by_id[eid].u, g.edge_by_id[eid].v)
+        return pseudo + [(eid, *g.edge_ends[eid])
                          for eid in sorted(s1 | s2)]
 
     while _old_block_count(cur, induced(cur) + pseudo) > 1:
@@ -95,8 +95,8 @@ def _old_algorithm2(g, vd, rainbow, s1, a):
         s2.update(chosen_pair)
 
     while _old_block_count(cur, bought_triples()) > 1:
-        candidates = [(e.eid, e.u, e.v) for e in g.edges
-                      if e.u in cur and e.v in cur and e.eid not in (s1 | s2)]
+        candidates = [(e, u, v) for e, (u, v) in zip(g.eids, g.ends)
+                      if u in cur and v in cur and e not in (s1 | s2)]
         key = _old_find_block_reducing_key(cur, bought_triples(), sorted(candidates))
         require(key is not None, "a block-reducing edge must exist")
         s2.add(key)
@@ -127,8 +127,8 @@ def _draw(rng):
     uf = UnionFind(inside)
     for p in chosen:
         uf.union(p.a, p.b)
-    s1 = frozenset(e.eid for e in g.edges
-                   if e.u in a and e.v in a and uf.union(e.u, e.v))
+    s1 = frozenset(e for e, (u, v) in zip(g.eids, g.ends)
+                   if u in a and v in a and uf.union(u, v))
     rainbow = RainbowSolution(chosen=chosen, alpha=0, alpha_large=0,
                               singletons=frozenset())
     return g, frozenset(range(n)), rainbow, s1, frozenset(a)

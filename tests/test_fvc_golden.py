@@ -54,12 +54,12 @@ def _draw_corpus(seed=20261017, count=60):
             n = rng.randint(5, 12)
             p, vprob = rng.uniform(0.35, 0.55), 0.4
         g = random_connected(rng, n, p, vertex_safe_prob=vprob)
-        if not check_fvc(g, set(g.edge_by_id)):
+        if not check_fvc(g, set(g.eids)):
             continue
         corpus.append({
             "n": g.n,
             "unsafe": [v for v in range(g.n) if not g.vertex_safe[v]],
-            "edges": [[e.u, e.v] for e in g.edges],
+            "edges": [list(uv) for uv in g.ends],
             "sha256": _digest(g),
         })
     return corpus

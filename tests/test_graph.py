@@ -5,57 +5,55 @@ from hypothesis import given, settings, strategies as st
 
 from flexconn.errors import InputError
 from flexconn.fgc import double_safe_edges
-from flexconn.graph import (ContractionResult, Edge, LabeledGraph, UnionFind,
-                            block_decomposition_edges, contract_edges,
-                            contract_vertices, cut_vertices, is_k_edge_connected)
+from flexconn.graph import (LabeledGraph, UnionFind, block_decomposition_edges,
+                            contract_edges, cut_vertices, is_k_edge_connected)
 
 from conftest import (brute_force_blocks, brute_force_k_edge_connected, build,
                       random_connected)
 
 
+def _pairs(g):
+    return sorted((u, v) if u <= v else (v, u) for u, v in g.ends)
+
+
+def _graph(n, vertex_safe, rows):
+    """The validated graph of the (id, (u, v), safe) rows, in row order."""
+    return LabeledGraph.build(n, [uv for _, uv, _ in rows], vertex_safe,
+                              [s for _, _, s in rows], [e for e, _, _ in rows])
+
+
 class TestContraction:
     def test_c4_vertex_pair(self, c4):
-        res = contract_vertices(c4, {0, 1})
-        assert res.graph.n == 3
-        assert sorted(e.eid for e in res.graph.edges) == [1, 2, 3]  # edge 01 dropped
+        # merging the adjacent vertices 0 and 1 is contracting their edge 0
+        res = contract_edges(c4, {0})
+        assert res.n == 3
+        assert sorted(res.eids) == [1, 2, 3]  # edge 01 dropped
         # merged vertex is 0; old 2 -> 1, old 3 -> 2
-        assert res.vertex_map == {0: 0, 1: 0, 2: 1, 3: 2}
-        assert sorted(e.pair() for e in res.graph.edges) == [(0, 1), (0, 2), (1, 2)]
+        assert _pairs(res) == [(0, 1), (0, 2), (1, 2)]
 
     def test_contract_everything(self, c4):
-        res = contract_vertices(c4, {0, 1, 2, 3})
-        assert res.graph.n == 1
-        assert res.graph.edges == ()
+        res = contract_edges(c4, set(c4.eids))
+        assert res.n == 1
+        assert res.eids == ()
 
     def test_k4_vertex_pair(self, k4):
-        res = contract_vertices(k4, {0, 1})
-        assert res.graph.n == 3
-        assert len(res.graph.edges) == 5
-        pairs = sorted(e.pair() for e in res.graph.edges)
-        assert pairs == [(0, 1), (0, 1), (0, 2), (0, 2), (1, 2)]
-
-    def test_errors(self, c4):
-        with pytest.raises(InputError):
-            contract_vertices(c4, set())
-        with pytest.raises(InputError):
-            contract_vertices(c4, {0, 9})
+        res = contract_edges(k4, {k4.edge_between(0, 1)})
+        assert res.n == 3
+        assert res.m == 5
+        assert _pairs(res) == [(0, 1), (0, 1), (0, 2), (0, 2), (1, 2)]
 
     def test_contract_single_edge(self, c4):
         res = contract_edges(c4, {0})
-        assert res.graph.n == 3
-        assert sorted(e.eid for e in res.graph.edges) == [1, 2, 3]
+        assert res.n == 3
+        assert sorted(res.eids) == [1, 2, 3]
 
     def test_contract_nothing_is_identity(self, c4):
-        res = contract_edges(c4, set())
-        assert res.graph.n == 4
-        assert res.vertex_map == {v: v for v in range(4)}
-        assert sorted(e.pair() for e in res.graph.edges) == \
-            sorted(e.pair() for e in c4.edges)
+        assert contract_edges(c4, set()) == c4
 
     def test_contract_opposite_edges(self, c4):
         res = contract_edges(c4, {0, 2})  # edges 01 and 23
-        assert res.graph.n == 2
-        assert sorted(e.pair() for e in res.graph.edges) == [(0, 1), (0, 1)]
+        assert res.n == 2
+        assert _pairs(res) == [(0, 1), (0, 1)]
 
     def test_unknown_edge_id(self, c4):
         with pytest.raises(InputError):
@@ -65,21 +63,17 @@ class TestContraction:
         rng = random.Random(7)
         for _ in range(30):
             g = random_connected(rng, rng.randint(3, 8), 0.5)
-            chosen = {e.eid for e in g.edges if rng.random() < 0.4}
+            chosen = {e for e in g.eids if rng.random() < 0.4}
+            uf = UnionFind(range(g.n))
+            for e in chosen:
+                uf.union(*g.edge_ends[e])
             res = contract_edges(g, chosen)
-            kept = {e.eid for e in res.graph.edges}
-            lost = set(g.edge_by_id) - kept
-            for eid in lost:
-                e = g.edge_by_id[eid]
-                assert res.vertex_map[e.u] == res.vertex_map[e.v]
-            for eid in kept:
-                e = g.edge_by_id[eid]
-                assert res.vertex_map[e.u] != res.vertex_map[e.v]
-
+            assert set(res.eids) == {e for e, (u, v) in zip(g.eids, g.ends)
+                                     if uf.find(u) != uf.find(v)}
 
     def test_matches_previous_relabelling(self):
-        # both contractions now share one first-seen relabel pass; compare
-        # them with the separate routines they replaced, kept below
+        # the contraction relabels in one first-seen pass; compare it with
+        # the separate routine it replaced, kept below
         rng = random.Random(11)
         for _ in range(300):
             n = rng.randint(1, 9)
@@ -88,34 +82,14 @@ class TestContraction:
             rng.shuffle(pairs)
             g = build(n, pairs, vertex_safe=[rng.random() < 0.6 for _ in range(n)],
                       edge_safe=[rng.random() < 0.5 for _ in pairs])
-            chosen = {eid for eid in g.edge_by_id if rng.random() < 0.4}
-            assert _same(contract_edges(g, chosen), _old_contract_edges(g, chosen))
-            group = set(rng.sample(range(n), rng.randint(1, n)))
-            assert _same(contract_vertices(g, group), _old_contract_vertices(g, group))
-
-
-def _same(a, b):
-    return ((a.graph.n, a.graph.vertex_safe, a.graph.edges, a.vertex_map)
-            == (b.graph.n, b.graph.vertex_safe, b.graph.edges, b.vertex_map))
-
-
-def _old_contract_vertices(g, group):
-    members = set(group)
-    anchor = min(members)
-    kept = [v for v in range(g.n) if v not in members or v == anchor]
-    vmap_kept = {v: i for i, v in enumerate(kept)}
-    vertex_map = {v: vmap_kept[anchor] if v in members else vmap_kept[v]
-                  for v in range(g.n)}
-    merged_safe = all(g.vertex_safe[v] for v in members)
-    vsafe = tuple(merged_safe if v == anchor else g.vertex_safe[v] for v in kept)
-    return _old_relabelled(g, len(kept), vsafe, vertex_map)
+            chosen = {eid for eid in g.eids if rng.random() < 0.4}
+            assert contract_edges(g, chosen) == _old_contract_edges(g, chosen)
 
 
 def _old_contract_edges(g, eids):
     uf = UnionFind(range(g.n))
     for eid in eids:
-        e = g.edge_by_id[eid]
-        uf.union(e.u, e.v)
+        uf.union(*g.edge_ends[eid])
     roots = sorted({uf.find(v) for v in range(g.n)}, key=lambda r: min(
         v for v in range(g.n) if uf.find(v) == r))
     comp_index = {r: i for i, r in enumerate(roots)}
@@ -124,52 +98,46 @@ def _old_contract_edges(g, eids):
     for v in range(g.n):
         members.setdefault(vertex_map[v], []).append(v)
     vsafe = tuple(all(g.vertex_safe[v] for v in members[i]) for i in range(len(roots)))
-    return _old_relabelled(g, len(roots), vsafe, vertex_map)
-
-
-def _old_relabelled(g, n, vsafe, vertex_map):
-    new_edges = []
-    for e in g.edges:
-        nu, nv = vertex_map[e.u], vertex_map[e.v]
-        if nu == nv:
-            continue
-        new_edges.append(Edge(e.eid, nu, nv, e.safe))
-    return ContractionResult(graph=LabeledGraph.from_edges(n, vsafe, new_edges),
-                             vertex_map=vertex_map)
+    rows = [(e, (vertex_map[u], vertex_map[v]), s)
+            for e, (u, v), s in zip(g.eids, g.ends, g.edge_safe)
+            if vertex_map[u] != vertex_map[v]]
+    return _graph(len(roots), vsafe, rows)
 
 
 class TestAdjacencyView:
     """`edge_between`, `degree` and `neighbors` read `incidence`, and every
     view and derived graph is computed from the edge columns; compare them
-    with a scan of the `Edge` records on multigraphs whose ids are sparse and
-    out of edge order, so the lowest id of a parallel class is not its first
-    copy."""
+    with a scan of the (id, ends, safe) rows on multigraphs whose ids are
+    sparse and out of edge order, so the lowest id of a parallel class is
+    not its first copy."""
 
     @staticmethod
     def _random_records(rng):
+        """n and the (id, (u, v), safe) rows of a random multigraph."""
         n = rng.randint(1, 8)
         pairs = [(u, v) for u in range(n) for v in range(n)
                  if u != v and rng.random() < 0.3 for _ in range(rng.choice((1, 1, 2, 3)))]
         ids = rng.sample(range(3 * len(pairs) + 1), len(pairs))
-        return n, tuple(Edge(i, u, v, rng.random() < 0.5) for i, (u, v) in zip(ids, pairs))
+        return n, [(i, uv, rng.random() < 0.5) for i, uv in zip(ids, pairs)]
 
     @classmethod
     def _random_multigraph(cls, rng):
-        n, edges = cls._random_records(rng)
-        return LabeledGraph.from_edges(n, (True,) * n, edges)
+        n, rows = cls._random_records(rng)
+        return _graph(n, (True,) * n, rows)
 
     def test_matches_edge_scan(self):
         rng = random.Random(19)
         seen_parallel = seen_absent = 0
         for _ in range(300):
             g = self._random_multigraph(rng)
+            rows = list(zip(g.eids, g.ends))
             for u in range(g.n):
-                incident = [e for e in g.edges if u in (e.u, e.v)]
+                incident = [(e, a, b) for e, (a, b) in rows if u in (a, b)]
                 assert g.degree(u) == len(incident)
-                assert g.neighbors(u) == tuple(sorted({e.v if e.u == u else e.u
-                                                       for e in incident}))
+                assert g.neighbors(u) == tuple(sorted({b if a == u else a
+                                                       for _, a, b in incident}))
                 for v in range(g.n):
-                    joining = [e.eid for e in g.edges if {e.u, e.v} == {u, v}]
+                    joining = [e for e, (a, b) in rows if {a, b} == {u, v}]
                     assert g.edge_between(u, v) == (min(joining) if joining else None)
                     seen_parallel += len(joining) >= 2
                     seen_absent += not joining
@@ -178,64 +146,62 @@ class TestAdjacencyView:
     def test_columns_match_records(self):
         rng = random.Random(23)
         for _ in range(300):
-            n, records = self._random_records(rng)
-            g = LabeledGraph.from_edges(n, (True,) * n, records)
-            assert g.eids == tuple(e.eid for e in records)
-            assert g.ends == tuple((e.u, e.v) for e in records)
-            assert g.edge_safe == tuple(e.safe for e in records)
-            assert g.edges == records
-            assert g.edge_by_id == {e.eid: e for e in records}
-            assert g.edge_ends == {e.eid: (e.u, e.v) for e in records}
-            assert g.unsafe_edge_set == {e.eid for e in records if not e.safe}
-            assert g.is_simple == (len({e.pair() for e in records}) == len(records))
-            assert g.m == len(records)
+            n, rows = self._random_records(rng)
+            g = _graph(n, (True,) * n, rows)
+            assert g.eids == tuple(e for e, _, _ in rows)
+            assert g.ends == tuple(uv for _, uv, _ in rows)
+            assert g.edge_safe == tuple(s for _, _, s in rows)
+            assert g.edge_ends == {e: uv for e, uv, _ in rows}
+            assert g.unsafe_edge_set == {e for e, _, s in rows if not s}
+            assert g.is_simple == (len({tuple(sorted(uv)) for _, uv, _ in rows}) == len(rows))
+            assert g.m == len(rows)
             for v in range(g.n):
-                assert g.incidence[v] == [(e.v if e.u == v else e.u, e.eid)
-                                          for e in records if v in (e.u, e.v)]
+                assert g.incidence[v] == [(b if a == v else a, e)
+                                          for e, (a, b), _ in rows if v in (a, b)]
 
     def test_derived_graphs_match_records(self):
         rng = random.Random(29)
         for _ in range(300):
             h = self._random_multigraph(rng)
-            g = LabeledGraph.from_edges(h.n, [rng.random() < 0.6 for _ in range(h.n)], h.edges)
+            rows = list(zip(h.eids, h.ends, h.edge_safe))
+            g = _graph(h.n, [rng.random() < 0.6 for _ in range(h.n)], rows)
             keep = {v for v in range(g.n) if rng.random() < 0.7}
             remap = {v: i for i, v in enumerate(sorted(keep))}
-            assert g.induced(keep) == LabeledGraph.from_edges(
+            assert g.induced(keep) == _graph(
                 len(keep), [g.vertex_safe[v] for v in sorted(keep)],
-                [Edge(e.eid, remap[e.u], remap[e.v], e.safe) for e in g.edges
-                 if e.u in keep and e.v in keep])
-            drop = {e.eid for e in g.edges if rng.random() < 0.3}
-            assert g.without_edges(drop) == LabeledGraph.from_edges(
-                g.n, g.vertex_safe, [e for e in g.edges if e.eid not in drop])
-            chosen = {e.eid for e in g.edges if rng.random() < 0.4}
-            assert _same(contract_edges(g, chosen), _old_contract_edges(g, chosen))
-            offset = max(g.edge_by_id, default=-1) + 1
-            assert double_safe_edges(g) == LabeledGraph.from_edges(
+                [(e, (remap[u], remap[v]), s) for e, (u, v), s in rows
+                 if u in keep and v in keep])
+            drop = {e for e in g.eids if rng.random() < 0.3}
+            assert g.without_edges(drop) == _graph(
+                g.n, g.vertex_safe, [row for row in rows if row[0] not in drop])
+            chosen = {e for e in g.eids if rng.random() < 0.4}
+            assert contract_edges(g, chosen) == _old_contract_edges(g, chosen)
+            offset = max(g.eids, default=-1) + 1
+            assert double_safe_edges(g) == _graph(
                 g.n, g.vertex_safe,
-                g.edges + tuple(Edge(offset + e.eid, e.u, e.v, e.safe) for e in g.edges if e.safe))
+                rows + [(offset + e, uv, s) for e, uv, s in rows if s])
 
     @pytest.mark.parametrize("make, message", [
         (lambda: LabeledGraph.build(2, [(0, 1)], edge_safe=[]),
          "edge_safe length must equal number of edges"),
+        (lambda: LabeledGraph.build(2, [(0, 1)], eids=[0, 1]),
+         "eids length must equal number of edges"),
         (lambda: LabeledGraph.build(-1, []), "vertex count must be non-negative"),
         (lambda: LabeledGraph.build(2, [], vertex_safe=[True]), "vertex_safe length must equal n"),
         (lambda: LabeledGraph.build(2, [(0, 1), (1, 2)]), "edge 1 endpoint out of range"),
         (lambda: LabeledGraph.build(2, [(0, 1), (1, 1)]), "edge 1 is a self-loop"),
-        (lambda: LabeledGraph.from_edges(-2, (), ()), "vertex count must be non-negative"),
-        (lambda: LabeledGraph.from_edges(2, (True,), ()), "vertex_safe length must equal n"),
-        (lambda: LabeledGraph.from_edges(2, (True,) * 2, [Edge(7, 0, -1)]),
-         "edge 7 endpoint out of range"),
-        (lambda: LabeledGraph.from_edges(2, (True,) * 2, [Edge(7, 1, 1)]),
-         "edge 7 is a self-loop"),
-        (lambda: LabeledGraph.from_edges(3, (True,) * 3, [Edge(7, 0, 1), Edge(7, 1, 2)]),
-         "duplicate edge id 7"),
-        (lambda: LabeledGraph.from_edges(3, (True,) * 3, [Edge(-1, 0, 1), Edge(2, 1, 2)]),
+        (lambda: LabeledGraph.build(-2, [], (), eids=()), "vertex count must be non-negative"),
+        (lambda: LabeledGraph.build(2, [], (True,), eids=()), "vertex_safe length must equal n"),
+        (lambda: LabeledGraph.build(2, [(0, -1)], eids=[7]), "edge 7 endpoint out of range"),
+        (lambda: LabeledGraph.build(2, [(1, 1)], eids=[7]), "edge 7 is a self-loop"),
+        (lambda: LabeledGraph.build(3, [(0, 1), (1, 2)], eids=[7, 7]), "duplicate edge id 7"),
+        (lambda: LabeledGraph.build(3, [(0, 1), (1, 2)], eids=[-1, 2]),
          "edge id -1 is not a non-negative integer"),
-        (lambda: LabeledGraph.from_edges(2, (True,) * 2, [Edge(True, 0, 1)]),
+        (lambda: LabeledGraph.build(2, [(0, 1)], eids=[True]),
          "edge id True is not a non-negative integer"),
-        (lambda: LabeledGraph.from_edges(2, (True,) * 2, [Edge(2.0, 0, 1)]),
+        (lambda: LabeledGraph.build(2, [(0, 1)], eids=[2.0]),
          "edge id 2.0 is not a non-negative integer"),
-        (lambda: LabeledGraph.from_edges(2, (True,) * 2, [Edge("3", 0, 1)]),
+        (lambda: LabeledGraph.build(2, [(0, 1)], eids=["3"]),
          "edge id '3' is not a non-negative integer"),
     ])
     def test_entry_points_validate(self, make, message):
@@ -243,8 +209,7 @@ class TestAdjacencyView:
             make()
 
     def test_parallel_copies_count_toward_degree(self):
-        g = LabeledGraph.from_edges(3, (True,) * 3,
-                                    (Edge(7, 0, 1), Edge(2, 1, 0), Edge(5, 1, 2)))
+        g = LabeledGraph.build(3, [(0, 1), (1, 0), (1, 2)], eids=[7, 2, 5])
         assert [g.degree(v) for v in range(3)] == [2, 3, 1]
         assert g.neighbors(1) == (0, 2)
         assert g.edge_between(0, 1) == g.edge_between(1, 0) == 2

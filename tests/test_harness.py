@@ -5,7 +5,7 @@ import pytest
 from flexconn.cli import main
 from flexconn.errors import InputError
 from flexconn.exact import exact_solve
-from flexconn.feasibility import checker_for
+from flexconn.feasibility import predicates_for
 from flexconn.harness import (ExperimentConfig, check_arithmetic_lemmas,
                               gen_random_instance, gen_safe_tree_family,
                               run_ratio_experiment, size_ratio_plain)
@@ -17,7 +17,7 @@ class TestGenerators:
         inst = gen_random_instance(4, 1.0, 0.0, 1.0, "fvc", 1, seed=7)
         assert inst.graph.m == 6
         assert all(inst.graph.vertex_safe)
-        assert not any(e.safe for e in inst.graph.edges)
+        assert not any(inst.graph.edge_safe)
 
     def test_deterministic_per_seed(self):
         a = gen_random_instance(7, 0.5, 0.5, 0.5, "fgc", 1, seed=42)
@@ -33,7 +33,7 @@ class TestGenerators:
     def test_safe_tree_family_optimum(self):
         for n, k in ((5, 3), (3, 1), (6, 2)):
             inst = gen_safe_tree_family(n, k)
-            assert checker_for(inst)(inst.graph, set(inst.graph.edge_by_id))
+            assert predicates_for(inst)[0](inst.graph, set(inst.graph.eids))
             assert exact_solve(inst).size == n - 1
 
     def test_safe_tree_family_breaks_old_inequality(self):

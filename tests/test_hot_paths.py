@@ -1,12 +1,12 @@
 """The solve, exact and check paths read a graph's edge columns only, and
 each solve certifies its output once.
 
-A `LabeledGraph` builds its `Edge` records (`edges`, `edge_by_id`) on first
-use, and building them costs more than parsing the file.  This test runs the
-CLI's `solve`, `exact` and `check` on golden instances of each problem,
-which reach `solve_fvc`, `solve_fgc`, `solve_kfgc`, `exact_solve` and the
-three checkers, and asserts that no record was built: neither cached on a
-parsed graph nor constructed anywhere.  A second test counts the checker
+A `LabeledGraph` is its edge columns (`eids`, `ends`, `edge_safe`): it has
+no per-edge records to build.  This test runs the CLI's `solve`, `exact`
+and `check` on golden instances of each problem, which reach `solve_fvc`,
+`solve_fgc`, `solve_kfgc`, `exact_solve` and the three checkers, and
+asserts that each parsed graph holds only its columns and the cached views
+computed from them.  A second test counts the checker
 calls of each `solve`, and the whole-graph DFS runs of the FVC solve.
 Two more check that the exact search and `prune_minimal` validate their
 edge ids once and then call only the unchecked kernels, one that
@@ -19,13 +19,15 @@ import math
 import os
 import random
 import sys
+from dataclasses import fields
+from functools import cached_property
 
 import pytest
 
 from flexconn import cli, feasibility, fvc, graph, harness
 from flexconn.exact import exact_kecss
 from flexconn.fgc import F1SolverHandle, double_safe_edges
-from flexconn.graph import Edge, LabeledGraph, UnionFind
+from flexconn.graph import LabeledGraph, UnionFind
 from flexconn.io import parse_instance
 from flexconn.kfgc import kecss_prune_heuristic
 
@@ -62,25 +64,24 @@ CASES = [
 ]
 
 
+COLUMN_VIEWS = ({f.name for f in fields(LabeledGraph)}
+                | {name for name, v in vars(LabeledGraph).items() if isinstance(v, cached_property)})
+
+
 @pytest.mark.parametrize("problem, command, entry", CASES,
                          ids=[f"{p}-{c}" for p, c, _ in CASES])
 def test_no_edge_records(tmp_path, monkeypatch, capsys, problem, command, entry):
     inst = tmp_path / "g.flex"
     inst.write_text(_text(entry, entry.get("k") if problem == "kfgc" else None))
-    parsed, built = [], []
-    real_parse, real_init = cli.parse_instance, Edge.__init__
+    parsed = []
+    real_parse = cli.parse_instance
 
     def parse(*args, **kwargs):
         inst = real_parse(*args, **kwargs)
         parsed.append(inst.graph)
         return inst
 
-    def init(self, *args, **kwargs):
-        built.append(args)
-        real_init(self, *args, **kwargs)
-
     monkeypatch.setattr(cli, "parse_instance", parse)
-    monkeypatch.setattr(Edge, "__init__", init)
     sol = tmp_path / "sol.json"
     assert cli.main([command, "--problem", problem, "-i", str(inst), "-o", str(sol)]) == 0
     assert cli.main(["check", "--problem", problem, "-i", str(inst),
@@ -89,8 +90,8 @@ def test_no_edge_records(tmp_path, monkeypatch, capsys, problem, command, entry)
     assert len(parsed) == 2
     for g in parsed:
         assert g.m > 0
-        assert "edges" not in g.__dict__ and "edge_by_id" not in g.__dict__
-    assert built == []
+        assert set(vars(g)) <= COLUMN_VIEWS
+    assert not hasattr(LabeledGraph, "edges")
 
 
 SOLVERS = {"fvc": "solve_fvc", "fgc": "solve_fgc", "kfgc": "solve_kfgc"}

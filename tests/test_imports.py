@@ -3,16 +3,24 @@ top, every imported name is used, and every submodule imports on its own, so
 no module relies on an import cycle being broken at call time.  Every
 function parameter is read, every module-level private function has a
 caller in the library, and every nested function is read by the function
-that encloses it."""
+that encloses it.  Every public name is one that something reads: the
+library, the README or the benchmark tracer."""
 
 import ast
+import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import flexconn
+import flexconn.cli  # noqa: F401  (registers the submodules the tracer looks up)
+from flexconn.graph import LabeledGraph
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 MODULES = sorted(p.stem for p in (SRC / "flexconn").glob("*.py") if p.stem != "__init__")
 
 
@@ -83,18 +91,23 @@ def test_every_parameter_is_read():
     assert [hit for name, tree in trees.items() for hit in _unread_parameters(name, tree)] == []
 
 
-def _references(tree, skip):
-    """Names read and attributes taken in `tree`, outside the node `skip`."""
+def _walk_outside(tree, skip):
+    """Every node of `tree` outside the node `skip`."""
     todo = [tree]
     while todo:
         node = todo.pop()
-        if node is skip:
-            continue
+        if node is not skip:
+            yield node
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _references(tree, skip):
+    """Names read and attributes taken in `tree`, outside the node `skip`."""
+    for node in _walk_outside(tree, skip):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
-        todo.extend(ast.iter_child_nodes(node))
 
 
 def test_every_private_function_has_a_caller():
@@ -150,3 +163,82 @@ def test_submodule_imports_first(module):
             f"import flexconn.{module}")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def _tracer_resolved():
+    """Every object `perfbench/tracer.py` looks up to reach a traced name:
+    the function, and for a method its class too."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    found = []
+    for module, attr in tracer.SPANNED + tracer.COUNTED:
+        owner = sys.modules[f"flexconn.{module}"]
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+            found.append(owner)
+    return found
+
+
+def _readme_names():
+    """The identifiers in the README's code spans and code blocks, the
+    blocks' `#` comments aside."""
+    text = (ROOT / "README.md").read_text()
+    return {word for span in re.findall(r"```.*?```|`[^`\n]+`", text, re.S)
+            for word in re.findall(r"[A-Za-z_]\w*", re.sub(r"#.*", "", span))}
+
+
+def _unread_public_names():
+    """The names exported by `flexconn/__init__.py` and the public members
+    of `LabeledGraph` that nothing reads.  An export counts as read when a
+    library module other than its defining one names it: a name only its
+    own module uses need not be exported.  A member counts as read when
+    library code outside its definition takes it as an attribute, unless
+    another library class defines a member of that name, since the AST
+    cannot tell the two apart.  Either also counts as read when the README
+    names it or the tracer resolves it."""
+    trees = _trees()
+    del trees["__init__.py"]
+    readme, traced = _readme_names(), _tracer_resolved()
+    init = ast.parse((SRC / "flexconn" / "__init__.py").read_text())
+    exported = [alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    graph_class = next(node for node in trees["graph.py"].body
+                       if isinstance(node, ast.ClassDef) and node.name == "LabeledGraph")
+    members, elsewhere = {}, set()
+    for tree in trees.values():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                name = (node.name if isinstance(node, ast.FunctionDef) else
+                        node.target.id if isinstance(node, ast.AnnAssign) else None)
+                if name is None:
+                    continue
+                if cls is graph_class:
+                    members[name] = node
+                else:
+                    elsewhere.add(name)
+    unread = []
+    for name in exported:
+        obj = getattr(flexconn, name)
+        home = obj.__module__.rsplit(".", 1)[-1] + ".py"
+        read = any(name in set(_references(tree, None)) for file, tree in trees.items()
+                   if file != home)
+        if not (read or name in readme or any(obj is t for t in traced)):
+            unread.append(name)
+    for name, node in members.items():
+        if name.startswith("_"):
+            continue
+        read = name not in elsewhere and any(
+            isinstance(n, ast.Attribute) and n.attr == name
+            for tree in trees.values() for n in _walk_outside(tree, node))
+        if not (read or name in readme or any(getattr(LabeledGraph, name, None) is t for t in traced)):
+            unread.append(f"LabeledGraph.{name}")
+    return unread
+
+
+def test_every_public_name_is_read():
+    """Checked mutant: the library with its former per-edge record API (a
+    record dataclass, a contraction result type, a vertex-set contraction,
+    and a record constructor and two record views on `LabeledGraph`), read
+    against this README, fails on exactly those six names."""
+    assert _unread_public_names() == []

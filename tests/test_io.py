@@ -20,7 +20,7 @@ class TestParse:
         assert g.n == 3 and g.m == 3
         assert inst.k == 1
         assert g.vertex_safe == (True, False, False)
-        assert [e.safe for e in g.edges] == [True, False, False]
+        assert g.edge_safe == (True, False, False)
 
     def test_missing_header(self):
         with pytest.raises(InputError):

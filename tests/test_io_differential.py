@@ -2,9 +2,8 @@
 
 The earlier form, copied below, stripped every line, tested for a comment,
 split it, and collected endpoint pairs and flags that `LabeledGraph.build`
-turned into `Edge` records and validated a second time.  The current one
-splits each line once, tests the `e` record first and fills the graph's edge
-columns directly.  On seeded instance files for all three problems, both
+validated a second time.  The current one splits each line once, tests the
+`e` record first and fills the graph's edge columns directly.  On seeded instance files for all three problems, both
 well-formed (comments, blank lines, odd whitespace, flags, a header k,
 parallel edges) and mutated (bad flags, out-of-range ids, self-loops, FVC
 duplicate edges, a missing or duplicate header, a wrong m, non-integer

@@ -32,7 +32,7 @@ import pytest
 from flexconn import exact
 from flexconn.errors import InfeasibleInstanceError
 from flexconn.exact import _minimum_feasible, exact_kecss, exact_solve, kecss_instance
-from flexconn.feasibility import Instance, checker_for, predicates_for
+from flexconn.feasibility import Instance, predicates_for
 from flexconn.fvc import solve_tree_case
 from flexconn.graph import (LabeledGraph, edge_connectivity_at_least,
                             is_connected, is_k_edge_connected)
@@ -185,7 +185,7 @@ class TestEdgeConnectivityCases:
 # ---------------------------------------------------------------------------
 
 def reference_minimum_feasible(g, predicate, lower_bound):
-    eids = sorted(g.edge_by_id)
+    eids = sorted(g.eids)
     m = len(eids)
     if not predicate(set(eids)):
         return None
@@ -226,7 +226,7 @@ def reference_exact_kecss(g, k):
     lb = max(g.n - 1, math.ceil(g.n * k / 2))
 
     def predicate(s):
-        triples = [(e, g.edge_by_id[e].u, g.edge_by_id[e].v) for e in s]
+        triples = [(e, *g.edge_ends[e]) for e in s]
         return (is_connected(range(g.n), triples)
                 and edge_connectivity_at_least(range(g.n), triples, k))
 
@@ -288,7 +288,7 @@ def reference_exact_solve(inst):
     else:
         forest = max_safe_forest(g)
         lb = _kfgc_lower_bound(g.n, len(forest), g.n - len(forest), inst.k)
-    checker = checker_for(inst)
+    checker = predicates_for(inst)[0]
     return reference_minimum_feasible(g, lambda s: checker(g, s), lb)
 
 

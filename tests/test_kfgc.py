@@ -50,8 +50,8 @@ class TestKecssPrune:
         while done < 12:
             base = random_connected(rng, rng.randint(3, 6), 0.7)
             # double a random subset of edges to create a multigraph
-            pairs = [(e.u, e.v) for e in base.edges]
-            pairs += [(e.u, e.v) for e in base.edges if rng.random() < 0.6]
+            pairs = list(base.ends)
+            pairs += [uv for uv in base.ends if rng.random() < 0.6]
             g = build(base.n, pairs)
             for k in (2, 3):
                 if not is_k_edge_connected(g, k):
@@ -123,7 +123,7 @@ class TestSolveKfgc:
         with pytest.raises(InputError, match="k must be a positive integer"):
             solve_kfgc(g, k)
         with pytest.raises(InputError, match="k must be a positive integer"):
-            check_kfgc(g, set(g.edge_by_id), k)
+            check_kfgc(g, set(g.eids), k)
 
     def test_random_vs_oracle(self):
         rng = random.Random(91)
@@ -131,7 +131,7 @@ class TestSolveKfgc:
         while done < 15:
             g = random_connected(rng, rng.randint(3, 7), 0.75, edge_safe_prob=0.6)
             for k in (1, 2):
-                if not check_kfgc(g, set(g.edge_by_id), k):
+                if not check_kfgc(g, set(g.eids), k):
                     continue
                 sol = solve_kfgc(g, k)
                 assert check_kfgc(g, sol.edge_ids, k)
@@ -147,15 +147,15 @@ class TestSolveKfgc:
         done = 0
         while done < 10:
             g = random_connected(rng, rng.randint(3, 6), 0.8, edge_safe_prob=0.5)
-            if not check_kfgc(g, set(g.edge_by_id), 2):
+            if not check_kfgc(g, set(g.eids), 2):
                 continue
             sol = solve_kfgc(g, 2)
-            safe_in = {e for e in sol.edge_ids if g.edge_by_id[e].safe}
-            sub = build(g.n, [(g.edge_by_id[e].u, g.edge_by_id[e].v) for e in sorted(sol.edge_ids)],
-                        edge_safe=[g.edge_by_id[e].safe for e in sorted(sol.edge_ids)])
+            safe_in = {e for e in sol.edge_ids if e not in g.unsafe_edge_set}
+            sub = build(g.n, [g.edge_ends[e] for e in sorted(sol.edge_ids)],
+                        edge_safe=[e not in g.unsafe_edge_set for e in sorted(sol.edge_ids)])
             res = contract_edges(sub, {i for i, e in enumerate(sorted(sol.edge_ids))
-                                       if g.edge_by_id[e].safe})
-            assert is_k_edge_connected(res.graph, 3)
+                                       if e not in g.unsafe_edge_set})
+            assert is_k_edge_connected(res, 3)
             done += 1
 
 

@@ -125,7 +125,7 @@ class TestAgainstNetworkx:
         for i in range(400):
             g = _random_labeled(rng, i % 13)
             keep = rng.uniform(0.4, 1.0)
-            chosen = {e for e in g.edge_by_id if rng.random() < keep}
+            chosen = {e for e in g.eids if rng.random() < keep}
             got = low_link(range(g.n), g.edge_ends, chosen)
             assert got == _reference(range(g.n), g.edge_ends, chosen), (g, chosen)
             seen_parallel += not g.is_simple
@@ -173,7 +173,7 @@ class TestBlocksAgainstNetworkx:
         for i in range(400):
             g = _random_labeled(rng, i % 13)
             keep = rng.uniform(0.4, 1.0)
-            chosen = {e for e in g.edge_by_id if rng.random() < keep}
+            chosen = {e for e in g.eids if rng.random() < keep}
             connected = _check_blocks(range(g.n), g.edge_ends, chosen)
             seen_connected += _check_blocks(range(g.n), g.edge_ends, g.edge_ends)
             seen_parallel += not g.is_simple
@@ -235,28 +235,27 @@ class TestBlockMergingEdge:
 
     @staticmethod
     def _sub(g, eids):
-        return LabeledGraph.from_edges(g.n, g.vertex_safe,
-                                       (e for e in g.edges if e.eid in eids))
+        return g.without_edges(set(g.eids) - eids)
 
     def test_random_spanning_subgraphs(self):
         rng = random.Random(3)
         merged = kept = 0
         for _ in range(100):
             g = random_connected(rng, rng.randint(3, 7), 0.6)
-            order = sorted(g.edges, key=lambda e: rng.random())
+            order = sorted(g.eids, key=lambda e: rng.random())
             sub = set()
             for e in order:
                 if low_link(range(g.n), g.edge_ends, sub)[0] < g.n or rng.random() < 0.2:
-                    sub.add(e.eid)
+                    sub.add(e)
             before = len(brute_force_blocks(self._sub(g, sub)))
             bl, _, touching = block_decomposition_edges(
                 range(g.n), [(k, *g.edge_ends[k]) for k in sub])
             assert len(bl) == before
-            for e in g.edges:
-                if e.eid in sub:
+            for e, (u, v) in zip(g.eids, g.ends):
+                if e in sub:
                     continue
-                share = bool(touching[e.u] & touching[e.v])
-                after = len(brute_force_blocks(self._sub(g, sub | {e.eid})))
+                share = bool(touching[u] & touching[v])
+                after = len(brute_force_blocks(self._sub(g, sub | {e})))
                 assert after == before if share else after < before, (g, sub, e)
                 merged += not share
                 kept += share
@@ -266,7 +265,7 @@ class TestBlockMergingEdge:
 # The checkers as they were defined before `low_link`.
 
 def _old_edge_triples(g, eids):
-    return [(eid, g.edge_by_id[eid].u, g.edge_by_id[eid].v) for eid in set(eids)]
+    return [(eid, *g.edge_ends[eid]) for eid in set(eids)]
 
 
 def _old_check_fgc(g, eids):
@@ -275,7 +274,7 @@ def _old_check_fgc(g, eids):
         return False
     bl, _ = reference_block_decomposition_edges(range(g.n), triples)
     bridges = {comp[0] for comp in bl if len(comp) == 1}
-    return all(g.edge_by_id[eid].safe for eid in bridges)
+    return all(eid not in g.unsafe_edge_set for eid in bridges)
 
 
 def _old_check_fvc(g, eids):
@@ -294,7 +293,7 @@ class TestCheckersAgainstOldDefinitions:
             g = _random_labeled(rng, 1 + i % 9)
             for _ in range(8):
                 keep = rng.uniform(0.5, 1.0)
-                chosen = {e for e in g.edge_by_id if rng.random() < keep}
+                chosen = {e for e in g.eids if rng.random() < keep}
                 fgc, fvc = check_fgc(g, chosen), check_fvc(g, chosen)
                 assert fgc == _old_check_fgc(g, chosen), (g, chosen)
                 assert fvc == _old_check_fvc(g, chosen), (g, chosen)

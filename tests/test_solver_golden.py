@@ -22,7 +22,7 @@ import os
 import random
 
 from flexconn.exact import exact_solve
-from flexconn.feasibility import Instance, checker_for
+from flexconn.feasibility import Instance, predicates_for
 from flexconn.fgc import solve_fgc
 from flexconn.io import write_solution
 from flexconn.kfgc import solve_kfgc
@@ -90,13 +90,13 @@ def _draw_corpus(seed=20261018):
             g = random_connected(rng, n, p, vertex_safe_prob=vprob,
                                  edge_safe_prob=eprob)
             inst = Instance(graph=g, problem=problem, k=k)
-            if not checker_for(inst)(g, set(g.edge_by_id)):
+            if not predicates_for(inst)[0](g, set(g.eids)):
                 continue
             made += 1
             corpus.append({
                 "kind": kind, "problem": problem, "k": k, "n": g.n,
                 "unsafe": [v for v in range(g.n) if not g.vertex_safe[v]],
-                "edges": [[e.u, e.v, int(e.safe)] for e in g.edges],
+                "edges": [[u, v, int(s)] for (u, v), s in zip(g.ends, g.edge_safe)],
                 "sha256": _digest(kind, inst),
             })
     return corpus
