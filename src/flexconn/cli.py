@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--k", type=int, default=None)
     p_solve.add_argument("--exact-cap", type=int, default=None,
                          help="fgc/kfgc: exact kECSS subsolver up to this many "
-                              "vertices, prune heuristic above (defaults 12 / 10)")
+                              "vertices, prune heuristic above (defaults 12 / 10); "
+                              "ignored for fvc, with a warning")
     add_io(p_solve)
 
     p_exact = sub.add_parser("exact", help="force the brute-force oracle")
@@ -123,6 +124,8 @@ def _load_instance(args, problem: str, k) -> Instance:
 
 def _cmd_solve(args) -> int:
     inst = _load_instance(args, args.problem, args.k)
+    if args.exact_cap is not None and inst.problem == "fvc":
+        sys.stderr.write("flexconn: warning: --exact-cap is ignored for FVC\n")
     sol = solve(inst, None if args.exact_cap is None else KecssSolverHandle(cap_n=args.exact_cap))
     sol.meta["feasible"] = True    # each solver certifies the set it returns
     _emit(write_solution(sol), args.output)

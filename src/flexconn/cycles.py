@@ -9,31 +9,30 @@ large part must differ), and patching the result back.  No returned cycle
 is re-checked: ``is_good_cycle`` below is the validator tests hold them to.
 
 Algorithm 1 buys good cycles from one partition that each cycle coarsens,
-so ``GoodCycleSearch`` keeps that partition, each vertex's part, and the
-singletons' neighbour lists across its rounds; a bought cycle merges the
-parts it touches, which is exactly the recount, so the cycles found do not
-change.  ``find_good_cycle`` is one round of it.  A round costs the
-singletons' neighbourhoods plus the vertices the search visits, not a pass
-over every edge of ``g``: the cross edges of a vertex are built from
-``g.incidence`` when the search first reaches it, sorted by (other end,
-edge id), and that order fixes which cycle is returned.
+so ``GoodCycleSearch`` keeps that partition and its coarsening across its
+rounds.  A bought cycle merges the parts it touches, which is exactly the
+recount, and the coarsening is updated only where that merge reaches, so
+the cycles found do not change.  ``find_good_cycle`` is one round of it.
+
+A round costs what it changes plus what its search visits, not a pass over
+the singletons or the edges of ``g``.  What it changes: the vertices that
+move to another coarse part, their neighbours, and the F1 groups that lose
+a member (such a group is walked again unless what is left of it touches
+the lost members at one vertex only).  What the search visits: it leaves a
+part only at vertices with an edge to another part, which each part keeps
+a set of, and the cross edges of a vertex are built from ``g.incidence``
+the first time the search reaches it and kept, sorted by (other end, edge
+id); that order fixes which cycle is returned.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from itertools import count
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import require
 from .graph import LabeledGraph, UnionFind
-
-
-@dataclass(frozen=True)
-class _Part:
-    vertices: FrozenSet[int]
-    kind: str                          # "F0" | "F1" | "F2" | "A0"
-    large_sub: Optional[FrozenSet[int]] = None   # for F2: the large part inside
 
 
 def is_good_cycle(parts: Sequence[FrozenSet[int]],
@@ -92,134 +91,259 @@ def find_good_cycle(g: LabeledGraph, vd: Set[int],
 
 
 class GoodCycleSearch:
-    """Algorithm 1's state: the parts keyed by their smallest vertex, each
-    vertex's key, and the singletons' V(D)-neighbour lists (keyed by the
-    singletons).  `merge` joins exactly the parts a bought cycle touches:
-    the cycle connects them, so that is the recount of the partition."""
+    """Algorithm 1's state: the partition and its coarsening, both kept
+    across rounds.
+
+    The parts are keyed by their smallest vertex; the singletons carry
+    their V(D)-neighbour lists in `nbr`.  The coarsening merges adjacent
+    singletons into F1 groups (`groups`) and lets each large part grab the
+    other singletons with two distinct edges into it (a singleton with two
+    edges into several large parts goes to the one with the lowest key).
+    `coarse_of` maps each covered vertex to its coarse part: the key of its
+    large part (also for a grabbed singleton), itself for an A0 singleton,
+    or the negative id of its F1 group.  A group keeps its id when it
+    splits, so its largest piece is not relabelled.  `bnd` holds, per
+    coarse part, a superset of its vertices with an edge to another part,
+    the only ones the search can leave it at: a vertex is added when it
+    gains such an edge, as it moves in or a neighbour moves out, and the
+    search drops the ones it finds without one.
+
+    `merge` joins exactly the parts a bought cycle touches (the cycle
+    connects them, so that is the recount of the partition) and updates
+    only the coarsening that the join can change: the F1 groups that lost
+    a member, and the grab of each singleton next to a vertex whose part
+    changed.  Singletons only leave the partition and parts only grow, so
+    no other group or grab moves.
+    """
 
     def __init__(self, g: LabeledGraph, vd: Set[int], parts: Iterable[Iterable[int]]):
         self.g = g
-        self.parts: Dict[int, FrozenSet[int]] = {}
-        self.part_of: Dict[int, int] = {}
+        self.parts: Dict[int, Set[int]] = {}
+        self.coarse_of: Dict[int, int] = {}
         for p in parts:
-            p = frozenset(p)
+            p = set(p)
             key = min(p)
             self.parts[key] = p
-            self.part_of.update(dict.fromkeys(p, key))
+            self.coarse_of.update(dict.fromkeys(p, key))
         self.nbr = {v: [w for w in g.neighbors(v) if w in vd]
                     for v, p in self.parts.items() if len(p) == 1}
+        self.groups: Dict[int, Set[int]] = {}
+        self.order = sorted(self.coarse_of)
+        self.cross = _CrossEdges(g, self.coarse_of)
+        self.bnd: Dict[int, Set[int]] = {}
+        self._group_ids = count(-1, -1)
+        _coarsen(self)
 
     def find(self) -> Optional[Set[int]]:
         """A good cycle of the current parts, or None exactly when none can
         exist: no large part, or one and no two adjacent singletons."""
-        g, nbr = self.g, self.nbr
-        larges = len(self.parts) - len(nbr)
-        if not larges:
+        larges = len(self.parts) - len(self.nbr)
+        if not larges or (larges == 1 and not self.groups):
             return None
-        if larges == 1 and all(nbr.keys().isdisjoint(ws) for ws in nbr.values()):
-            return None
-        coarse = _coarsen(self.parts, self.part_of, nbr)
-        require(len(coarse) >= 2, "coarsened partition must have >= 2 parts")
-        part_of = {v: i for i, p in enumerate(coarse) for v in p.vertices}
-        nice = _find_nice_cycle(g, coarse, part_of)
+        nice = _find_nice_cycle(self)
         require(nice is not None, "a nice cycle must exist on a 2VC graph")
-        return _augment_to_good_cycle(g, coarse, part_of, nice)
+        return _augment_to_good_cycle(self, nice)
 
     def merge(self, cycle: Iterable[int]) -> None:
-        """Join the parts that the edges of a found cycle touch."""
-        ends, part_of = self.g.edge_ends, self.part_of
-        keys = {part_of[x] for eid in cycle for x in ends[eid]}
+        """Join the parts that the edges of a found cycle touch, and update
+        the coarsening around them."""
+        ends, coarse_of, nbr, parts = self.g.edge_ends, self.coarse_of, self.nbr, self.parts
+        keys = {x if x in nbr else coarse_of[x] for eid in cycle for x in ends[eid]}
         key = min(keys)
-        merged = set(self.parts[key])
-        for k in keys - {key}:
-            p = self.parts.pop(k)
-            merged |= p
-            part_of.update(dict.fromkeys(p, key))
-        self.parts[key] = frozenset(merged)
+        touched = [k for k in keys if k in nbr]
+        lost: Dict[int, Set[int]] = {}     # F1 group id -> its members in the cycle
+        for v in touched:
+            if coarse_of[v] in self.groups:
+                lost.setdefault(coarse_of[v], set()).add(v)
+        stale: Set[int] = set()        # singletons whose grab may have moved
+        neighbor_sets, singles = self.g.neighbor_sets, nbr.keys()
+        merged = max((parts[k] for k in keys), key=len)
         for k in keys:
-            self.nbr.pop(k, None)
+            p = parts.pop(k)
+            if k != key or k in nbr:
+                for v in p:
+                    _move(self, v, key)
+                    stale |= singles & neighbor_sets[v]
+            if p is not merged:
+                merged |= p
+        parts[key] = merged
+        for v in touched:
+            del nbr[v]
+        for gid, gone in lost.items():
+            _split_group(self, gid, gone)
+        for v in stale - keys:
+            if coarse_of[v] not in self.groups:
+                _move(self, v, _grab_key(self, v))
 
 
-def _coarsen(parts: Dict[int, FrozenSet[int]], part_of: Dict[int, int],
-             nbr: Dict[int, List[int]]) -> List[_Part]:
-    """Merge adjacent singletons (F1) and absorb, into each large part, the
-    singletons holding two distinct edges into it (F2); a singleton with two
-    edges into several large parts goes to the one with the lowest vertex.
-    Parts are keyed by their lowest vertex; `nbr` holds the singletons."""
-    a1 = {v for v, ws in nbr.items() if not nbr.keys().isdisjoint(ws)}
-    f1_groups: List[FrozenSet[int]] = []
-    left = set(a1)
+def _move(search: GoodCycleSearch, v: int, cid: int) -> None:
+    """Put v in coarse part `cid`.  Its neighbours left in its old part
+    gain an edge to another part, and v is marked if it has one."""
+    coarse_of, bnd = search.coarse_of, search.bnd
+    old = coarse_of[v]
+    if old == cid:
+        return
+    coarse_of[v] = cid
+    left = bnd[old]
+    left.discard(v)
+    out = False
+    for w in search.g.neighbor_sets[v]:
+        cw = coarse_of.get(w)
+        if cw == old:
+            left.add(w)
+            out = True
+        elif cw != cid and cw is not None:
+            out = True
+    joined = bnd.setdefault(cid, set())
+    if out:
+        joined.add(v)
+
+
+def _coarsen(search: GoodCycleSearch) -> None:
+    """The full coarsening, run once per search: each component of two or
+    more singletons under singleton adjacency is an F1 group, and each
+    other singleton is grabbed by a large part or stays A0.  Then each
+    vertex with an edge to another part is marked in `bnd`."""
+    nbr, coarse_of = search.nbr, search.coarse_of
+    for comp in _components(nbr, set(nbr)):
+        if len(comp) > 1:
+            gid = next(search._group_ids)
+            search.groups[gid] = comp
+            coarse_of.update(dict.fromkeys(comp, gid))
+            continue
+        v, = comp
+        coarse_of[v] = _grab_key(search, v)
+    bnd, neighbor_sets = search.bnd, search.g.neighbor_sets
+    for v, cid in coarse_of.items():
+        bnd.setdefault(cid, set())
+        if any(coarse_of.get(w, cid) != cid for w in neighbor_sets[v]):
+            bnd[cid].add(v)
+
+
+def _components(nbr: Dict[int, List[int]], left: Set[int]):
+    """The components of the singletons in `left` under singleton adjacency,
+    consuming `left`; it must hold every singleton neighbour of its
+    members."""
     while left:
-        seed = min(left)
+        seed = left.pop()
         comp = {seed}
         queue = deque([seed])
         while queue:
-            x = queue.popleft()
-            for y in nbr[x]:
-                if y in a1 and y not in comp:
+            for y in nbr[queue.popleft()]:
+                if y in left:
+                    left.discard(y)
                     comp.add(y)
                     queue.append(y)
-        f1_groups.append(frozenset(comp))
-        left -= comp
+        yield comp
 
-    grabbed: Dict[int, Set[int]] = {}
-    a0: List[int] = []
-    for v, ws in nbr.items():
-        if v in a1:
+
+def _split_group(search: GoodCycleSearch, gid: int, gone: Set[int]) -> None:
+    """Take the singletons `gone` out of F1 group `gid` and split the rest
+    into its components.  The largest keeps the id, so its vertices do not
+    move; the others become new groups, or are grabbed when they are one
+    vertex.
+
+    Every piece left holds a neighbour of `gone`, since the group was
+    connected.  So the rest is one piece, and is not walked to the end,
+    when a search from one such neighbour reaches all the others."""
+    nbr, members = search.nbr, search.groups[gid]
+    members -= gone
+    seeds = {w for r in gone for w in search.g.neighbor_sets[r] if w in members}
+    first = _unless_connected(nbr, members, seeds)
+    comps = [members] if first is None else [first, *_components(nbr, members - first)]
+    keep = max(comps, key=len)
+    if len(keep) > 1:
+        search.groups[gid] = keep
+    else:
+        del search.groups[gid]
+    for comp in comps:
+        if comp is keep and len(keep) > 1:
             continue
-        hits: Dict[int, int] = {}
-        for w in ws:
-            if w not in nbr and w in part_of:
-                hits[part_of[w]] = hits.get(part_of[w], 0) + 1
-        key = min((key for key, c in hits.items() if c >= 2), default=None)
-        if key is None:
-            a0.append(v)
-        else:
-            grabbed.setdefault(key, set()).add(v)
-    coarse = [_Part(L | grabbed[key], "F2", L) if key in grabbed else _Part(L, "F0", None)
-              for key, L in parts.items() if key not in nbr]
-    coarse += [_Part(grp, "F1", None) for grp in f1_groups]
-    coarse += [_Part(frozenset({v}), "A0", None) for v in a0]
-    return sorted(coarse, key=lambda p: min(p.vertices))
+        if len(comp) == 1:
+            v, = comp
+            _move(search, v, _grab_key(search, v))
+        elif comp:
+            new = next(search._group_ids)
+            search.groups[new] = comp
+            for v in comp:
+                _move(search, v, new)
+
+
+def _unless_connected(nbr: Dict[int, List[int]], members: Set[int],
+                      seeds: Set[int]) -> Optional[Set[int]]:
+    """None if one breadth-first search in `members` from the lowest seed
+    reaches every seed, else the component it walked."""
+    if len(seeds) < 2:
+        return None
+    start = min(seeds)
+    missing = seeds - {start}
+    reached = {start}
+    queue = deque([start])
+    while queue:
+        for y in nbr[queue.popleft()]:
+            if y in members and y not in reached:
+                reached.add(y)
+                queue.append(y)
+                missing.discard(y)
+                if not missing:
+                    return None
+    return reached
+
+
+def _grab_key(search: GoodCycleSearch, v: int) -> int:
+    """The coarse part of the singleton v, which has no singleton neighbour:
+    the large part with the lowest key that holds two neighbours of v (it
+    grabs v), or v itself (A0) if there is none."""
+    nbr, coarse_of = search.nbr, search.coarse_of
+    hits: Dict[int, int] = {}
+    for w in nbr[v]:
+        if w not in nbr and w in coarse_of:
+            hits[coarse_of[w]] = hits.get(coarse_of[w], 0) + 1
+    return min((key for key, c in hits.items() if c >= 2), default=v)
 
 
 class _CrossEdges(dict):
-    """Per vertex, its (other end, edge id, other part) cross edges, sorted;
-    built from `g.incidence` the first time the search asks for them."""
+    """Per vertex, its (other end, edge id) edges to covered vertices,
+    sorted; built from `g.incidence` the first time the search asks for
+    them and kept for every later round.  The other end's coarse part is
+    read when an edge is walked, so a merge changes no list."""
 
-    def __init__(self, g: LabeledGraph, part_of: Dict[int, int]):
+    def __init__(self, g: LabeledGraph, coarse_of: Dict[int, int]):
         super().__init__()
         self.incidence = g.incidence
-        self.part_of = part_of
+        self.coarse_of = coarse_of
 
-    def __missing__(self, v: int) -> List[Tuple[int, int, int]]:
-        part_of, own = self.part_of, self.part_of[v]
-        out = self[v] = sorted((w, eid, part_of[w]) for w, eid in self.incidence[v]
-                               if w in part_of and part_of[w] != own)
+    def __missing__(self, v: int) -> List[Tuple[int, int]]:
+        coarse_of = self.coarse_of
+        out = self[v] = sorted((w, eid) for w, eid in self.incidence[v] if w in coarse_of)
         return out
 
 
-def _find_nice_cycle(g: LabeledGraph, coarse: Sequence[_Part], part_of: Dict[int, int]):
+def _find_nice_cycle(search: GoodCycleSearch):
     """Backtracking search for a cycle over coarse parts whose two attachment
     vertices differ inside every non-singleton part.
 
-    Returns (edge ids, attachments per part index) or None.  The search walks
-    cross edges lowest-first; a part may carry one internal "transit" from its
-    entry vertex to a different exit vertex.
+    Returns [(edge id, exit, entry)] or None.  Start parts are taken in the
+    order of their lowest vertex, and the search walks cross edges
+    lowest-first; a part may carry one internal "transit" from its entry
+    vertex to a different exit vertex.
     """
-    cross = _CrossEdges(g, part_of)
-    for start_idx in range(len(coarse)):
-        for a0 in sorted(coarse[start_idx].vertices):
-            for (c, eid, r) in cross[a0]:
-                found = _extend_cycle(coarse, cross, start_idx, a0,
-                                      [(eid, a0, c)], {start_idx, r}, r, c)
-                if found is not None:
-                    return found
+    coarse_of = search.coarse_of
+    tried: Set[int] = set()
+    for v in search.order:
+        start = coarse_of[v]
+        if start in tried:
+            continue
+        tried.add(start)
+        for a0, c, eid, r in _leaving(search, start, sorted(search.bnd[start])):
+            found = _extend_cycle(search, start, a0, (eid, a0, c), r, c)
+            if found is not None:
+                return found
     return None
 
 
-def _extend_cycle(coarse, cross, start_idx, start_exit,
-                  path_edges, visited, cur_idx, cur_entry):
+def _extend_cycle(search: GoodCycleSearch, start: int, start_exit: int,
+                  first_edge, cur: int, cur_entry: int):
     """Depth-first extension of a path of parts back to the start part.
 
     Iterative, with one frame per part on the path, so a cycle through
@@ -228,91 +352,105 @@ def _extend_cycle(coarse, cross, start_idx, start_exit,
     step into an unvisited part opens a new frame, and an exhausted frame
     takes its part off the path again.
     """
-    big_start = len(coarse[start_idx].vertices) >= 2
-    path = list(path_edges)
-    visited = set(visited)
-    # frames: (move iterator of a part, that part's index)
-    stack = [(_moves(coarse, cross, cur_idx, cur_entry), cur_idx)]
+    big_start = _is_big(search, start)
+    path = [first_edge]
+    visited = {start, cur}
+    # frames: (move iterator of a part, that part's key)
+    stack = [(_moves(search, cur, cur_entry), cur)]
     while stack:
-        for a, (c, eid, r) in stack[-1][0]:
-            if r == start_idx:
+        for a, c, eid, r in stack[-1][0]:
+            if r == start:
                 if big_start and c == start_exit:
                     continue
                 if not big_start and c != start_exit:
                     continue
-                if len(path) == 1 and eid == path[0][0]:
+                if len(path) == 1 and eid == first_edge[0]:
                     continue
                 return path + [(eid, a, c)]
             if r in visited:
                 continue
             path.append((eid, a, c))
             visited.add(r)
-            stack.append((_moves(coarse, cross, r, c), r))
+            stack.append((_moves(search, r, c), r))
             break
         else:
-            _, idx = stack.pop()
+            _, cid = stack.pop()
             if stack:
                 path.pop()
-                visited.discard(idx)
+                visited.discard(cid)
     return None
 
 
-def _moves(coarse, cross, idx: int, entry: int):
-    """(exit vertex, cross edge) pairs leaving part idx entered at `entry`."""
-    for a in _exit_choices(coarse[idx], entry):
-        for step in cross[a]:
-            yield a, step
+def _is_big(search: GoodCycleSearch, cid: int) -> bool:
+    """Whether coarse part `cid` has two or more vertices (is not A0)."""
+    return cid not in search.nbr
 
 
-def _exit_choices(part: _Part, entry: int):
-    if len(part.vertices) == 1:
-        yield entry
-        return
-    for v in sorted(part.vertices):
-        if v != entry:
-            yield v
+def _moves(search: GoodCycleSearch, cid: int, entry: int):
+    """The cross edges leaving part `cid` entered at `entry`; a part with
+    two or more vertices is left at any vertex but its entry."""
+    if _is_big(search, cid):
+        return _leaving(search, cid, [a for a in sorted(search.bnd[cid]) if a != entry])
+    return _leaving(search, cid, (entry,))
 
 
-def _augment_to_good_cycle(g: LabeledGraph, coarse: Sequence[_Part],
-                           part_of: Dict[int, int], nice) -> Set[int]:
+def _leaving(search: GoodCycleSearch, cid: int, exits):
+    """(exit vertex, other end, edge id, other part) of the cross edges of
+    part `cid` at the given exits, in order; an exit found with none is
+    dropped from `bnd`."""
+    cross, coarse_of = search.cross, search.coarse_of
+    for a in exits:
+        bare = True
+        for c, eid in cross[a]:
+            r = coarse_of[c]
+            if r != cid:
+                bare = False
+                yield a, c, eid, r
+        if bare:
+            search.bnd[cid].discard(a)
+
+
+def _augment_to_good_cycle(search: GoodCycleSearch, nice) -> Set[int]:
+    g, coarse_of = search.g, search.coarse_of
     out = {eid for eid, _, _ in nice}
     attach: Dict[int, List[int]] = {}
     for eid, u, v in nice:
-        attach.setdefault(part_of[u], []).append(u)
-        attach.setdefault(part_of[v], []).append(v)
-    for idx, pts in attach.items():
-        part = coarse[idx]
-        if part.kind in ("A0", "F0"):
-            continue
+        attach.setdefault(coarse_of[u], []).append(u)
+        attach.setdefault(coarse_of[v], []).append(v)
+    for cid, pts in attach.items():
+        if cid in search.nbr:
+            continue                   # A0
         require(len(pts) == 2, "nice cycle must meet each part exactly twice")
         x, y = pts
-        if part.kind == "F1":
+        group = search.groups.get(cid)
+        if group is not None:
             require(x != y, "distinct attachments required inside a merged group")
-            out |= _path_edge_ids(g, part.vertices, x, y)
-        else:  # F2
-            L = part.large_sub
-            if x in L and y in L:
-                continue
-            if y in L:
-                x, y = y, x
-            if x in L:
-                w = min(w for w in g.neighbor_sets[y] if w in L and w != x)
-                out.add(g.edge_between(y, w))
-            else:
-                w1 = min(w for w in g.neighbor_sets[x] if w in L)
-                w2 = min(w for w in g.neighbor_sets[y] if w in L and w != w1)
-                out.add(g.edge_between(x, w1))
-                out.add(g.edge_between(y, w2))
+            out |= _path_edge_ids(g, group, x, y)
+            continue
+        L = search.parts[cid]          # the large part, maybe with grabbed singletons
+        if x in L and y in L:
+            continue
+        if y in L:
+            x, y = y, x
+        if x in L:
+            w = min(w for w in g.neighbor_sets[y] if w in L and w != x)
+            out.add(g.edge_between(y, w))
+        else:
+            w1 = min(w for w in g.neighbor_sets[x] if w in L)
+            w2 = min(w for w in g.neighbor_sets[y] if w in L and w != w1)
+            out.add(g.edge_between(x, w1))
+            out.add(g.edge_between(y, w2))
     return out
 
 
-def _path_edge_ids(g: LabeledGraph, inside: FrozenSet[int], x: int, y: int) -> Set[int]:
+def _path_edge_ids(g: LabeledGraph, inside: Set[int], x: int, y: int) -> Set[int]:
+    """Edge ids of the path from x to y in the breadth-first tree of
+    `inside` grown from x with sorted adjacency.  The tree edge into y is
+    fixed when y is first reached, so the search stops there."""
     parent: Dict[int, Optional[int]] = {x: None}
     queue = deque([x])
-    while queue:
+    while queue and y not in parent:
         v = queue.popleft()
-        if v == y:
-            break
         for w in g.neighbors(v):
             if w in inside and w not in parent:
                 parent[w] = v

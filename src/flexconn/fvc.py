@@ -340,7 +340,7 @@ def algorithm1_buy_good_cycles(g: LabeledGraph, vd: FrozenSet[int],
         require(not (cyc & s1), "a good cycle must consist of new edges")
         s1 |= cyc
         search.merge(cyc)
-    larges = [c for c in search.parts.values() if len(c) >= 2]
+    larges = [frozenset(c) for c in search.parts.values() if len(c) >= 2]
     require(len(larges) == 1, "exactly one large component must remain")
     a = larges[0]
     x1 = frozenset(rainbow.singletons & a)

@@ -65,6 +65,20 @@ def random_connected(rng, n, p, vertex_safe_prob=1.0, edge_safe_prob=1.0):
             return build(n, pairs, vertex_safe=vs, edge_safe=es)
 
 
+def fvc_chord_cycle(n, seed):
+    """The FVC scale family: the Hamiltonian cycle 0..n-1 plus random
+    chords up to n + n//2 distinct edges, each vertex safe with probability
+    0.15.  The graph is 2VC, so it is feasible, and on the sizes drawn here
+    it is one apx2 piece."""
+    rng = random.Random(seed)
+    pairs = {(min(v, (v + 1) % n), max(v, (v + 1) % n)) for v in range(n)}
+    while len(pairs) < n + n // 2:
+        a, b = rng.sample(range(n), 2)
+        pairs.add((min(a, b), max(a, b)))
+    vertex_safe = [rng.random() < 0.15 for _ in range(n)]
+    return build(n, sorted(pairs), vertex_safe=vertex_safe)
+
+
 def brute_force_blocks(g):
     """Maximal connected cut-vertex-free edge subsets, straight from the
     block definition; exponential, for small graphs only."""

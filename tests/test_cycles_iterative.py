@@ -1,11 +1,14 @@
 """The iterative nice-cycle extension against the recursive one it replaced.
 
-`reference_extend_cycle` is the recursive `cycles._extend_cycle`, kept
-verbatim but for the unused `part_of` parameter, which both have dropped.
-Every call the library makes while finding good cycles on random
-2-vertex-connected graphs is answered by both, and the answers must agree.
-A ring of 300 two-vertex parts needs a path through all of them, which the
-recursive version cannot build under a tight recursion limit.
+`reference_extend_cycle` is the recursive `cycles._extend_cycle`.  It
+takes the library's arguments (the search state, the start part, its exit,
+the first edge, and the part entered with its entry vertex) and reads the
+coarse parts from `coarse_of` alone: it lists each part's vertices and
+cross edges itself.  Every call the library makes while finding good
+cycles on random 2-vertex-connected graphs is answered by both, and the
+answers must agree.  A ring of 300 two-vertex parts needs a path through
+all of them, which the recursive version cannot build under a tight
+recursion limit.
 """
 
 import random
@@ -21,27 +24,34 @@ from conftest import build, random_connected
 DEAD_ENDS = []   # parts at which the reference gave up, at any depth
 
 
-def reference_extend_cycle(coarse, cross, start_idx, start_exit,
-                           path_edges, visited, cur_idx, cur_entry):
-    for a in cycles._exit_choices(coarse[cur_idx], cur_entry):
-        for (c, eid, r) in cross[a]:
-            if r == start_idx:
-                big_start = len(coarse[start_idx].vertices) >= 2
+def reference_extend_cycle(search, start, start_exit, first_edge, cur, cur_entry,
+                           path_edges=None, visited=None):
+    g, coarse_of = search.g, search.coarse_of
+    path_edges = path_edges or [first_edge]
+    visited = visited or {start, cur}
+    members = sorted(v for v in coarse_of if coarse_of[v] == cur)
+    exits = [a for a in members if a != cur_entry] if len(members) >= 2 else [cur_entry]
+    for a in exits:
+        cross = sorted((w, eid) for w, eid in g.incidence[a]
+                       if w in coarse_of and coarse_of[w] != cur)
+        for c, eid in cross:
+            r = coarse_of[c]
+            if r == start:
+                big_start = sum(1 for v in coarse_of if coarse_of[v] == start) >= 2
                 if big_start and c == start_exit:
                     continue
                 if not big_start and c != start_exit:
                     continue
                 if len(path_edges) == 1 and eid == path_edges[0][0]:
                     continue
-                edges = path_edges + [(eid, a, c)]
-                return [(e, u, v) for e, u, v in edges]
+                return path_edges + [(eid, a, c)]
             if r in visited:
                 continue
-            found = reference_extend_cycle(coarse, cross, start_idx, start_exit,
-                                           path_edges + [(eid, a, c)], visited | {r}, r, c)
+            found = reference_extend_cycle(search, start, start_exit, first_edge, r, c,
+                                           path_edges + [(eid, a, c)], visited | {r})
             if found is not None:
                 return found
-    DEAD_ENDS.append(cur_idx)
+    DEAD_ENDS.append(cur)
     return None
 
 

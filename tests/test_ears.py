@@ -26,7 +26,7 @@ class TestInitialCycle:
     def test_fix_a_decomposition(self, fix_a):
         dec = build_long_ear_decomposition(fix_a)
         assert dec.ears == ((0, 1, 2, 3),)
-        assert find_potential_open_ear_ge4(fix_a, dec) is None
+        assert find_potential_open_ear_ge4(fix_a, dec.vertices, sorted(dec.vertices)) is None
 
     def test_too_small_rejected(self):
         g = build(3, [(0, 1), (1, 2), (0, 2)])
@@ -46,12 +46,12 @@ class TestPotentialEar:
         assert dec.ears[0] == (0, 1, 2, 3)
         # the complementary arc comes back as one length-5 open ear
         assert dec.ears[1] == (0, 7, 6, 5, 4, 3)
-        assert find_potential_open_ear_ge4(g, dec) is None
+        assert find_potential_open_ear_ge4(g, dec.vertices, sorted(dec.vertices)) is None
 
     def test_whole_graph_has_no_further_ear(self):
         g = build(5, [(i, (i + 1) % 5) for i in range(5)])
         dec = build_long_ear_decomposition(g)
-        assert find_potential_open_ear_ge4(g, dec) is None
+        assert find_potential_open_ear_ge4(g, dec.vertices, sorted(dec.vertices)) is None
 
 
 class TestInvariants:
@@ -84,9 +84,10 @@ class TestInvariants:
         """The build checks only the O(1) size bound; this test holds the
         scan it used to run on every decomposition: on a 2VC graph with no
         forbidden cycle, the edges outside V(D) form a matching.  Checked
-        mutant: `find_potential_open_ear_ge4` trying ears from the lowest
-        decomposition vertex only (`sorted(vd)[:1]`) stops the build early;
-        the size bound still holds, and this test fails."""
+        mutant: `find_potential_open_ear_ge4` giving up when the lowest
+        start on its heap fails, instead of popping it and trying the next,
+        stops the build early; the size bound still holds, and this test
+        fails."""
         rng = random.Random(7007)
         done = grew = 0
         while done < 120:
@@ -106,11 +107,12 @@ class TestInvariants:
         ear an open path of >= 4 edges of g whose two ends, and only those,
         lie on earlier ears.  The build does not re-check its ears; this
         test does, on a fixture and on every piece of a seeded fvc-scale
-        corpus.  Checked mutants of `find_potential_open_ear_ge4`: skipping
-        y3 only when `y3 in (x, y1)` lets ears run through V(D), and the
-        build's own size bound then fails on every corpus piece; blocking
-        only x and y1 on the tail path lets an ear come back through y2,
-        which the size bound lets pass and this test does not."""
+        corpus.  Checked mutants of `_ear_at`, the scan of one start by
+        `find_potential_open_ear_ge4`: skipping y3 only when
+        `y3 in (x, y1)` lets ears run through V(D), and the build's own size
+        bound then fails on every corpus piece; blocking only x and y1 on
+        the tail path lets an ear come back through y2, which the size
+        bound lets pass and this test does not."""
         pairs = [(i, (i + 1) % 8) for i in range(8)] + [(3, 0), (1, 6)]
         grew = 0
         for g in (build(8, pairs),) + fvc_scale_pieces():

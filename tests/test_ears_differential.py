@@ -4,8 +4,13 @@ definitions.
 `reference_shortest_long_cycle` is the exhaustive search: one unbounded BFS
 per (vertex, neighbour pair), followed by a recursive lexicographic DFS.
 `reference_find_forbidden_cycle` compares every pair of degree-2 vertices.
-The library versions must return the same tuples and raise the same
-`InputError` messages on every graph drawn here.
+`reference_long_ear_decomposition` is the ear loop as it was before it kept
+state between ears: it rebuilds V(D) for every ear and scans every vertex of
+V(D) as a start, lowest first, and its first cycle comes from the
+exhaustive search above, which tries every start vertex.  The library
+versions must return the same tuples (for the ear loop, the same ears in
+the same order) and raise the same `InputError` messages on every graph
+drawn here.
 """
 
 import random
@@ -13,10 +18,11 @@ from collections import deque
 
 import pytest
 
-from flexconn.ears import find_forbidden_cycle, shortest_long_cycle
+from flexconn.ears import build_long_ear_decomposition, find_forbidden_cycle, shortest_long_cycle
 from flexconn.errors import InputError
+from flexconn.graph import cut_vertices, is_connected
 
-from conftest import build
+from conftest import build, fvc_chord_cycle
 
 
 def reference_shortest_long_cycle(g):
@@ -104,6 +110,59 @@ def reference_find_forbidden_cycle(g):
                 u, v = sorted(g.neighbor_sets[w])
                 return (u, w, v, z)
     return None
+
+
+def reference_long_ear_decomposition(g):
+    if g.n < 4:
+        raise InputError("need at least 4 vertices")
+    if not g.is_simple:
+        raise InputError("graph must be simple")
+    triples = [(e, u, v) for e, (u, v) in zip(g.eids, g.ends)]
+    if g.n < 3 or not is_connected(range(g.n), triples) or cut_vertices(g):
+        raise InputError("graph must be 2-vertex-connected")
+    ears = [reference_shortest_long_cycle(g)]
+    while True:
+        ear = _reference_open_ear(g, {v for ear in ears for v in ear})
+        if ear is None:
+            return tuple(ears)
+        ears.append(ear)
+
+
+def _reference_open_ear(g, vd):
+    """The first (x, y1, y2, y3) in lexicographic order, x in vd and the y_i
+    outside, whose y3 reaches vd - {x} avoiding x, y1, y2 through vertices
+    outside vd; the ear ends with the first such shortest path found."""
+    for x in sorted(vd):
+        for y1 in sorted(g.neighbor_sets[x] - vd):
+            for y2 in sorted(g.neighbor_sets[y1] - vd - {x}):
+                for y3 in sorted(g.neighbor_sets[y2] - vd - {x, y1}):
+                    tail = _reference_tail(g, y3, vd - {x}, {x, y1, y2}, vd)
+                    if tail is not None:
+                        return (x, y1, y2) + tail
+    return None
+
+
+def _reference_tail(g, start, targets, blocked, outside):
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for y in sorted(g.neighbor_sets[x]):
+            if y in blocked or y in parent:
+                continue
+            parent[y] = x
+            if y in targets:
+                path = [y]
+                while path[-1] != start:
+                    path.append(parent[path[-1]])
+                return tuple(reversed(path))
+            if y not in outside:
+                queue.append(y)
+    return None
+
+
+def _ears(g):
+    return build_long_ear_decomposition(g).ears
 
 
 def _outcome(fn, g):
@@ -229,3 +288,45 @@ def test_find_forbidden_cycle_matches_reference(seed):
         assert got == _outcome(reference_find_forbidden_cycle, g), g
         found += got[1] is not None
     assert found >= 50
+
+
+def _relabel(rng, g):
+    return _relabelled(rng, g.n, list(g.ends))
+
+
+def _chord_cycles():
+    """The chord-cycle scale family at n <= 200, and a relabelled copy of
+    each, so the start order is not the cycle order."""
+    rng = random.Random(2026)
+    for n in (8, 20, 50, 100, 200):
+        for seed in (1, 2, 3):
+            g = fvc_chord_cycle(n, seed)
+            yield g
+            yield _relabel(rng, g)
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_ear_decomposition_matches_reference(seed):
+    """Whole decompositions, ear by ear, on the five families (relabelled)
+    and on a relabelled copy of each of their graphs."""
+    rng = random.Random(seed)
+    outcomes, grew = set(), 0
+    for g in _graphs(seed, 500):
+        for h in (g, _relabel(rng, g)):
+            got = _outcome(_ears, h)
+            assert got == _outcome(reference_long_ear_decomposition, h), h.ends
+            outcomes.add(got[1] if got[0] == "error" else "ok")
+            grew += got[0] == "ok" and len(got[1]) > 2
+    # both reachable error paths and decompositions of three or more ears
+    # were reached (a 2VC graph on four or more vertices has a long cycle)
+    assert outcomes == {"ok", "need at least 4 vertices", "graph must be 2-vertex-connected"}, outcomes
+    assert grew >= 20, grew
+
+
+def test_ear_decomposition_matches_reference_on_chord_cycles():
+    ears = 0
+    for g in _chord_cycles():
+        got = _ears(g)
+        assert got == reference_long_ear_decomposition(g), (g.n, g.ends)
+        ears += len(got)
+    assert ears >= 300, ears

@@ -3,8 +3,12 @@
 `tests/data/fvc_golden.json` holds about 60 seeded FVC instances (n 5-60)
 drawn with `conftest.random_connected`, each with the SHA-256 of its
 `write_solution` output.  Any change to the FVC pipeline that alters a single
-output byte fails here.  Regenerate the file (only when an output change is
-intended) with
+output byte fails here.  `tests/data/fvc_scale_golden.json` does the same
+for the chord-cycle scale family (`conftest.fvc_chord_cycle`) at n = 100,
+200 and 400, seeds 1-3: one apx2 piece each, so Algorithm 1 runs dozens of
+rounds and the ear loop hundreds of ears; the digest covers the whole
+output, `reduction_events` included.  Regenerate both files (only when an
+output change is intended) with
 
     PYTHONPATH=src:tests python tests/test_fvc_golden.py
 """
@@ -19,9 +23,11 @@ from flexconn.feasibility import check_fvc
 from flexconn.fvc import solve_fvc
 from flexconn.io import write_solution
 
-from conftest import build, random_connected
+from conftest import build, fvc_chord_cycle, random_connected
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "fvc_golden.json")
+SCALE_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "fvc_scale_golden.json")
+SCALE_CASES = [(n, seed) for n in (100, 200, 400) for seed in (1, 2, 3)]
 
 
 def _digest(g) -> str:
@@ -75,6 +81,15 @@ def test_fvc_outputs_match_golden_digests():
     assert not mismatched, f"golden digests differ for instances {mismatched}"
 
 
+def test_fvc_scale_outputs_match_golden_digests():
+    with open(SCALE_GOLDEN) as fh:
+        corpus = json.load(fh)["instances"]
+    assert [(entry["n"], entry["seed"]) for entry in corpus] == SCALE_CASES
+    mismatched = [(entry["n"], entry["seed"]) for entry in corpus
+                  if _digest(fvc_chord_cycle(entry["n"], entry["seed"])) != entry["sha256"]]
+    assert not mismatched, f"scale golden digests differ for (n, seed) {mismatched}"
+
+
 if __name__ == "__main__":
     instances = _draw_corpus()
     with open(GOLDEN, "w") as fh:
@@ -82,3 +97,10 @@ if __name__ == "__main__":
                    "instances": instances}, fh, separators=(",", ":"))
         fh.write("\n")
     print(f"wrote {len(instances)} instances to {GOLDEN}")
+    scale = [{"n": n, "seed": seed, "sha256": _digest(fvc_chord_cycle(n, seed))}
+             for n, seed in SCALE_CASES]
+    with open(SCALE_GOLDEN, "w") as fh:
+        json.dump({"generator": "tests/conftest.py:fvc_chord_cycle(n, seed)",
+                   "instances": scale}, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {len(scale)} instances to {SCALE_GOLDEN}")

@@ -10,8 +10,12 @@ computed from them.  A second test counts the checker
 calls of each `solve`, and the whole-graph DFS runs of the FVC solve.
 Two more check that the exact search and `prune_minimal` validate their
 edge ids once and then call only the unchecked kernels, one that
-Algorithm 1 reads its union-find once per piece, and the last that
-Algorithm 2 decomposes one graph when it has nothing to add.
+Algorithm 1 reads its union-find once per piece, and one that
+Algorithm 2 decomposes one graph when it has nothing to add.  The last
+three pin the apx2 stages to work proportional to what changes: Algorithm
+1 coarsens its partition once per piece and builds each vertex's cross
+edges at most once, the ear loop tests each start at most once after it
+fails, and the lexicographic cycle search runs one breadth-first search.
 """
 
 import json
@@ -24,14 +28,14 @@ from functools import cached_property
 
 import pytest
 
-from flexconn import cli, feasibility, fvc, graph, harness
+from flexconn import cli, cycles, ears, feasibility, fvc, graph, harness
 from flexconn.exact import exact_kecss
 from flexconn.fgc import F1SolverHandle, double_safe_edges
 from flexconn.graph import LabeledGraph, UnionFind
 from flexconn.io import parse_instance
 from flexconn.kfgc import kecss_prune_heuristic
 
-from conftest import apx2_inputs, random_connected
+from conftest import apx2_inputs, fvc_chord_cycle, fvc_scale_pieces, random_connected
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -276,3 +280,87 @@ def test_algorithm2_decomposes_once_when_it_adds_nothing(monkeypatch):
         fvc._solve_piece(g)
     assert len(unchanged) >= len(apx2_inputs()) // 2, len(unchanged)
     assert unchanged == [1] * len(unchanged)
+
+
+def test_algorithm1_coarsens_once_per_piece(monkeypatch):
+    """One full coarsening per apx2 piece, however many cycles it buys:
+    `merge` updates the coarsening in place.  Each vertex's cross-edge list
+    is built at most once per piece.  Checked on the apx2 pieces of the
+    seeded fvc-scale corpus and on a chord-cycle piece of 400 vertices."""
+    coarsened, built, rounds = [], [], []
+    real_coarsen, real_missing = cycles._coarsen, cycles._CrossEdges.__missing__
+    real_algorithm1 = fvc.algorithm1_buy_good_cycles
+
+    def coarsen(search):
+        coarsened.append(search)
+        return real_coarsen(search)
+
+    def missing(self, v):
+        built.append(v)
+        return real_missing(self, v)
+
+    def algorithm1(g, vd, rainbow):
+        del coarsened[:], built[:]
+        x1, s1, a = real_algorithm1(g, vd, rainbow)
+        assert len(coarsened) == 1
+        assert len(built) == len(set(built)) <= len(vd)
+        rounds.append(len(s1))
+        return x1, s1, a
+
+    monkeypatch.setattr(cycles, "_coarsen", coarsen)
+    monkeypatch.setattr(cycles._CrossEdges, "__missing__", missing)
+    monkeypatch.setattr(fvc, "algorithm1_buy_good_cycles", algorithm1)
+    for g, _, _ in apx2_inputs():
+        fvc._solve_piece(g)
+    fvc.solve_fvc(fvc_chord_cycle(400, 1))
+    assert len(rounds) == len(apx2_inputs()) + 1
+    assert sum(rounds) >= 4 * len(rounds) and rounds[-1] >= 100, rounds
+
+
+def test_ear_loop_tests_each_failed_start_once(monkeypatch):
+    """A start that fails is never tested again, so a decomposition makes
+    one start test per open ear and one per vertex of V(D), the last that
+    fails: linear, not |V(D)| tests per ear."""
+    tests = []
+    real = ears._ear_at
+
+    def ear_at(g, vd, x):
+        ear = real(g, vd, x)
+        tests.append((x, ear is None))
+        return ear
+
+    monkeypatch.setattr(ears, "_ear_at", ear_at)
+    grew = 0
+    for g in fvc_scale_pieces() + (fvc_chord_cycle(400, 1),):
+        del tests[:]
+        dec = ears.build_long_ear_decomposition(g)
+        failed = [x for x, none in tests if none]
+        assert sorted(failed) == sorted(dec.vertices)
+        assert len(tests) == len(dec.ears) - 1 + len(dec.vertices)
+        grew += len(dec.ears) > 2
+    assert grew >= 200 and len(dec.ears) >= 80, (grew, len(dec.ears))
+
+
+def test_lex_first_cycle_runs_one_search(monkeypatch):
+    """The lexicographic search of the shortest long cycle runs one
+    breadth-first search, from the smallest vertex of the cycles of that
+    length, not one per start vertex."""
+    searches, calls = [], []
+    real_dist, real_cycle = ears._dist_home, ears.shortest_long_cycle
+
+    def dist_home(g, start, radius):
+        searches.append(start)
+        return real_dist(g, start, radius)
+
+    def shortest(g):
+        del searches[:]
+        cycle = real_cycle(g)
+        assert searches == [cycle[0]]
+        calls.append(cycle[0])
+        return cycle
+
+    monkeypatch.setattr(ears, "_dist_home", dist_home)
+    monkeypatch.setattr(ears, "shortest_long_cycle", shortest)
+    for g in fvc_scale_pieces() + (fvc_chord_cycle(400, 1),):
+        ears.build_long_ear_decomposition(g)
+    assert len(calls) == len(fvc_scale_pieces()) + 1 and any(calls), calls

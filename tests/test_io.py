@@ -245,6 +245,20 @@ class TestCli:
         assert payload["feasible"] is True
         assert payload["meta"][kind_key] == "prune_heuristic"
 
+    def test_exact_cap_is_ignored_for_fvc_with_a_warning(self, tmp_path, capsys):
+        # FVC has no kECSS subsolver: the option changes no byte of the
+        # output and no exit code, and says so on stderr as `--k` does
+        inst = self._write(tmp_path, "c5.flex", "p flex 5 5\n" + "".join(
+            f"e {v} {(v + 1) % 5}\n" for v in range(5)))
+        outputs = {}
+        for name, extra in (("capped", ["--exact-cap", "3"]), ("plain", [])):
+            out = str(tmp_path / f"{name}.json")
+            assert main(["solve", "--problem", "fvc", *extra, "-i", inst, "-o", out]) == 0
+            outputs[name] = (open(out).read(), capsys.readouterr().err)
+        assert outputs["capped"][1] == "flexconn: warning: --exact-cap is ignored for FVC\n"
+        assert outputs["plain"][1] == ""
+        assert outputs["capped"][0] == outputs["plain"][0]
+
     def test_gen_solve_pipeline(self, tmp_path):
         inst = str(tmp_path / "gen.flex")
         assert main(["gen", "--problem", "fvc", "--n", "6", "--p", "0.8",
