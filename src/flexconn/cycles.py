@@ -17,12 +17,13 @@ the cycles found do not change.  ``find_good_cycle`` is one round of it.
 A round costs what it changes plus what its search visits, not a pass over
 the singletons or the edges of ``g``.  What it changes: the vertices that
 move to another coarse part, their neighbours, and the F1 groups that lose
-a member (such a group is walked again unless what is left of it touches
-the lost members at one vertex only).  What the search visits: it leaves a
-part only at vertices with an edge to another part, which each part keeps
-a set of, and the cross edges of a vertex are built from ``g.incidence``
-the first time the search reaches it and kept, sorted by (other end, edge
-id); that order fixes which cycle is returned.
+a member (what is left of such a group is walked again to split it).  A
+merged part takes the lowest key of the parts it joins, so the vertices of
+the largest part move too when another part has a lower key.  What the
+search visits: it leaves a part only at vertices with an edge to another
+part, which each part keeps a set of, and the cross edges of a vertex are
+built from ``g.incidence`` the first time the search reaches it and kept,
+sorted by (other end, edge id); that order fixes which cycle is returned.
 """
 
 from __future__ import annotations
@@ -241,17 +242,11 @@ def _split_group(search: GoodCycleSearch, gid: int, gone: Set[int]) -> None:
     """Take the singletons `gone` out of F1 group `gid` and split the rest
     into its components.  The largest keeps the id, so its vertices do not
     move; the others become new groups, or are grabbed when they are one
-    vertex.
-
-    Every piece left holds a neighbour of `gone`, since the group was
-    connected.  So the rest is one piece, and is not walked to the end,
-    when a search from one such neighbour reaches all the others."""
+    vertex."""
     nbr, members = search.nbr, search.groups[gid]
     members -= gone
-    seeds = {w for r in gone for w in search.g.neighbor_sets[r] if w in members}
-    first = _unless_connected(nbr, members, seeds)
-    comps = [members] if first is None else [first, *_components(nbr, members - first)]
-    keep = max(comps, key=len)
+    comps = list(_components(nbr, set(members)))
+    keep = max(comps, key=len, default=members)
     if len(keep) > 1:
         search.groups[gid] = keep
     else:
@@ -262,32 +257,11 @@ def _split_group(search: GoodCycleSearch, gid: int, gone: Set[int]) -> None:
         if len(comp) == 1:
             v, = comp
             _move(search, v, _grab_key(search, v))
-        elif comp:
+        else:
             new = next(search._group_ids)
             search.groups[new] = comp
             for v in comp:
                 _move(search, v, new)
-
-
-def _unless_connected(nbr: Dict[int, List[int]], members: Set[int],
-                      seeds: Set[int]) -> Optional[Set[int]]:
-    """None if one breadth-first search in `members` from the lowest seed
-    reaches every seed, else the component it walked."""
-    if len(seeds) < 2:
-        return None
-    start = min(seeds)
-    missing = seeds - {start}
-    reached = {start}
-    queue = deque([start])
-    while queue:
-        for y in nbr[queue.popleft()]:
-            if y in members and y not in reached:
-                reached.add(y)
-                queue.append(y)
-                missing.discard(y)
-                if not missing:
-                    return None
-    return reached
 
 
 def _grab_key(search: GoodCycleSearch, v: int) -> int:

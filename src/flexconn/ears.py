@@ -180,14 +180,16 @@ def _dist_home(g: LabeledGraph, start: int, radius: int) -> Dict[int, int]:
 
 
 def find_potential_open_ear_ge4(g: LabeledGraph, vd: Set[int],
-                                starts: List[int]) -> Optional[Tuple[int, ...]]:
+                                starts: Optional[List[int]] = None) -> Optional[Tuple[int, ...]]:
     """One potential open ear of length >= 4 for the decomposition with
     vertex set `vd`, if any.
 
-    `starts` is a min-heap of the vertices of `vd` that may still start an
-    ear.  They are tried lowest first; each one that starts no ear is popped
-    for good, and the first that does stays on the heap and its ear is
-    returned (see `_ear_at`).  The caller pushes each new ear's inner
+    `starts` (all of `vd` when omitted) is a min-heap of the vertices of
+    `vd` that may still start an ear, and is changed in place.  They are
+    tried lowest first; each one that starts no ear is popped for good, and
+    the first that does stays on the heap and its ear is returned (see
+    `_ear_at`).  A caller that keeps the heap across ears, as
+    `build_long_ear_decomposition` does, pushes each new ear's inner
     vertices.  Popping a failed start for good loses no ear: if x starts no
     ear for D, it starts none for D' = D + P either.  A tuple (x, y1, y2,
     y3) and tail valid for D' are valid for D, since the y_i and the inner
@@ -198,6 +200,8 @@ def find_potential_open_ear_ge4(g: LabeledGraph, vd: Set[int],
     heap entry with one, and the ears are those of a scan of all of
     sorted(vd).
     """
+    if starts is None:
+        starts = sorted(vd)
     while starts:
         ear = _ear_at(g, vd, starts[0])
         if ear is not None:

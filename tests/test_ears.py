@@ -26,7 +26,7 @@ class TestInitialCycle:
     def test_fix_a_decomposition(self, fix_a):
         dec = build_long_ear_decomposition(fix_a)
         assert dec.ears == ((0, 1, 2, 3),)
-        assert find_potential_open_ear_ge4(fix_a, dec.vertices, sorted(dec.vertices)) is None
+        assert find_potential_open_ear_ge4(fix_a, dec.vertices) is None
 
     def test_too_small_rejected(self):
         g = build(3, [(0, 1), (1, 2), (0, 2)])
@@ -46,12 +46,12 @@ class TestPotentialEar:
         assert dec.ears[0] == (0, 1, 2, 3)
         # the complementary arc comes back as one length-5 open ear
         assert dec.ears[1] == (0, 7, 6, 5, 4, 3)
-        assert find_potential_open_ear_ge4(g, dec.vertices, sorted(dec.vertices)) is None
+        assert find_potential_open_ear_ge4(g, dec.vertices) is None
 
     def test_whole_graph_has_no_further_ear(self):
         g = build(5, [(i, (i + 1) % 5) for i in range(5)])
         dec = build_long_ear_decomposition(g)
-        assert find_potential_open_ear_ge4(g, dec.vertices, sorted(dec.vertices)) is None
+        assert find_potential_open_ear_ge4(g, dec.vertices) is None
 
 
 class TestInvariants:
