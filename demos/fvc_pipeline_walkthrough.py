@@ -29,7 +29,7 @@ apx1 = build_apx1(g, dec, kp)
 print("direct construction buys", len(apx1), "edges")
 
 pe = build_pseudo_edges(g, kp)
-print("pseudo-edges:", [(p.a, p.b, p.colour) for p in pe.edges])
+print("pseudo-edges:", [(p.a, p.b, p.colour) for p in pe])
 
 rainbow = solve_rainbow(pe, sorted(kp.vd))
 print("rainbow pick: alpha=%d large=%d singletons=%s"

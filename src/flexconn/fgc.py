@@ -56,10 +56,6 @@ def alg2_double_and_solve(g: LabeledGraph, solver: KecssSolverHandle) -> Solutio
     duplicate copies collapse back onto the original edges."""
     if not check_fgc(g, set(g.eids)):
         raise InfeasibleInstanceError("FGC instance is infeasible")
-    if g.n <= 1:
-        return Solution(edge_ids=frozenset(),
-                        meta={"apx_size": 0, "doubled_size": 0,
-                              "solver_kind": solver.kind(g.n)})
     doubled = double_safe_edges(g)
     inner = solver.solve(doubled, 2)
     f2 = undouble(g, inner)

@@ -22,8 +22,8 @@ from .errors import InfeasibleInstanceError, InputError, require
 from .exact import exact_solve
 from .feasibility import Instance, Solution, check_fvc
 from .graph import (LabeledGraph, UnionFind, block_decomposition_edges,
-                    connected_components, cut_vertices, low_link_incidence)
-from .rainbow import PseudoEdge, PseudoEdgeSet, RainbowSolution, solve_rainbow
+                    connected_components, low_link_incidence)
+from .rainbow import PseudoEdge, RainbowSolution, solve_rainbow
 
 APPROX_NUM, APPROX_DEN = 11, 7
 
@@ -32,24 +32,32 @@ APPROX_NUM, APPROX_DEN = 11, 7
 # Preprocessing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReconstructionPlan:
-    forced_edge_ids: FrozenSet[int]
-    events: Tuple[Tuple, ...]
-
-
-def preprocess(g: LabeledGraph) -> Tuple[List[LabeledGraph], ReconstructionPlan]:
-    """Reduce to 2VC, forbidden-cycle-free pieces (or pieces below 5 vertices).
+def preprocess(g: LabeledGraph) -> Tuple[List[LabeledGraph], Set[int], List[Tuple]]:
+    """Reduce to 2VC, forbidden-cycle-free pieces (or pieces below 5
+    vertices); returns the pieces, the forced edge ids and the reduction
+    events in the order they happened.
 
     One low-link DFS over g decides feasibility (g connected, no unsafe cut
-    vertex) and gives the cut vertices of the first step.  Order per step:
-    tiny pieces are left for enumeration; a safe cut vertex x splits the
-    graph into the x-closures of the components of G - x; a forbidden
-    4-cycle u-w-v-z (deg w = deg z = 2, wz absent) either forces the edges
-    uw, wv and drops w (u, v both unsafe) or lets us drop the edge uw (v
-    safe, and z relabeled safe whenever w is).  Depth first, children in
-    order, with an explicit worklist so long chains of reductions cannot
-    exhaust the call stack.
+    vertex) and gives g's cut vertices.  Order per step: tiny pieces are
+    left for enumeration; the least cut vertex x, safe, splits the graph
+    into the x-closures of the components of G - x; a forbidden 4-cycle
+    u-w-v-z (deg w = deg z = 2, wz absent) either forces the edges uw, wv
+    and drops w (u, v both unsafe) or lets us drop the edge uw (v safe, and
+    z relabeled safe whenever w is).  Depth first, children in order, with
+    an explicit worklist so long chains of reductions cannot exhaust the
+    call stack.
+
+    Each step gives its children's cut vertices, so no further DFS runs:
+    - the x-closure G[C + x] of a component C has those of G that lie in
+      C.  C is connected, so x is none; for y in C, every part of G - y
+      that misses x lies inside C.
+    - G - w has none, when G is 2VC with n >= 5: u and v stay joined
+      through z, and G - w - z keeps them joined too, or else u would cut
+      G, as a fifth vertex lies on one side.
+    - G - uw has just v: w becomes a leaf on v, and no other vertex
+      separates, as uw lay on the 4-cycle and G - w - z is connected.
+    So every cut vertex of a later graph is one of g's, which the entry
+    check found safe, or such a v, which is safe.
     """
     if g.m < g.n - 1:    # disconnected; decided before the incidence list is built
         raise InfeasibleInstanceError("FVC instance is infeasible")
@@ -65,17 +73,15 @@ def preprocess(g: LabeledGraph) -> Tuple[List[LabeledGraph], ReconstructionPlan]
         if g.n < 5:
             pieces.append(g)
             continue
-        cuts = sorted(cut_vertices(g) if cuts is None else cuts)
-        unsafe_cuts = [v for v in cuts if not g.vertex_safe[v]]
-        if unsafe_cuts:
-            raise InfeasibleInstanceError(
-                f"unsafe cut vertex (local id {unsafe_cuts[0]}): instance infeasible")
         if cuts:
-            x = cuts[0]
+            x = min(cuts)
             rest = set(range(g.n)) - {x}
             comps = connected_components(rest, _induced_triples(g, rest))
             events.append(("split", g.n, len(comps)))
-            todo.extend((g.induced(comp | {x}), None) for comp in reversed(comps))
+            for comp in reversed(comps):
+                vs = sorted(comp | {x})
+                inner = {i for i, y in enumerate(vs) if y in cuts and y != x}
+                todo.append((g.induced(vs), inner))
             continue
         fc = find_forbidden_cycle(g)
         if fc is None:
@@ -86,7 +92,7 @@ def preprocess(g: LabeledGraph) -> Tuple[List[LabeledGraph], ReconstructionPlan]
             e1, e2 = g.edge_between(u, w), g.edge_between(w, v)
             forced.update((e1, e2))
             events.append(("forbidden_unsafe", e1, e2))
-            todo.append((g.induced(set(range(g.n)) - {w}), None))
+            todo.append((g.induced(set(range(g.n)) - {w}), set()))
             continue
         if g.vertex_safe[u] and not g.vertex_safe[v]:
             u, v = v, u
@@ -94,8 +100,8 @@ def preprocess(g: LabeledGraph) -> Tuple[List[LabeledGraph], ReconstructionPlan]
             w, z = z, w
         doomed = g.edge_between(u, w)
         events.append(("forbidden_safe", doomed))
-        todo.append((g.without_edges({doomed}), None))
-    return pieces, ReconstructionPlan(frozenset(forced), tuple(events))
+        todo.append((g.without_edges({doomed}), {v}))
+    return pieces, forced, events
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +244,7 @@ def _k23_anchor_edges(g: LabeledGraph, kp: KPartition, u: int, v: int) -> Set[in
 # Pseudo-edges and their realization
 # ---------------------------------------------------------------------------
 
-def build_pseudo_edges(g: LabeledGraph, kp: KPartition) -> PseudoEdgeSet:
+def build_pseudo_edges(g: LabeledGraph, kp: KPartition) -> Tuple[PseudoEdge, ...]:
     """One colour per K12 vertex and one per matched K23 pair; pseudo-edges
     are generated by the three anchor rules for pairs and the neighbour-pair
     rule for singletons."""
@@ -257,11 +263,10 @@ def build_pseudo_edges(g: LabeledGraph, kp: KPartition) -> PseudoEdgeSet:
             # rule 3: x itself safe, pseudo across x's anchor pairs
             if g.vertex_safe[x]:
                 out.update(PseudoEdge(a, b, colour) for a, b in combinations(ax, 2))
-    pe = PseudoEdgeSet(edges=tuple(sorted(out)))
-    colours = set(pe.colours())
+    colours = {p.colour for p in out}
     wanted = {("v", u) for u in kp.k12} | {("p", u, v) for u, v in kp.k23_pairs}
     require(colours == wanted, "every colour needs at least one pseudo-edge")
-    return pe
+    return tuple(sorted(out))
 
 
 def realize_sp(g: LabeledGraph, kp: KPartition, rainbow: RainbowSolution) -> FrozenSet[int]:
@@ -446,10 +451,10 @@ def solve_fvc(g: LabeledGraph) -> Solution:
     check only the paper's O(1) size bounds, and tests hold each stage's
     output to its invariants.  Meta carries the internal lower bound and
     pipeline stats."""
-    pieces, plan = preprocess(g)
-    stitched = set(plan.forced_edge_ids)
+    pieces, forced, events = preprocess(g)
+    stitched = set(forced)
     piece_meta: List[dict] = []
-    lower_bound = len(plan.forced_edge_ids)
+    lower_bound = len(forced)
     for piece in pieces:
         sol = _solve_piece(piece)
         stitched |= sol.edge_ids
@@ -461,9 +466,9 @@ def solve_fvc(g: LabeledGraph) -> Solution:
         "problem": "fvc", "n": g.n, "m": g.m, "k": 1,
         "apx_size": len(total),
         "lower_bound": lower_bound,
-        "forced_edges": len(plan.forced_edge_ids),
+        "forced_edges": len(forced),
         "pieces": piece_meta,
-        "reduction_events": [list(ev) for ev in plan.events],
+        "reduction_events": [list(ev) for ev in events],
     }
     return Solution(edge_ids=total, meta=meta)
 

@@ -155,9 +155,12 @@ def _from_rows(n: int, vertex_safe: Tuple[bool, ...], rows: List[tuple]) -> Labe
 # Low-level routines over keyed edge lists.  These work on arbitrary vertex
 # collections and arbitrary hashable edge keys, so the FVC pipeline can run
 # them on multigraphs mixing real edges and pseudo-edges.  `low_link_incidence`
-# is the one block DFS, on a dense incidence list; `low_link` relabels into it.
-# `block_decomposition_edges` is the one block decomposition (blocks, cut
-# vertices, the blocks at each vertex) and takes connected input only.
+# is the one block DFS, on a dense incidence list such as a graph's
+# `incidence`: callers read a graph's cut vertices and bridges from it.
+# `low_link` relabels keyed edges into it for `is_connected` and for
+# `block_decomposition_edges`, the one block decomposition (blocks, cut
+# vertices, the blocks at each vertex), which takes connected input only.
+# `edge_connectivity_at_least` is a unit max-flow capped at k paths.
 # ---------------------------------------------------------------------------
 
 EdgeTriple = Tuple[Hashable, int, int]   # (key, u, v)
@@ -245,14 +248,14 @@ def edge_connectivity_at_least(vertices: Iterable[Hashable],
     Self-loops are skipped; parallel edges count once per copy, and one
     vertex is k-edge-connected for every k.  On the vertices relabeled
     0..c-1: a vertex of degree < k fails, since its edges form a cut, and
-    with c <= 3 these are all the cuts.  Then for k = 2 one `low_link` DFS
-    decides (every vertex reached, no bridge); otherwise a max-flow of unit
-    arcs from vertex 0 to each other vertex, capped at k paths, O(k * m).
+    with c <= 3 these are all the cuts.  Otherwise a max-flow of unit arcs
+    from vertex 0 to each other vertex, capped at k paths, O(k * m) each,
+    decides; at k <= 0 it asks for no path.
     """
     index = {v: i for i, v in enumerate(dict.fromkeys(vertices))}
     c = len(index)
     pairs = [(index[u], index[v]) for _, u, v in edges if u != v]
-    if c <= 1 or k <= 0:
+    if c <= 1:
         return True
     deg = [0] * c
     for a, b in pairs:
@@ -262,9 +265,6 @@ def edge_connectivity_at_least(vertices: Iterable[Hashable],
         return False
     if c <= 3:
         return True
-    if k == 2:
-        reached, _, bridges = low_link(range(c), pairs, range(len(pairs)))
-        return reached == c and not bridges
     head: List[int] = []      # arc j runs head[j ^ 1] -> head[j]
     out: List[List[int]] = [[] for _ in range(c)]
     for a, b in pairs:
@@ -429,13 +429,6 @@ def contract_edges(g: LabeledGraph, eids: Iterable[int]) -> LabeledGraph:
     return _from_rows(len(index), tuple(vsafe),
                       [(e, (a, b), s) for e, (u, v), s in g._rows()
                        if (a := vertex_map[u]) != (b := vertex_map[v])])
-
-
-def cut_vertices(g: LabeledGraph) -> FrozenSet[int]:
-    reached, cut, _ = low_link_incidence(g.incidence)
-    if reached < g.n:
-        raise InputError("cut_vertices: graph must be connected")
-    return frozenset(cut)
 
 
 def is_k_edge_connected(g: LabeledGraph, k: int) -> bool:

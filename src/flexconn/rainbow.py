@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
-from .errors import InputError, require
+from .errors import InputError
 
 Colour = Tuple  # ("v", u) or ("p", u, v) with u < v
 
@@ -31,23 +31,6 @@ class PseudoEdge:
 
 
 @dataclass(frozen=True)
-class PseudoEdgeSet:
-    edges: Tuple[PseudoEdge, ...]
-
-    def __post_init__(self):
-        require(len(set(self.edges)) == len(self.edges), "duplicate pseudo-edges")
-
-    def colours(self) -> List[Colour]:
-        return sorted({p.colour for p in self.edges})
-
-    def by_colour(self) -> Dict[Colour, List[PseudoEdge]]:
-        out: Dict[Colour, List[PseudoEdge]] = {}
-        for p in sorted(self.edges):
-            out.setdefault(p.colour, []).append(p)
-        return out
-
-
-@dataclass(frozen=True)
 class RainbowSolution:
     chosen: Tuple[PseudoEdge, ...]
     alpha: int
@@ -55,7 +38,7 @@ class RainbowSolution:
     singletons: FrozenSet[int]
 
 
-def max_rainbow_forest(pe: PseudoEdgeSet) -> List[PseudoEdge]:
+def max_rainbow_forest(pe: Sequence[PseudoEdge]) -> List[PseudoEdge]:
     """Maximum forest using each colour at most once: graphic x partition
     matroid intersection, augmenting along shortest exchange paths.
 
@@ -70,7 +53,7 @@ def max_rainbow_forest(pe: PseudoEdgeSet) -> List[PseudoEdge]:
     search reaches y, in ascending ground order, as Cunningham's search
     needs only the arcs it reaches (SIAM J. Comput. 1986).
     """
-    ground = sorted(pe.edges)
+    ground = sorted(pe)
     in_set: List[bool] = [False] * len(ground)
     while True:
         members = [i for i, flag in enumerate(in_set) if flag]
@@ -129,21 +112,23 @@ def max_rainbow_forest(pe: PseudoEdgeSet) -> List[PseudoEdge]:
             x = parent_arc[x]
 
 
-def solve_rainbow(pe: PseudoEdgeSet, vd: Sequence[int]) -> RainbowSolution:
+def solve_rainbow(pe: Sequence[PseudoEdge], vd: Sequence[int]) -> RainbowSolution:
     """One pseudo-edge per colour with the minimum number of components of
     (vd, chosen); no single same-colour replacement lowers the number of
     isolated vertices.  No count is rechecked: the augmentations keep the
     forest acyclic, so `alpha` = |vd| - |forest| is the minimum, which
     filling unused colours, able only to merge, keeps."""
-    if not pe.edges:
+    if not pe:
         raise InputError("solve_rainbow: empty pseudo-edge set")
     vd = sorted(vd)
     inside = set(vd)
     if len(inside) < len(vd):
         raise InputError("repeated decomposition vertex")
-    if any(p.a not in inside or p.b not in inside for p in pe.edges):
+    if any(p.a not in inside or p.b not in inside for p in pe):
         raise InputError("pseudo-edge endpoint outside decomposition")
-    by_colour = pe.by_colour()
+    by_colour: Dict[Colour, List[PseudoEdge]] = {}
+    for p in sorted(pe):
+        by_colour.setdefault(p.colour, []).append(p)
     forest = max_rainbow_forest(pe)
     alpha = len(vd) - len(forest)
     chosen: Dict[Colour, PseudoEdge] = {p.colour: p for p in forest}

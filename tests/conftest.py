@@ -17,6 +17,16 @@ def build(n, pairs, vertex_safe=None, edge_safe=None):
     return LabeledGraph.build(n, pairs, vertex_safe=vertex_safe, edge_safe=edge_safe)
 
 
+def cut_vertices(g):
+    """The cut vertices of g, by networkx's articulation points: an
+    oracle independent of the library's low-link DFS."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.ends)
+    return set(nx.articulation_points(h))
+
+
 @pytest.fixture
 def c4():
     return build(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -63,6 +73,19 @@ def random_connected(rng, n, p, vertex_safe_prob=1.0, edge_safe_prob=1.0):
             vs = [rng.random() < vertex_safe_prob for _ in range(n)]
             es = [rng.random() < edge_safe_prob for _ in pairs]
             return build(n, pairs, vertex_safe=vs, edge_safe=es)
+
+
+def diamond_necklace(k, hubs_safe=False):
+    """k diamonds in a ring: hubs 0..k-1, and hubs i, i+1 (mod k) both joined
+    to the two degree-2 vertices k+2i and k+2i+1, which are unsafe.  Each
+    diamond is a forbidden 4-cycle: with unsafe hubs its reduction forces
+    two edges and drops a vertex; with safe hubs it drops one edge, and the
+    hub left holding a leaf then splits the graph."""
+    pairs = []
+    for i in range(k):
+        for w in (k + 2 * i, k + 2 * i + 1):
+            pairs += [(i, w), ((i + 1) % k, w)]
+    return build(3 * k, pairs, vertex_safe=[hubs_safe] * k + [False] * (2 * k))
 
 
 def fvc_chord_cycle(n, seed):
@@ -232,6 +255,14 @@ def apx2_inputs():
     return tuple(out)
 
 
+def by_colour(pe):
+    """The pseudo-edges of each colour, in sorted order."""
+    out = {}
+    for p in sorted(pe):
+        out.setdefault(p.colour, []).append(p)
+    return out
+
+
 def rainbow_components(vd, chosen):
     """The number of components of (vd, chosen pseudo-edges)."""
     uf = UnionFind(sorted(vd))
@@ -244,7 +275,7 @@ def brute_force_rainbow_components(pe, vd):
     """Exhaustive one-edge-per-colour minimum of the component count; the
     independent oracle for rainbow optimality (use only for few colours)."""
     return min(rainbow_components(vd, combo)
-               for combo in itertools.product(*pe.by_colour().values()))
+               for combo in itertools.product(*by_colour(pe).values()))
 
 
 def leftover_is_matching(g, vd):

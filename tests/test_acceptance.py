@@ -20,13 +20,14 @@ from flexconn.exact import exact_kecss, exact_solve
 from flexconn.feasibility import Instance, check_fgc, check_fvc, check_kfgc
 from flexconn.fgc import solve_fgc
 from flexconn.fvc import preprocess, solve_fvc, solve_tree_case
-from flexconn.graph import cut_vertices, is_connected, is_k_edge_connected
+from flexconn.graph import is_connected, is_k_edge_connected
 from flexconn.harness import check_arithmetic_lemmas, gen_safe_tree_family
 from flexconn.kfgc import KecssSolverHandle, max_safe_forest, solve_kfgc
-from flexconn.rainbow import PseudoEdge, PseudoEdgeSet, solve_rainbow
+from flexconn.rainbow import PseudoEdge, solve_rainbow
 
-from conftest import (FIX_A_PAIRS, FIX_A_SAFE, brute_force_rainbow_components,
-                      build, leftover_is_matching, random_connected, solve_2ecss_blockwise)
+from conftest import (FIX_A_PAIRS, FIX_A_SAFE, brute_force_rainbow_components, build,
+                      by_colour, cut_vertices, leftover_is_matching, random_connected,
+                      solve_2ecss_blockwise)
 
 ELEVEN_SEVENTHS = Fraction(11, 7)
 
@@ -110,7 +111,7 @@ def test_criterion_4_ear_invariants():
         g = random_connected(rng, n, p, vertex_safe_prob=rng.uniform(0.1, 0.9))
         if not check_fvc(g, set(g.eids)):
             continue
-        pieces, _ = preprocess(g)
+        pieces, _, _ = preprocess(g)
         for piece in pieces:
             if piece.n < 5:
                 continue
@@ -137,15 +138,15 @@ def test_criterion_5_rainbow_optimality():
             for _ in range(rng.randint(1, 3)):
                 a, b = rng.sample(range(nv), 2)
                 edges.add(PseudoEdge(min(a, b), max(a, b), colour))
-        pe = PseudoEdgeSet(edges=tuple(sorted(edges)))
+        pe = tuple(sorted(edges))
         sol = solve_rainbow(pe, range(nv))
         if sol.alpha != brute_force_rainbow_components(pe, range(nv)):
             bad += 1
             continue
-        by_colour = pe.by_colour()
+        cands = by_colour(pe)
         base = len(sol.singletons)
         for p in sol.chosen:
-            for cand in by_colour[p.colour]:
+            for cand in cands[p.colour]:
                 trial_set = [cand if q == p else q for q in sol.chosen]
                 touched = set()
                 for q in trial_set:

@@ -28,9 +28,9 @@ from flexconn import fvc
 from flexconn.cycles import GoodCycleSearch, find_good_cycle, is_good_cycle
 from flexconn.errors import require
 from flexconn.feasibility import check_fvc
-from flexconn.graph import UnionFind, cut_vertices
+from flexconn.graph import UnionFind
 
-from conftest import random_connected
+from conftest import cut_vertices, random_connected
 
 
 # The earlier find_good_cycle and its helpers.

@@ -16,9 +16,9 @@ import sys
 
 from flexconn import cycles
 from flexconn.cycles import find_good_cycle, is_good_cycle
-from flexconn.graph import cut_vertices, is_connected
+from flexconn.graph import is_connected
 
-from conftest import build, random_connected
+from conftest import build, cut_vertices, random_connected
 
 
 DEAD_ENDS = []   # parts at which the reference gave up, at any depth

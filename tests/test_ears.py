@@ -6,9 +6,10 @@ import pytest
 from flexconn.ears import (build_long_ear_decomposition, find_forbidden_cycle,
                            find_potential_open_ear_ge4)
 from flexconn.errors import InputError
-from flexconn.graph import block_decomposition_edges, cut_vertices
+from flexconn.graph import block_decomposition_edges, is_connected
 
-from conftest import build, fvc_scale_pieces, leftover_is_matching, petersen, random_connected
+from conftest import (build, cut_vertices, fvc_scale_pieces, leftover_is_matching, petersen,
+                      random_connected)
 
 
 class TestInitialCycle:
@@ -69,7 +70,6 @@ class TestInvariants:
         done = 0
         while done < 30:
             g = random_connected(rng, rng.randint(5, 12), 0.5)
-            from flexconn.graph import cut_vertices, is_connected
             triples = [(e, u, v) for e, (u, v) in zip(g.eids, g.ends)]
             if not is_connected(range(g.n), triples) or cut_vertices(g):
                 continue

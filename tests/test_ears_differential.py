@@ -20,9 +20,9 @@ import pytest
 
 from flexconn.ears import build_long_ear_decomposition, find_forbidden_cycle, shortest_long_cycle
 from flexconn.errors import InputError
-from flexconn.graph import cut_vertices, is_connected
+from flexconn.graph import is_connected
 
-from conftest import build, fvc_chord_cycle
+from conftest import build, cut_vertices, fvc_chord_cycle
 
 
 def reference_shortest_long_cycle(g):

@@ -14,9 +14,10 @@ from flexconn.fvc import (algorithm1_buy_good_cycles, algorithm2_make_2vc,
                           algorithm3_make_feasible, build_apx1,
                           build_pseudo_edges, partition_k_sets, preprocess,
                           realize_sp, solve_fvc, solve_tree_case)
-from flexconn.rainbow import PseudoEdge, PseudoEdgeSet, solve_rainbow
+from flexconn.rainbow import PseudoEdge, solve_rainbow
 
-from conftest import FIX_A_PAIRS, FIX_A_SAFE, apx2_inputs, build, random_connected
+from conftest import (FIX_A_PAIRS, FIX_A_SAFE, apx2_inputs, build, cut_vertices, diamond_necklace,
+                      random_connected)
 
 
 def fvc_opt(g):
@@ -27,10 +28,10 @@ class TestPreprocess:
     def test_bowtie_with_safe_centre_splits(self):
         g = build(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)],
                   vertex_safe=[False, False, True, False, False])
-        pieces, plan = preprocess(g)
+        pieces, forced, _ = preprocess(g)
         assert len(pieces) == 2
         assert {p.n for p in pieces} == {3}
-        assert not plan.forced_edge_ids
+        assert not forced
 
     def test_unsafe_cut_vertex_is_infeasible(self):
         g = build(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)],
@@ -39,10 +40,10 @@ class TestPreprocess:
             preprocess(g)
 
     def test_fix_a_unchanged(self, fix_a):
-        pieces, plan = preprocess(fix_a)
+        pieces, forced, _ = preprocess(fix_a)
         assert len(pieces) == 1
         assert pieces[0].n == fix_a.n
-        assert not plan.forced_edge_ids
+        assert not forced
 
     def _host_with_forbidden_cycle(self, u_unsafe, v_unsafe):
         # single forbidden square 0-4-2-5 (deg(4)=deg(5)=2) in a 2VC host;
@@ -54,8 +55,8 @@ class TestPreprocess:
 
     def test_unsafe_forbidden_cycle_forces_edges(self):
         g = self._host_with_forbidden_cycle(True, True)
-        pieces, plan = preprocess(g)
-        assert plan.forced_edge_ids == frozenset({4, 5})  # edges 04 and 24
+        pieces, forced, _ = preprocess(g)
+        assert forced == {4, 5}  # edges 04 and 24
         assert sum(p.n for p in pieces) == g.n - 1  # vertex 4 dropped
         # soundness: OPT(G) = OPT(G minus the degree-2 vertex) + 2
         opt_g = fvc_opt(g)
@@ -67,9 +68,9 @@ class TestPreprocess:
 
     def test_safe_forbidden_cycle_drops_an_edge(self):
         g = self._host_with_forbidden_cycle(True, False)  # vertex 2 safe
-        pieces, plan = preprocess(g)
-        assert not plan.forced_edge_ids
-        dropped = [ev for ev in plan.events if ev[0] == "forbidden_safe"]
+        pieces, forced, events = preprocess(g)
+        assert not forced
+        dropped = [ev for ev in events if ev[0] == "forbidden_safe"]
         assert dropped
         # soundness via the oracle: dropping that edge preserves the optimum
         eid = dropped[0][1]
@@ -97,10 +98,7 @@ class TestPreprocess:
         while done < 12:
             base = random_connected(rng, rng.randint(4, 6), 0.6,
                                     vertex_safe_prob=0.5)
-            from flexconn.graph import cut_vertices as cv
-            triples = [(e, u, v) for e, (u, v) in zip(base.eids, base.ends)]
-            from flexconn.graph import is_connected
-            if not is_connected(range(base.n), triples) or cv(base):
+            if cut_vertices(base):
                 continue
             u, v = rng.sample(range(base.n), 2)
             w, z = base.n, base.n + 1
@@ -119,8 +117,8 @@ class TestPreprocess:
                 assert opt_g == rest + 2
             else:
                 # safe case: some optimum avoids one chosen square edge
-                pieces, plan = preprocess(g)
-                dropped = [ev[1] for ev in plan.events if ev[0] == "forbidden_safe"]
+                _, _, events = preprocess(g)
+                dropped = [ev[1] for ev in events if ev[0] == "forbidden_safe"]
                 if dropped:
                     assert fvc_opt(g.without_edges({dropped[0]})) == opt_g
             sol = solve_fvc(g)
@@ -187,7 +185,7 @@ class TestKPartition:
                                  vertex_safe_prob=0.3)
             if not check_fvc(g, set(g.eids)):
                 continue
-            pieces, _ = preprocess(g)
+            pieces, _, _ = preprocess(g)
             for piece in pieces:
                 if piece.n < 5 or solve_tree_case(piece) is not None:
                     continue
@@ -227,14 +225,14 @@ class TestApx2Machinery:
 
     def test_fix_b_pseudo_colours(self, fix_b):
         dec, kp, pe, rainbow = self._pipeline(fix_b)
-        got = {(p.a, p.b, p.colour) for p in pe.edges}
+        got = {(p.a, p.b, p.colour) for p in pe}
         assert got == {(0, 2, ("v", 4)), (1, 3, ("v", 5)), (0, 1, ("v", 6))}
         assert rainbow.alpha == 1 and rainbow.alpha_large == 1
         assert not rainbow.singletons
 
     def test_rainbow_rejects_a_repeated_vertex(self):
         """A repeated vertex of V(D) would count as a second component."""
-        pe = PseudoEdgeSet(edges=(PseudoEdge(0, 1, ("v", 5)),))
+        pe = (PseudoEdge(0, 1, ("v", 5)),)
         sol = solve_rainbow(pe, [0, 1, 2])
         assert (sol.alpha, sol.alpha_large) == (2, 1)
         with pytest.raises(InputError, match="repeated decomposition vertex"):
@@ -395,17 +393,6 @@ def _stack_depth():
     return depth
 
 
-def _diamond_necklace(k):
-    """k diamonds in a ring: hubs 0..k-1, and hubs i, i+1 (mod k) both joined
-    to the two degree-2 vertices k+2i and k+2i+1.  All vertices unsafe, so
-    each diamond is a forbidden 4-cycle whose reduction forces two edges."""
-    pairs = []
-    for i in range(k):
-        for w in (k + 2 * i, k + 2 * i + 1):
-            pairs += [(i, w), ((i + 1) % k, w)]
-    return build(3 * k, pairs, vertex_safe=[False] * (3 * k))
-
-
 class TestScale:
     """Inputs whose size once exhausted the interpreter's recursion limit."""
 
@@ -427,7 +414,7 @@ class TestScale:
         assert 7 * sol.size <= 11 * sol.meta["lower_bound"]
 
     def test_diamond_necklace_reduces_without_deep_recursion(self):
-        g = _diamond_necklace(100)
+        g = diamond_necklace(100)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(_stack_depth() + 60)
         try:

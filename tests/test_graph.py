@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from flexconn.errors import InputError
 from flexconn.fgc import double_safe_edges
 from flexconn.graph import (LabeledGraph, UnionFind, block_decomposition_edges,
-                            contract_edges, cut_vertices, is_k_edge_connected)
+                            contract_edges, is_k_edge_connected)
 
 from conftest import (brute_force_blocks, brute_force_k_edge_connected, build,
                       random_connected)
@@ -254,23 +254,6 @@ class TestBlocks:
         """The decomposition takes connected graphs only."""
         with pytest.raises(InputError, match="must be connected"):
             _blocks(LabeledGraph.build(3, []))
-
-
-class TestCutVertices:
-    def test_path(self):
-        g = build(3, [(0, 1), (1, 2)])
-        assert cut_vertices(g) == frozenset({1})
-
-    def test_c4(self, c4):
-        assert cut_vertices(c4) == frozenset()
-
-    def test_bowtie(self, bowtie):
-        assert cut_vertices(bowtie) == frozenset({2})
-
-    def test_disconnected_rejected(self):
-        g = build(4, [(0, 1), (2, 3)])
-        with pytest.raises(InputError):
-            cut_vertices(g)
 
 
 class TestEdgeConnectivity:

@@ -16,6 +16,8 @@ three pin the apx2 stages to work proportional to what changes: Algorithm
 1 coarsens its partition once per piece and builds each vertex's cross
 edges at most once, the ear loop tests each start at most once after it
 fails, and the lexicographic cycle search runs one breadth-first search.
+The last pins FVC preprocessing to one low-link DFS per call, however
+many graphs its splits and forbidden-cycle steps make.
 """
 
 import json
@@ -23,6 +25,7 @@ import math
 import os
 import random
 import sys
+from collections import Counter
 from dataclasses import fields
 from functools import cached_property
 
@@ -35,7 +38,8 @@ from flexconn.graph import LabeledGraph, UnionFind
 from flexconn.io import parse_instance
 from flexconn.kfgc import kecss_prune_heuristic
 
-from conftest import apx2_inputs, fvc_chord_cycle, fvc_scale_pieces, random_connected
+from conftest import (apx2_inputs, build, diamond_necklace, fvc_chord_cycle, fvc_scale_pieces,
+                      random_connected)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -364,3 +368,31 @@ def test_lex_first_cycle_runs_one_search(monkeypatch):
     for g in fvc_scale_pieces() + (fvc_chord_cycle(400, 1),):
         ears.build_long_ear_decomposition(g)
     assert len(calls) == len(fvc_scale_pieces()) + 1 and any(calls), calls
+
+
+def test_preprocess_runs_one_dfs(monkeypatch):
+    """Each graph on the worklist comes with its cut vertices, so
+    `preprocess` runs the entry DFS and no other: on a safe path of 1,000
+    vertices (996 splits), a ring of 200 all-unsafe diamonds (200
+    `forbidden_unsafe` steps) and one of 200 diamonds on safe hubs (200
+    `forbidden_safe` steps, each followed by a split)."""
+    real, calls = graph.low_link_incidence, []
+
+    def low_link(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("flexconn")]:
+        if getattr(module, "low_link_incidence", None) is real:
+            monkeypatch.setattr(module, "low_link_incidence", low_link)
+    hosts = {"path": build(1000, [(i, i + 1) for i in range(999)]),
+             "unsafe ring": diamond_necklace(200),
+             "safe ring": diamond_necklace(200, hubs_safe=True)}
+    steps = {}
+    for name, g in hosts.items():
+        del calls[:]
+        _, _, events = fvc.preprocess(g)
+        assert calls == [g.incidence], name
+        steps[name] = Counter(ev[0] for ev in events)
+    assert steps == {"path": {"split": 996}, "unsafe ring": {"forbidden_unsafe": 200},
+                     "safe ring": {"forbidden_safe": 200, "split": 200}}

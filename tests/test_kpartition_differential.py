@@ -32,7 +32,7 @@ from flexconn.feasibility import check_fvc
 from flexconn.fvc import (build_apx1, build_pseudo_edges, partition_k_sets, preprocess,
                           realize_sp, solve_tree_case)
 from flexconn.graph import connected_components
-from flexconn.rainbow import PseudoEdge, PseudoEdgeSet, solve_rainbow
+from flexconn.rainbow import PseudoEdge, solve_rainbow
 
 from conftest import build
 
@@ -160,11 +160,10 @@ def _old_build_pseudo_edges(g, kp):
                 for i, a in enumerate(ax):
                     for b in ax[i + 1:]:
                         out.add(PseudoEdge(a, b, colour))
-    pe = PseudoEdgeSet(edges=tuple(sorted(out)))
-    colours = set(pe.colours())
+    colours = {p.colour for p in out}
     wanted = {("v", u) for u in kp.k12} | {("p", u, v) for u, v in kp.k23_pairs}
     require(colours == wanted, "every colour needs at least one pseudo-edge")
-    return pe
+    return tuple(sorted(out))
 
 
 def _old_realize_sp(g, kp, rainbow, hits):
@@ -269,7 +268,7 @@ def test_k_partition_stage_matches_earlier_form():
         assert pe == _outcome(_old_build_pseudo_edges, g, old), g
         shapes["k22"] += bool(kp.k22_pairs)
         shapes["k23"] += bool(kp.k23_pairs)
-        if not isinstance(pe, PseudoEdgeSet) or not pe.edges:
+        if not pe or not isinstance(pe[0], PseudoEdge):
             continue
         rainbow = solve_rainbow(pe, sorted(kp.vd))
         assert (_outcome(realize_sp, g, kp, rainbow)

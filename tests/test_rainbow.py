@@ -3,13 +3,13 @@ import random
 import pytest
 
 from flexconn.errors import InputError
-from flexconn.rainbow import PseudoEdge, PseudoEdgeSet, max_rainbow_forest, solve_rainbow
+from flexconn.rainbow import PseudoEdge, max_rainbow_forest, solve_rainbow
 
-from conftest import apx2_inputs, brute_force_rainbow_components, rainbow_components
+from conftest import apx2_inputs, brute_force_rainbow_components, by_colour, rainbow_components
 
 
 def make(edges):
-    return PseudoEdgeSet(edges=tuple(sorted(PseudoEdge(a, b, c) for a, b, c in edges)))
+    return tuple(sorted(PseudoEdge(a, b, c) for a, b, c in edges))
 
 
 class TestSolveRainbow:
@@ -30,7 +30,7 @@ class TestSolveRainbow:
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
-            solve_rainbow(PseudoEdgeSet(edges=()), range(3))
+            solve_rainbow((), range(3))
 
     def test_matches_brute_force(self):
         rng = random.Random(99)
@@ -59,10 +59,10 @@ class TestSolveRainbow:
                     edges.add((min(a, b), max(a, b), colour))
             pe = make(edges)
             sol = solve_rainbow(pe, range(nv))
-            by_colour = pe.by_colour()
+            cands = by_colour(pe)
             base = len(sol.singletons)
             for p in sol.chosen:
-                for cand in by_colour[p.colour]:
+                for cand in cands[p.colour]:
                     trial_set = [cand if q == p else q for q in sol.chosen]
                     touched = set()
                     for q in trial_set:

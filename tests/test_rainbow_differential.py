@@ -21,13 +21,13 @@ from collections import deque
 
 from flexconn import rainbow
 from flexconn.errors import require
-from flexconn.rainbow import PseudoEdge, PseudoEdgeSet, solve_rainbow
+from flexconn.rainbow import PseudoEdge, solve_rainbow
 
 from conftest import apx2_inputs, rainbow_components
 
 
 def _old_max_rainbow_forest(pe):
-    ground = sorted(pe.edges)
+    ground = sorted(pe)
     in_set = [False] * len(ground)
 
     def forest_adj(members):
@@ -169,7 +169,7 @@ def _random_pseudo_edges(rng, low=3, high=14):
         for _ in range(rng.randint(1, 5)):
             a, b = rng.sample(range(nv), 2)
             edges.add(PseudoEdge(min(a, b), max(a, b), colour))
-    return nv, PseudoEdgeSet(edges=tuple(sorted(edges)))
+    return nv, tuple(sorted(edges))
 
 
 def test_minimize_singletons_matches_earlier_form(monkeypatch):
@@ -225,7 +225,7 @@ def _greedy_rainbow_forest(pe):
             x = uf[x]
         return x
 
-    for p in sorted(pe.edges):
+    for p in sorted(pe):
         ra, rb = find(p.a), find(p.b)
         if ra != rb and p.colour not in colours:
             uf[ra] = rb
