@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .errors import InputError, require
-from .graph import LabeledGraph, low_link_incidence
+from .graph import LabeledGraph
 
 
 @dataclass(frozen=True)
@@ -30,23 +30,16 @@ class EarDecomposition:
         """V(D), computed once per decomposition."""
         return frozenset(v for ear in self.ears for v in ear)
 
-    def edge_pairs(self) -> List[Tuple[int, int]]:
-        pairs = []
-        cycle = self.ears[0]
-        for i in range(len(cycle)):
-            a, b = cycle[i], cycle[(i + 1) % len(cycle)]
-            pairs.append((min(a, b), max(a, b)))
-        for ear in self.ears[1:]:
-            for a, b in zip(ear, ear[1:]):
-                pairs.append((min(a, b), max(a, b)))
-        return pairs
-
     def edge_ids(self, g: LabeledGraph) -> Set[int]:
+        """The ids of the ears' edges in g, the first ear's closing edge
+        included."""
+        cycle = self.ears[0]
         out = set()
-        for a, b in self.edge_pairs():
-            e = g.edge_between(a, b)
-            require(e is not None, f"ear edge {a}-{b} missing from graph")
-            out.add(e)
+        for ear in (cycle + cycle[:1], *self.ears[1:]):
+            for a, b in zip(ear, ear[1:]):
+                e = g.edge_between(a, b)
+                require(e is not None, f"ear edge {a}-{b} missing from graph")
+                out.add(e)
         return out
 
     @property
@@ -57,7 +50,7 @@ class EarDecomposition:
 def _is_2vc(g: LabeledGraph) -> bool:
     if g.n < 3:
         return False
-    reached, cut, _ = low_link_incidence(g.incidence)
+    reached, cut = g.reach_and_cuts
     return reached == g.n and not cut
 
 

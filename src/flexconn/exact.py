@@ -267,7 +267,11 @@ def exact_solve(inst: Instance, cap_n: int = DEFAULT_CAP_N) -> Solution:
         # contracting a spanning forest leaves one vertex per tree; n at k = 1
         lb = (g.n if inst.problem == "fvc"
               else _kfgc_lower_bound(g.n, len(tree), g.n - len(tree), inst.k))
-        best = _minimum_feasible(g, kernel, lb, _required_degrees(inst))
+        try:
+            best = _minimum_feasible(g, kernel, lb, _required_degrees(inst))
+        except RecursionError:    # the search recurses once per decided edge
+            raise InputError(f"exact_solve: the search over m={g.m} edges is deeper "
+                             "than the recursion limit") from None
     if best is None:
         raise InfeasibleInstanceError("instance is infeasible")
     return Solution(edge_ids=frozenset(best),

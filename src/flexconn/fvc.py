@@ -21,11 +21,8 @@ from .ears import (EarDecomposition, build_long_ear_decomposition,
 from .errors import InfeasibleInstanceError, InputError, require
 from .exact import exact_solve
 from .feasibility import Instance, Solution, check_fvc
-from .graph import (LabeledGraph, UnionFind, block_decomposition_edges,
-                    connected_components, low_link_incidence)
+from .graph import LabeledGraph, UnionFind, block_decomposition_edges, connected_components
 from .rainbow import PseudoEdge, RainbowSolution, solve_rainbow
-
-APPROX_NUM, APPROX_DEN = 11, 7
 
 
 # ---------------------------------------------------------------------------
@@ -54,14 +51,16 @@ def preprocess(g: LabeledGraph) -> Tuple[List[LabeledGraph], Set[int], List[Tupl
     - G - w has none, when G is 2VC with n >= 5: u and v stay joined
       through z, and G - w - z keeps them joined too, or else u would cut
       G, as a fifth vertex lies on one side.
-    - G - uw has just v: w becomes a leaf on v, and no other vertex
-      separates, as uw lay on the 4-cycle and G - w - z is connected.
-    So every cut vertex of a later graph is one of g's, which the entry
-    check found safe, or such a v, which is safe.
+    Dropping uw leaves w a leaf on v, and v the one cut vertex of G - uw,
+    as G - w is 2VC.  So the step does the split at v at once: the
+    closures of {w} and of V - {v, w}, which is connected, are the edge
+    piece {v, w} and G - w, which has no cut vertex; they pop in the order
+    of their least vertices, as a split's closures do.  So every split is
+    at a cut vertex of g, which the entry check found safe.
     """
     if g.m < g.n - 1:    # disconnected; decided before the incidence list is built
         raise InfeasibleInstanceError("FVC instance is infeasible")
-    reached, cuts, _ = low_link_incidence(g.incidence)
+    reached, cuts = g.reach_and_cuts
     if reached < g.n or not g.unsafe_vertex_set.isdisjoint(cuts):
         raise InfeasibleInstanceError("FVC instance is infeasible")
     pieces: List[LabeledGraph] = []
@@ -98,9 +97,10 @@ def preprocess(g: LabeledGraph) -> Tuple[List[LabeledGraph], Set[int], List[Tupl
             u, v = v, u
         if g.vertex_safe[w] and not g.vertex_safe[z]:
             w, z = z, w
-        doomed = g.edge_between(u, w)
-        events.append(("forbidden_safe", doomed))
-        todo.append((g.without_edges({doomed}), {v}))
+        events += [("forbidden_safe", g.edge_between(u, w)), ("split", g.n, 2)]
+        rest, pair = (g.induced(set(range(g.n)) - {w}), set()), (g.induced((v, w)), set())
+        # {v, w} pops first iff no vertex but v lies below w
+        todo += [rest, pair] if w == (v < w) else [pair, rest]
     return pieces, forced, events
 
 

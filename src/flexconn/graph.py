@@ -64,6 +64,14 @@ class LabeledGraph:
         return inc
 
     @cached_property
+    def reach_and_cuts(self) -> Tuple[int, FrozenSet[int]]:
+        """The vertices reached and the cut vertices found by one low-link
+        DFS over the whole graph from vertex 0: the graph is connected iff
+        it reaches n, and then its cut vertices are these."""
+        reached, cut, _ = low_link_incidence(self.incidence)
+        return reached, frozenset(cut)
+
+    @cached_property
     def unsafe_vertex_set(self) -> FrozenSet[int]:
         return frozenset(v for v in range(self.n) if not self.vertex_safe[v])
 
@@ -137,14 +145,6 @@ class LabeledGraph:
             seen.add(eid)
         return self
 
-    def without_edges(self, eids: Iterable[int]) -> "LabeledGraph":
-        drop = set(eids)
-        unknown = drop - self.edge_ends.keys()
-        if unknown:
-            raise InputError(f"unknown edge ids {sorted(unknown)}")
-        return _from_rows(self.n, self.vertex_safe,
-                          [row for row in self._rows() if row[0] not in drop])
-
 
 def _from_rows(n: int, vertex_safe: Tuple[bool, ...], rows: List[tuple]) -> LabeledGraph:
     """The graph of (eid, (u, v), safe) rows; unchecked, for derived graphs."""
@@ -157,10 +157,11 @@ def _from_rows(n: int, vertex_safe: Tuple[bool, ...], rows: List[tuple]) -> Labe
 # them on multigraphs mixing real edges and pseudo-edges.  `low_link_incidence`
 # is the one block DFS, on a dense incidence list such as a graph's
 # `incidence`: callers read a graph's cut vertices and bridges from it.
-# `low_link` relabels keyed edges into it for `is_connected` and for
-# `block_decomposition_edges`, the one block decomposition (blocks, cut
-# vertices, the blocks at each vertex), which takes connected input only.
-# `edge_connectivity_at_least` is a unit max-flow capped at k paths.
+# `_dense` relabels keyed edges into such a list, once, for `is_connected`
+# and for `block_decomposition_edges`, the one block decomposition (blocks,
+# cut vertices, the blocks at each vertex), which takes connected input only.
+# `edge_connectivity_at_least` is a unit max-flow capped at k paths, on its
+# own compact relabelling.
 # ---------------------------------------------------------------------------
 
 EdgeTriple = Tuple[Hashable, int, int]   # (key, u, v)
@@ -212,32 +213,44 @@ def connected_components(vertices: Iterable[int], edges: Iterable[EdgeTriple]) -
     return sorted(uf.groups(), key=min)
 
 
+def _dense(vertices: Iterable[Hashable], edges: Iterable[EdgeTriple]
+           ) -> Tuple[List[Hashable], List[List[Tuple[int, Hashable]]]]:
+    """The distinct vertices as a label list, and the keyed edges as an
+    incidence list on the labels' positions, for `low_link_incidence`: its
+    DFS starts at the first vertex given."""
+    labels = list(dict.fromkeys(vertices))
+    index = {v: i for i, v in enumerate(labels)}
+    inc: List[List[Tuple[int, Hashable]]] = [[] for _ in labels]
+    for key, u, v in edges:
+        a, b = index[u], index[v]
+        inc[a].append((b, key))
+        inc[b].append((a, key))
+    return labels, inc
+
+
 def is_connected(vertices: Iterable[int], edges: Iterable[EdgeTriple]) -> bool:
-    labels, ends = dict.fromkeys(vertices), [(u, v) for _, u, v in edges]
-    return low_link(labels, ends, range(len(ends)))[0] == len(labels)
+    labels, inc = _dense(vertices, edges)
+    return low_link_incidence(inc)[0] == len(labels)
 
 
 def block_decomposition_edges(vertices: Iterable[int], edges: Iterable[EdgeTriple]
                               ) -> Tuple[List[List[Hashable]], Set[int], Dict[int, Set[int]]]:
     """Blocks (as lists of edge keys), cut vertices and, per vertex, the
     indices of the blocks that hold it, of a connected multigraph, from one
-    `low_link`.  Raises `InputError` if the graph is not connected.
+    `low_link_incidence`.  Raises `InputError` if the graph is not connected.
 
     Parallel edges land in one block; self-loops lie in no block.
     """
-    labels = dict.fromkeys(vertices)
-    ends = {key: (u, v) for key, u, v in edges}
+    labels, inc = _dense(vertices, edges)
     bl: List[List[Hashable]] = []
-    reached, cut, _ = low_link(labels, ends, ends, bl)
+    reached, cut, _ = low_link_incidence(inc, None, bl)
     if reached < len(labels):
         raise InputError("block_decomposition_edges: graph must be connected")
-    touching: Dict[int, Set[int]] = {v: set() for v in labels}
-    for i, block in enumerate(bl):
-        for key in block:
-            u, v = ends[key]
-            touching[u].add(i)
-            touching[v].add(i)
-    return bl, cut, touching
+    block_of = {key: i for i, block in enumerate(bl) for key in block}
+    touching: Dict[int, Set[int]] = {}
+    for v, pairs in zip(labels, inc):
+        touching[v] = {block_of[key] for _, key in pairs if key in block_of}
+    return bl, {labels[v] for v in cut}, touching
 
 
 def edge_connectivity_at_least(vertices: Iterable[Hashable],
@@ -273,27 +286,6 @@ def edge_connectivity_at_least(vertices: Iterable[Hashable],
         head += (b, a)
     cap = [1] * len(head)
     return all(_max_flow_at_least(out, head, cap[:], t, k) for t in range(1, c))
-
-
-def low_link(vertices: Iterable[Hashable],
-             ends,
-             eids: Iterable[Hashable],
-             blocks: Optional[List[List[Hashable]]] = None
-             ) -> Tuple[int, Set[Hashable], Set[Hashable]]:
-    """`low_link_incidence` on the given vertices, relabeled 0..c-1 in order
-    (so the DFS starts at the first), and the edges `eids`, where `ends[e]`
-    is the endpoint pair of edge e (a mapping by id, or a list by position).
-    The cut vertices are returned as labels."""
-    labels = list(dict.fromkeys(vertices))
-    index = {v: i for i, v in enumerate(labels)}
-    inc: List[List[Tuple[int, Hashable]]] = [[] for _ in labels]
-    for e in eids:
-        u, v = ends[e]
-        a, b = index[u], index[v]
-        inc[a].append((b, e))
-        inc[b].append((a, e))
-    reached, cut, bridges = low_link_incidence(inc, None, blocks)
-    return reached, {labels[v] for v in cut}, bridges
 
 
 def low_link_incidence(inc: Sequence[Sequence[Tuple[int, Hashable]]],

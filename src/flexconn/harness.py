@@ -23,8 +23,6 @@ from .fvc import solve_fvc
 from .graph import LabeledGraph, is_connected
 from .kfgc import KecssSolverHandle, solve_kfgc
 
-ELEVEN_SEVENTHS = Fraction(11, 7)
-
 
 def gen_random_instance(n: int, p: float, edge_safe_prob: float,
                         vertex_safe_prob: float, problem: str, k: int,

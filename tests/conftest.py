@@ -17,6 +17,14 @@ def build(n, pairs, vertex_safe=None, edge_safe=None):
     return LabeledGraph.build(n, pairs, vertex_safe=vertex_safe, edge_safe=edge_safe)
 
 
+def without_edges(g, eids):
+    """g less the edges with an id in `eids`, the others kept in order."""
+    drop = set(eids)
+    rows = [row for row in zip(g.eids, g.ends, g.edge_safe) if row[0] not in drop]
+    return LabeledGraph.build(g.n, [uv for _, uv, _ in rows], g.vertex_safe,
+                              [s for _, _, s in rows], [e for e, _, _ in rows])
+
+
 def cut_vertices(g):
     """The cut vertices of g, by networkx's articulation points: an
     oracle independent of the library's low-link DFS."""
@@ -148,7 +156,7 @@ def _connected_no_cut(g, verts, eids):
 
 def reference_block_decomposition_edges(vertices, edges):
     """Blocks (as lists of edge keys) and cut vertices of a multigraph: the
-    separate Hopcroft-Tarjan DFS that `graph.py` used before `low_link`
+    separate Hopcroft-Tarjan DFS that `graph.py` used before its low-link DFS
     returned blocks, kept frozen as a reference that does not share code
     with the library.  Adjacency lists are sorted by (neighbour, repr(key)).
     """
@@ -305,5 +313,5 @@ def solve_2ecss_blockwise(g, per_block):
         if sub.m == 1:
             raise InputError("a bridge block cannot be 2-edge-connected")
         out |= per_block.solve(sub, 2)
-    assert is_k_edge_connected(g.without_edges(set(g.eids) - out), 2)
+    assert is_k_edge_connected(without_edges(g, set(g.eids) - out), 2)
     return Solution(edge_ids=frozenset(out), meta={"apx_size": len(out)})

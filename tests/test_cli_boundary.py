@@ -10,6 +10,9 @@ only other outcome allowed is argparse's usage exit, `SystemExit(1)`.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -80,6 +83,41 @@ def test_exact_refuses_a_huge_header_at_its_cap(tmp_path):
     code, out, err = _run(["exact", "--problem", "fvc", "-i", str(path)])
     assert (code, out) == (1, "")
     assert err == "flexconn: error: exact_solve: n=100000 exceeds cap 10\n"
+
+
+def _cycle(n, unsafe_vertices):
+    """A cycle on n vertices with every vertex unsafe, or else every edge."""
+    lines = [f"p flex {n} {n}"] + [f"v {v} u" for v in range(n) if unsafe_vertices]
+    lines += [f"e {v} {(v + 1) % n} {'s' if unsafe_vertices else 'u'}" for v in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv, n, unsafe_vertices", [
+    (["exact", "--problem", "fvc", "--cap", "5000"], 1000, True),
+    (["solve", "--problem", "fgc", "--exact-cap", "5000"], 1200, False),
+])
+def test_a_search_deeper_than_the_stack_exits_1(tmp_path, argv, n, unsafe_vertices):
+    """The exact search recurses once per decided edge, so on a long cycle
+    it outruns Python's recursion limit.  The command, in a process of its
+    own, exits 1 with an error line, not with a traceback."""
+    path = tmp_path / "inst.flex"
+    path.write_text(_cycle(n, unsafe_vertices))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", "import sys; from flexconn.cli import main; sys.exit(main())",
+                          *argv, "-i", str(path)], capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert "Traceback" not in run.stderr
+    assert run.stderr == (f"flexconn: error: exact_solve: the search over m={n} edges "
+                          "is deeper than the recursion limit\n")
+
+
+def test_a_500_vertex_cycle_solves_exactly(tmp_path):
+    path = tmp_path / "inst.flex"
+    path.write_text(_cycle(500, True))
+    code, out, err = _run(["exact", "--problem", "fvc", "--cap", "5000", "-i", str(path)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["exact_opt"] == 500
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from flexconn.graph import (LabeledGraph, UnionFind, block_decomposition_edges,
                             contract_edges, is_k_edge_connected)
 
 from conftest import (brute_force_blocks, brute_force_k_edge_connected, build,
-                      random_connected)
+                      random_connected, without_edges)
 
 
 def _pairs(g):
@@ -172,7 +172,7 @@ class TestAdjacencyView:
                 [(e, (remap[u], remap[v]), s) for e, (u, v), s in rows
                  if u in keep and v in keep])
             drop = {e for e in g.eids if rng.random() < 0.3}
-            assert g.without_edges(drop) == _graph(
+            assert without_edges(g, drop) == _graph(
                 g.n, g.vertex_safe, [row for row in rows if row[0] not in drop])
             chosen = {e for e in g.eids if rng.random() < 0.4}
             assert contract_edges(g, chosen) == _old_contract_edges(g, chosen)

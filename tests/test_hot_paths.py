@@ -16,8 +16,10 @@ three pin the apx2 stages to work proportional to what changes: Algorithm
 1 coarsens its partition once per piece and builds each vertex's cross
 edges at most once, the ear loop tests each start at most once after it
 fails, and the lexicographic cycle search runs one breadth-first search.
-The last pins FVC preprocessing to one low-link DFS per call, however
-many graphs its splits and forbidden-cycle steps make.
+Three more pin FVC preprocessing: one low-link DFS per call, however many
+graphs its splits and forbidden-cycle steps make; no components search for
+the split that follows a forbidden-safe step; and one whole-graph DFS per
+piece, counted across `preprocess` and the ear builder.
 """
 
 import json
@@ -375,7 +377,7 @@ def test_preprocess_runs_one_dfs(monkeypatch):
     `preprocess` runs the entry DFS and no other: on a safe path of 1,000
     vertices (996 splits), a ring of 200 all-unsafe diamonds (200
     `forbidden_unsafe` steps) and one of 200 diamonds on safe hubs (200
-    `forbidden_safe` steps, each followed by a split)."""
+    `forbidden_safe` steps, each with its split)."""
     real, calls = graph.low_link_incidence, []
 
     def low_link(*args):
@@ -396,3 +398,66 @@ def test_preprocess_runs_one_dfs(monkeypatch):
         steps[name] = Counter(ev[0] for ev in events)
     assert steps == {"path": {"split": 996}, "unsafe ring": {"forbidden_unsafe": 200},
                      "safe ring": {"forbidden_safe": 200, "split": 200}}
+
+
+def test_forbidden_safe_step_builds_its_split(monkeypatch):
+    """Dropping the edge uw of a forbidden cycle leaves w a leaf on v, so
+    the step builds the split at v itself, G - w and the edge piece {v, w},
+    with no components search.  A ring of 200 diamonds on safe hubs makes
+    200 such steps and no search; a safe path of 100 vertices still makes
+    one search per split."""
+    real, calls = fvc.connected_components, []
+
+    def components(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fvc, "connected_components", components)
+    _, _, events = fvc.preprocess(diamond_necklace(200, hubs_safe=True))
+    assert calls == []
+    assert Counter(ev[0] for ev in events) == {"forbidden_safe": 200, "split": 200}
+    _, _, events = fvc.preprocess(build(100, [(i, i + 1) for i in range(99)]))
+    assert len(calls) == len(events) == 96
+
+
+def test_one_whole_graph_dfs_per_piece(monkeypatch):
+    """Every piece that reaches the ear builder gets one low-link DFS over
+    its whole graph, counted across `preprocess` and the ear builder.  A
+    piece that `preprocess` did not reduce is the input graph itself, whose
+    entry DFS the ear builder's 2VC check reads again.  Checked on 30
+    seeded fvc-scale-like instances with n from 15, and on each joined at a
+    safe vertex to a copy of itself, which splits into two reduced pieces."""
+    real_dfs, real_ears = graph.low_link_incidence, fvc.build_long_ear_decomposition
+    whole, built = [], []
+
+    def low_link(inc, keep=None, *args):
+        if keep is None:
+            whole.append(inc)
+        return real_dfs(inc, keep, *args)
+
+    def ear_builder(g):
+        built.append(g)
+        return real_ears(g)
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("flexconn")]:
+        if getattr(module, "low_link_incidence", None) is real_dfs:
+            monkeypatch.setattr(module, "low_link_incidence", low_link)
+    monkeypatch.setattr(fvc, "build_long_ear_decomposition", ear_builder)
+    rng = random.Random(11)
+    solved = unreduced = 0
+    while solved < 30:
+        n = rng.randint(15, 60)
+        g = random_connected(rng, n, min(0.5, (math.log(n) + 1.5) / n + 0.06),
+                             vertex_safe_prob=0.15)
+        if True not in g.vertex_safe or not feasibility.check_fvc(g, set(g.eids)):
+            continue
+        fvc.solve_fvc(g)
+        solved += 1
+        unreduced += any(piece is g for piece in built)
+        # two copies of g joined at its lowest safe vertex: one split, two pieces
+        s = g.vertex_safe.index(True)
+        copy = [s if v == s else n + v - (v > s) for v in range(n)]
+        fvc.solve_fvc(build(2 * n - 1, list(g.ends) + [(copy[u], copy[v]) for u, v in g.ends],
+                            g.vertex_safe + g.vertex_safe[:s] + g.vertex_safe[s + 1:]))
+    assert [sum(inc is piece.incidence for inc in whole) for piece in built] == [1] * len(built)
+    assert unreduced >= 25 and len(built) >= 3 * unreduced, (unreduced, len(built))

@@ -2,9 +2,10 @@
 top, every imported name is used, and every submodule imports on its own, so
 no module relies on an import cycle being broken at call time.  Every
 function parameter is read, every module-level private function has a
-caller in the library, and every nested function is read by the function
-that encloses it.  Every public name is one that something reads: the
-library, the README or the benchmark tracer."""
+caller in the library, every nested function is read by the function
+that encloses it, and every module-level constant is read by library code.
+Every public name is one that something reads: the library, the README or
+the benchmark tracer."""
 
 import ast
 import importlib.util
@@ -152,6 +153,39 @@ def test_every_nested_function_is_read():
               if isinstance(fn, FUNCTIONS) for inner in _nested_functions(fn)]
     assert len(nested) >= 5
     assert [hit for name, tree in trees.items() for hit in _unread_nested_functions(name, tree)] == []
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def _constants(trees):
+    """(file, assignment, name) of each module-level UPPER_CASE name."""
+    for file, tree in trees.items():
+        for stmt in tree.body:
+            targets = (stmt.targets if isinstance(stmt, ast.Assign) else
+                       [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+            for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                if CONSTANT.fullmatch(name):
+                    yield file, stmt, name
+
+
+def _is_read(name, trees, skip):
+    """Whether library code outside the node `skip` reads `name`, as a name
+    or as an attribute."""
+    return any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id == name
+               or isinstance(n, ast.Attribute) and n.attr == name
+               for tree in trees.values() for n in _walk_outside(tree, skip))
+
+
+def test_every_constant_is_read():
+    """Checked mutant: the library with `APPROX_NUM, APPROX_DEN = 11, 7` in
+    `fvc.py` and `ELEVEN_SEVENTHS = Fraction(11, 7)` in `harness.py`, which
+    nothing read, fails on exactly those three names."""
+    trees = _trees()
+    constants = list(_constants(trees))
+    assert len(constants) >= 5
+    assert [f"{file} {name}" for file, stmt, name in constants
+            if not _is_read(name, trees, stmt)] == []
 
 
 @pytest.mark.parametrize("module", MODULES)

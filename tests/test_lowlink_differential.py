@@ -1,4 +1,5 @@
-"""Differential tests of `graph.low_link` and of the code built on it.
+"""Differential tests of `graph.low_link_incidence` and of the code built on
+it: `is_connected`, `block_decomposition_edges` and the checkers.
 
 The reference is networkx (test-only): `articulation_points`, `bridges` and
 `biconnected_component_edges` of the underlying simple graph, restricted to
@@ -24,12 +25,25 @@ import pytest
 from flexconn.errors import InputError
 from flexconn.feasibility import check_fgc, check_fvc
 from flexconn.graph import (LabeledGraph, block_decomposition_edges, is_connected,
-                            low_link)
+                            low_link_incidence)
 
 from conftest import (brute_force_blocks, random_connected,
-                      reference_block_decomposition_edges)
+                      reference_block_decomposition_edges, without_edges)
 
 nx = pytest.importorskip("networkx")
+
+
+def _incidence(vertices, ends, eids):
+    """The incidence list of the edges `eids` on the positions of the
+    distinct `vertices`, where `ends[e]` is the endpoint pair of edge e (a
+    mapping by id, or a list by position)."""
+    index = {v: i for i, v in enumerate(vertices)}
+    inc = [[] for _ in index]
+    for e in eids:
+        a, b = (index[x] for x in ends[e])
+        inc[a].append((b, e))
+        inc[b].append((a, e))
+    return inc
 
 
 def _reference(vertices, ends, eids):
@@ -80,13 +94,14 @@ def _as_counter(bl):
 
 
 def _check_blocks(vertices, ends, eids):
-    """`low_link` blocks against networkx on the first vertex's component of
-    any graph; `block_decomposition_edges` (blocks, cut vertices, the blocks
-    at each vertex) on a connected graph, and its rejection of a
-    disconnected one.  Returns whether the graph is connected."""
+    """`low_link_incidence` blocks against networkx on the first vertex's
+    component of any graph; `block_decomposition_edges` (blocks, cut
+    vertices, the blocks at each vertex) on a connected graph, and its
+    rejection of a disconnected one.  Returns whether the graph is
+    connected."""
     vertices, eids = list(vertices), list(eids)
     bl = []
-    low_link(vertices, ends, eids, bl)
+    low_link_incidence(_incidence(vertices, ends, eids), None, bl)
     assert _as_counter(bl) == Counter(b for b, _ in _reference_blocks(vertices, ends, eids, True))
     triples = [(e, *ends[e]) for e in eids]
     simple = _simple(vertices, ends, eids)
@@ -126,42 +141,51 @@ class TestAgainstNetworkx:
             g = _random_labeled(rng, i % 13)
             keep = rng.uniform(0.4, 1.0)
             chosen = {e for e in g.eids if rng.random() < keep}
-            got = low_link(range(g.n), g.edge_ends, chosen)
+            got = low_link_incidence(g.incidence, chosen)
             assert got == _reference(range(g.n), g.edge_ends, chosen), (g, chosen)
             seen_parallel += not g.is_simple
             seen_disconnected += got[0] < g.n
         assert seen_parallel > 50 and seen_disconnected > 50
 
     def test_general_labels_and_positional_ends(self):
-        """200 graphs as `edge_connectivity_at_least` passes them: arbitrary
-        vertex labels, endpoints listed by position, a few self-loops."""
+        """200 graphs with arbitrary vertex labels, endpoints listed by
+        position and a few self-loops, on their incidence list and through
+        `is_connected`."""
         rng = random.Random(9002)
         for i in range(200):
             n = i % 10
             labels = rng.sample(range(100), n)
             m = rng.randint(0, 3 * n) if n else 0
             ends = [(rng.choice(labels), rng.choice(labels)) for _ in range(m)]
-            got = low_link(labels, ends, range(m))
+            reached, cut, bridges = low_link_incidence(_incidence(labels, ends, range(m)))
+            got = reached, {labels[v] for v in cut}, bridges
             assert got == _reference(labels, ends, range(m)), (labels, ends)
+            assert is_connected(labels, [(e, *ends[e]) for e in range(m)]) == (reached == n)
 
     def test_long_cycle_and_path(self):
         n = 5000
         cycle = {i: (i, (i + 1) % n) for i in range(n)}
-        assert low_link(range(n), cycle, cycle) == (n, set(), set())
+        assert low_link_incidence(_incidence(range(n), cycle, cycle)) == (n, set(), set())
         path = {i: (i, i + 1) for i in range(n - 1)}
-        reached, cut, bridges = low_link(range(n), path, path)
+        reached, cut, bridges = low_link_incidence(_incidence(range(n), path, path))
         assert (reached, cut, bridges) == (n, set(range(1, n - 1)), set(path))
         # the DFS starts at the first vertex given, here the middle one
         middle = [n // 2] + [v for v in range(n) if v != n // 2]
-        assert low_link(middle, path, path) == (n, set(range(1, n - 1)), set(path))
+        reached, cut, bridges = low_link_incidence(_incidence(middle, path, path))
+        assert (reached, {middle[v] for v in cut}, bridges) == (n, set(range(1, n - 1)), set(path))
+        triples = [(e, *path[e]) for e in path]
+        assert is_connected(middle, triples)
+        assert block_decomposition_edges(middle, triples)[1] == set(range(1, n - 1))
 
     def test_small_cases(self):
-        assert low_link([], {}, []) == (0, set(), set())
-        assert low_link([7], {}, []) == (1, set(), set())
-        assert low_link([0, 1], {}, []) == (1, set(), set())
-        assert low_link([0, 1], {5: (0, 1)}, [5]) == (2, set(), {5})
-        assert low_link([0, 1], {5: (0, 1), 8: (1, 0)}, [5, 8]) == (2, set(), set())
-        assert low_link([0, 1, 2], {0: (0, 1), 1: (1, 2)}, [0, 1]) == (3, {1}, {0, 1})
+        assert low_link_incidence([]) == (0, set(), set())
+        assert low_link_incidence([[]]) == (1, set(), set())
+        assert low_link_incidence([[], []]) == (1, set(), set())
+        assert low_link_incidence([[(1, 5)], [(0, 5)]]) == (2, set(), {5})
+        assert low_link_incidence([[(1, 5), (1, 8)], [(0, 5), (0, 8)]]) == (2, set(), set())
+        assert low_link_incidence([[(1, 0)], [(0, 0), (2, 1)], [(1, 1)]]) == (3, {1}, {0, 1})
+        assert is_connected([7], []) and not is_connected([0, 1], [])
+        assert is_connected([0, 1], [(5, 0, 1)]) and is_connected([], [])
 
 
 class TestBlocksAgainstNetworkx:
@@ -202,7 +226,7 @@ class TestBlocksAgainstNetworkx:
         path = {i: (i, i + 1) for i in range(n - 1)}
         for ends, expected in ((cycle, [set(cycle)]), (path, [{i} for i in path])):
             bl = []
-            low_link(range(n), ends, ends, bl)
+            low_link_incidence(_incidence(range(n), ends, ends), None, bl)
             assert _as_counter(bl) == Counter(frozenset(b) for b in expected)
             got, _, touching = block_decomposition_edges(range(n), [(e, *ends[e]) for e in ends])
             assert _as_counter(got) == _as_counter(bl)
@@ -211,12 +235,13 @@ class TestBlocksAgainstNetworkx:
 
     def test_small_cases(self):
         bl = []
-        assert low_link([], {}, [], bl) == (0, set(), set()) and bl == []
-        assert low_link([0, 1], {}, [], bl) == (1, set(), set()) and bl == []
-        assert low_link([0, 1], {5: (0, 1), 8: (1, 0)}, [5, 8], bl) == (2, set(), set())
+        assert low_link_incidence([], None, bl) == (0, set(), set()) and bl == []
+        assert low_link_incidence([[], []], None, bl) == (1, set(), set()) and bl == []
+        pair = [[(1, 5), (1, 8)], [(0, 5), (0, 8)]]
+        assert low_link_incidence(pair, None, bl) == (2, set(), set())
         assert _as_counter(bl) == Counter([frozenset({5, 8})])
         bl = []
-        low_link([0], {3: (0, 0)}, [3], bl)
+        low_link_incidence([[(0, 3), (0, 3)]], None, bl)
         assert bl == []
         assert block_decomposition_edges([], []) == ([], set(), {})
         assert block_decomposition_edges([7], [(3, 7, 7)]) == ([], set(), {7: set()})
@@ -235,7 +260,7 @@ class TestBlockMergingEdge:
 
     @staticmethod
     def _sub(g, eids):
-        return g.without_edges(set(g.eids) - eids)
+        return without_edges(g, set(g.eids) - eids)
 
     def test_random_spanning_subgraphs(self):
         rng = random.Random(3)
@@ -245,7 +270,7 @@ class TestBlockMergingEdge:
             order = sorted(g.eids, key=lambda e: rng.random())
             sub = set()
             for e in order:
-                if low_link(range(g.n), g.edge_ends, sub)[0] < g.n or rng.random() < 0.2:
+                if low_link_incidence(g.incidence, sub)[0] < g.n or rng.random() < 0.2:
                     sub.add(e)
             before = len(brute_force_blocks(self._sub(g, sub)))
             bl, _, touching = block_decomposition_edges(
@@ -262,7 +287,7 @@ class TestBlockMergingEdge:
         assert merged > 80 and kept > 30, (merged, kept)
 
 
-# The checkers as they were defined before `low_link`.
+# The checkers as they were defined before the one low-link DFS.
 
 def _old_edge_triples(g, eids):
     return [(eid, *g.edge_ends[eid]) for eid in set(eids)]

@@ -3,8 +3,9 @@
 The earlier form, copied below, ran a whole cut-vertex search on every graph
 that a split or a forbidden-cycle step made.  The current one carries each
 graph's cut vertices on the worklist: an x-closure gets its parent's cut
-vertices inside the component, G - w gets none and G - uw gets {v}, so
-one low-link DFS runs per call.  The copy takes its cut vertices from
+vertices inside the component and G - w gets none, and a forbidden-safe
+step builds the split at v that the copy makes of G - uw, so one low-link
+DFS runs per call.  The copy takes its cut vertices from
 networkx (`conftest.cut_vertices`), so it shares no search with the library.
 The hosts are FVC instances, most of them feasible, built from small random
 blocks and pendant chains hung from safe vertices and from planted
@@ -21,7 +22,7 @@ from flexconn.feasibility import check_fvc
 from flexconn.fvc import _induced_triples, preprocess
 from flexconn.graph import LabeledGraph, connected_components, low_link_incidence
 
-from conftest import build, cut_vertices
+from conftest import build, cut_vertices, without_edges
 
 
 # The earlier preprocess, with its dataclass return unpacked.
@@ -68,7 +69,7 @@ def _old_preprocess(g: LabeledGraph):
             w, z = z, w
         doomed = g.edge_between(u, w)
         events.append(("forbidden_safe", doomed))
-        todo.append((g.without_edges({doomed}), None))
+        todo.append((without_edges(g, {doomed}), None))
     return pieces, frozenset(forced), tuple(events)
 
 
