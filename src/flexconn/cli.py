@@ -14,7 +14,7 @@ import warnings
 from typing import Optional
 
 from .errors import FlexconnError, InfeasibleInstanceError, InputError, require_positive_k
-from .exact import exact_solve
+from .exact import DEFAULT_CAP_N, exact_solve
 from .feasibility import PROBLEMS, Instance, Solution, predicates_for
 from .harness import (ExperimentConfig, check_arithmetic_lemmas,
                       gen_random_instance, gen_safe_tree_family,
@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact = sub.add_parser("exact", help="force the brute-force oracle")
     p_exact.add_argument("--problem", required=True, choices=PROBLEMS)
     p_exact.add_argument("--k", type=int, default=None)
-    p_exact.add_argument("--cap", type=int, default=10, help="refuse instances above this n")
+    p_exact.add_argument("--cap", type=int, default=DEFAULT_CAP_N, help="refuse instances above this n")
     add_io(p_exact)
 
     p_check = sub.add_parser("check", help="validate a solution file")

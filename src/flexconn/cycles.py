@@ -33,7 +33,7 @@ from itertools import count
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import require
-from .graph import LabeledGraph, UnionFind
+from .graph import LabeledGraph, UnionFind, components
 
 
 def is_good_cycle(parts: Sequence[FrozenSet[int]],
@@ -206,7 +206,7 @@ def _coarsen(search: GoodCycleSearch) -> None:
     other singleton is grabbed by a large part or stays A0.  Then each
     vertex with an edge to another part is marked in `bnd`."""
     nbr, coarse_of = search.nbr, search.coarse_of
-    for comp in _components(nbr, set(nbr)):
+    for comp in components(nbr, set(nbr)):
         if len(comp) > 1:
             gid = next(search._group_ids)
             search.groups[gid] = comp
@@ -221,23 +221,6 @@ def _coarsen(search: GoodCycleSearch) -> None:
             bnd[cid].add(v)
 
 
-def _components(nbr: Dict[int, List[int]], left: Set[int]):
-    """The components of the singletons in `left` under singleton adjacency,
-    consuming `left`; it must hold every singleton neighbour of its
-    members."""
-    while left:
-        seed = left.pop()
-        comp = {seed}
-        queue = deque([seed])
-        while queue:
-            for y in nbr[queue.popleft()]:
-                if y in left:
-                    left.discard(y)
-                    comp.add(y)
-                    queue.append(y)
-        yield comp
-
-
 def _split_group(search: GoodCycleSearch, gid: int, gone: Set[int]) -> None:
     """Take the singletons `gone` out of F1 group `gid` and split the rest
     into its components.  The largest keeps the id, so its vertices do not
@@ -245,7 +228,7 @@ def _split_group(search: GoodCycleSearch, gid: int, gone: Set[int]) -> None:
     vertex."""
     nbr, members = search.nbr, search.groups[gid]
     members -= gone
-    comps = list(_components(nbr, set(members)))
+    comps = list(components(nbr, set(members)))
     keep = max(comps, key=len, default=members)
     if len(keep) > 1:
         search.groups[gid] = keep

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .errors import InputError, require
 from .graph import LabeledGraph
@@ -278,18 +278,21 @@ def build_long_ear_decomposition(g: LabeledGraph) -> EarDecomposition:
     return dec
 
 
-def find_forbidden_cycle(g: LabeledGraph) -> Optional[Tuple[int, int, int, int]]:
-    """Lowest (w, z, u, v) with deg(w)=deg(z)=2, wz not an edge, and
-    N(w) = N(z) = {u, v}: the 4-cycle u-w-v-z, returned as (u, w, v, z).
+def find_forbidden_cycle(g: LabeledGraph, vs: AbstractSet[int]
+                         ) -> Optional[Tuple[int, int, int, int]]:
+    """In g[vs], the lowest (w, z, u, v) with deg(w)=deg(z)=2, wz not an
+    edge, and N(w) = N(z) = {u, v}: the 4-cycle u-w-v-z, as (u, w, v, z).
 
-    Linear scan: degree-2 vertices are grouped by their neighbour pair, in
-    increasing order.  Two vertices with the same neighbours are never
-    adjacent, so the lowest pair is the first two members of some group.  A
-    degree-2 vertex on a doubled edge has one neighbour and is skipped."""
+    Linear scan of g[vs] through `g.incidence`: degree-2 vertices are
+    grouped by their neighbour pair, in increasing order.  Two vertices
+    with the same neighbours are never adjacent, so the lowest pair is the
+    first two members of some group.  A degree-2 vertex on a doubled edge
+    has one neighbour and is skipped."""
     groups: Dict[Tuple[int, ...], List[int]] = {}
-    for v in range(g.n):
-        if g.degree(v) == 2:
-            groups.setdefault(g.neighbors(v), []).append(v)
+    for v in sorted(vs):
+        ends = [w for w, _ in g.incidence[v] if w in vs]
+        if len(ends) == 2:
+            groups.setdefault(tuple(sorted(set(ends))), []).append(v)
     best = min(((ws[0], ws[1], nbrs) for nbrs, ws in groups.items()
                 if len(ws) >= 2 and len(nbrs) == 2), default=None)
     if best is None:

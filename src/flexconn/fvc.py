@@ -21,7 +21,7 @@ from .ears import (EarDecomposition, build_long_ear_decomposition,
 from .errors import InfeasibleInstanceError, InputError, require
 from .exact import exact_solve
 from .feasibility import Instance, Solution, check_fvc
-from .graph import LabeledGraph, UnionFind, block_decomposition_edges, connected_components
+from .graph import LabeledGraph, UnionFind, block_decomposition_edges, components
 from .rainbow import PseudoEdge, RainbowSolution, solve_rainbow
 
 
@@ -35,73 +35,72 @@ def preprocess(g: LabeledGraph) -> Tuple[List[LabeledGraph], Set[int], List[Tupl
     events in the order they happened.
 
     One low-link DFS over g decides feasibility (g connected, no unsafe cut
-    vertex) and gives g's cut vertices.  Order per step: tiny pieces are
-    left for enumeration; the least cut vertex x, safe, splits the graph
-    into the x-closures of the components of G - x; a forbidden 4-cycle
-    u-w-v-z (deg w = deg z = 2, wz absent) either forces the edges uw, wv
-    and drops w (u, v both unsafe) or lets us drop the edge uw (v safe, and
-    z relabeled safe whenever w is).  Depth first, children in order, with
-    an explicit worklist so long chains of reductions cannot exhaust the
-    call stack.
+    vertex) and gives g's cut vertices.  Every piece is an induced subgraph
+    of g, so the worklist holds each as its vertex set vs, with its cut
+    vertices, both in g's labels; each final piece is built once, as
+    g[vs], or is g itself when nothing was reduced.  Order per step: tiny
+    pieces are left for enumeration; the least cut vertex x, safe, splits
+    g[vs] into the x-closures of the components of g[vs] - x; a forbidden
+    4-cycle u-w-v-z (deg w = deg z = 2 in g[vs], wz absent) either forces
+    the edges uw, wv and drops w (u, v both unsafe) or lets us drop the
+    edge uw (v safe, and the names w and z swapped if only w is safe).
+    Depth first, children in order, with an explicit worklist so long
+    chains of reductions cannot exhaust the call stack.
 
     Each step gives its children's cut vertices, so no further DFS runs:
-    - the x-closure G[C + x] of a component C has those of G that lie in
-      C.  C is connected, so x is none; for y in C, every part of G - y
-      that misses x lies inside C.
-    - G - w has none, when G is 2VC with n >= 5: u and v stay joined
-      through z, and G - w - z keeps them joined too, or else u would cut
-      G, as a fifth vertex lies on one side.
-    Dropping uw leaves w a leaf on v, and v the one cut vertex of G - uw,
-    as G - w is 2VC.  So the step does the split at v at once: the
-    closures of {w} and of V - {v, w}, which is connected, are the edge
-    piece {v, w} and G - w, which has no cut vertex; they pop in the order
-    of their least vertices, as a split's closures do.  So every split is
-    at a cut vertex of g, which the entry check found safe.
+    - the x-closure g[C + x] of a component C has those of g[vs] that lie
+      in C.  C is connected, so x is none; for y in C, every part of
+      g[vs] - y that misses x lies inside C.
+    - g[vs - w] has none, when g[vs] is 2VC with |vs| >= 5: u and v stay
+      joined through z, and g[vs - w - z] keeps them joined too, or else u
+      would cut g[vs], as a fifth vertex lies on one side.
+    Dropping uw leaves w a leaf on v, and v the one cut vertex of
+    g[vs] - uw, as g[vs - w] is 2VC.  So the step does the split at v at
+    once: the closures of {w} and of vs - {v, w}, which is connected, are
+    the edge piece {v, w} and g[vs - w], which has no cut vertex; they pop
+    in the order of their least vertices, as a split's closures do.  So
+    every split is at a cut vertex of g, which the entry check found safe.
     """
     if g.m < g.n - 1:    # disconnected; decided before the incidence list is built
         raise InfeasibleInstanceError("FVC instance is infeasible")
     reached, cuts = g.reach_and_cuts
     if reached < g.n or not g.unsafe_vertex_set.isdisjoint(cuts):
         raise InfeasibleInstanceError("FVC instance is infeasible")
-    pieces: List[LabeledGraph] = []
+    done: List[Set[int]] = []
     forced: Set[int] = set()
     events: List[Tuple] = []
-    todo = [(g, cuts)]
+    todo = [(set(range(g.n)), cuts)]
     while todo:
-        g, cuts = todo.pop()
-        if g.n < 5:
-            pieces.append(g)
+        vs, cuts = todo.pop()
+        if len(vs) < 5:
+            done.append(vs)
             continue
         if cuts:
             x = min(cuts)
-            rest = set(range(g.n)) - {x}
-            comps = connected_components(rest, _induced_triples(g, rest))
-            events.append(("split", g.n, len(comps)))
-            for comp in reversed(comps):
-                vs = sorted(comp | {x})
-                inner = {i for i, y in enumerate(vs) if y in cuts and y != x}
-                todo.append((g.induced(vs), inner))
+            comps = sorted(components(g.neighbor_sets, vs - {x}), key=min)
+            events.append(("split", len(vs), len(comps)))
+            todo += [(comp | {x}, cuts & comp) for comp in reversed(comps)]
             continue
-        fc = find_forbidden_cycle(g)
+        fc = find_forbidden_cycle(g, vs)
         if fc is None:
-            pieces.append(g)
+            done.append(vs)
             continue
         u, w, v, z = fc
         if not g.vertex_safe[u] and not g.vertex_safe[v]:
             e1, e2 = g.edge_between(u, w), g.edge_between(w, v)
             forced.update((e1, e2))
             events.append(("forbidden_unsafe", e1, e2))
-            todo.append((g.induced(set(range(g.n)) - {w}), set()))
+            todo.append((vs - {w}, set()))
             continue
         if g.vertex_safe[u] and not g.vertex_safe[v]:
             u, v = v, u
         if g.vertex_safe[w] and not g.vertex_safe[z]:
             w, z = z, w
-        events += [("forbidden_safe", g.edge_between(u, w)), ("split", g.n, 2)]
-        rest, pair = (g.induced(set(range(g.n)) - {w}), set()), (g.induced((v, w)), set())
+        events += [("forbidden_safe", g.edge_between(u, w)), ("split", len(vs), 2)]
+        rest, pair = (vs - {w}, set()), ({v, w}, set())
         # {v, w} pops first iff no vertex but v lies below w
-        todo += [rest, pair] if w == (v < w) else [pair, rest]
-    return pieces, forced, events
+        todo += [rest, pair] if w == min(vs - {v}) else [pair, rest]
+    return [g if len(vs) == g.n else g.induced(vs) for vs in done], forced, events
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ not checked.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (Container, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Container, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Set, Tuple, Union)
 
 from .errors import InputError, require_positive_k
 
@@ -154,8 +155,9 @@ def _from_rows(n: int, vertex_safe: Tuple[bool, ...], rows: List[tuple]) -> Labe
 # ---------------------------------------------------------------------------
 # Low-level routines over keyed edge lists.  These work on arbitrary vertex
 # collections and arbitrary hashable edge keys, so the FVC pipeline can run
-# them on multigraphs mixing real edges and pseudo-edges.  `low_link_incidence`
-# is the one block DFS, on a dense incidence list such as a graph's
+# them on multigraphs mixing real edges and pseudo-edges.  `components` is
+# the one components walk, on an adjacency such as `neighbor_sets`, and
+# `low_link_incidence` the one block DFS, on a dense incidence list such as
 # `incidence`: callers read a graph's cut vertices and bridges from it.
 # `_dense` relabels keyed edges into such a list, once, for `is_connected`
 # and for `block_decomposition_edges`, the one block decomposition (blocks,
@@ -206,11 +208,21 @@ def max_safe_forest(g: LabeledGraph) -> FrozenSet[int]:
     return frozenset(e for e, (u, v), s in sorted(g._rows()) if s and uf.union(u, v))
 
 
-def connected_components(vertices: Iterable[int], edges: Iterable[EdgeTriple]) -> List[Set[int]]:
-    uf = UnionFind(vertices)
-    for _, u, v in edges:
-        uf.union(u, v)
-    return sorted(uf.groups(), key=min)
+def components(nbr: Union[Sequence[Iterable[int]], Mapping[int, Iterable[int]]],
+               left: Set[int]) -> Iterator[Set[int]]:
+    """The components of the subgraph that the adjacency `nbr` induces on
+    `left`, in no set order; consumes `left`."""
+    while left:
+        seed = left.pop()
+        comp = {seed}
+        queue = deque([seed])
+        while queue:
+            for y in nbr[queue.popleft()]:
+                if y in left:
+                    left.discard(y)
+                    comp.add(y)
+                    queue.append(y)
+        yield comp
 
 
 def _dense(vertices: Iterable[Hashable], edges: Iterable[EdgeTriple]

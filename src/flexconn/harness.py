@@ -23,10 +23,12 @@ from .fvc import solve_fvc
 from .graph import LabeledGraph, is_connected
 from .kfgc import KecssSolverHandle, solve_kfgc
 
+GNP_MAX_ATTEMPTS = 10000   # G(n, p) samples drawn before giving up on connectivity
+
 
 def gen_random_instance(n: int, p: float, edge_safe_prob: float,
                         vertex_safe_prob: float, problem: str, k: int,
-                        seed: int, max_attempts: int = 10000) -> Instance:
+                        seed: int) -> Instance:
     """G(n, p) resampled until connected, then independent safety flags."""
     if n < 2:
         raise InputError("need n >= 2")
@@ -36,7 +38,7 @@ def gen_random_instance(n: int, p: float, edge_safe_prob: float,
         if not (0 <= prob <= 1):
             raise InputError("probabilities must lie in [0, 1]")
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(GNP_MAX_ATTEMPTS):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < p]
         if is_connected(range(n), [(i, u, v) for i, (u, v) in enumerate(pairs)]):
@@ -45,7 +47,7 @@ def gen_random_instance(n: int, p: float, edge_safe_prob: float,
             g = LabeledGraph.build(n, pairs, vertex_safe=vertex_safe,
                                    edge_safe=edge_safe)
             return Instance(graph=g, problem=problem, k=k)
-    raise InputError(f"no connected G({n},{p}) sample within {max_attempts} attempts")
+    raise InputError(f"no connected G({n},{p}) sample within {GNP_MAX_ATTEMPTS} attempts")
 
 
 def gen_safe_tree_family(n: int, k: int) -> Instance:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Optional
 
 from .errors import InfeasibleInstanceError, require
-from .exact import _kfgc_lower_bound, exact_kecss, kecss_instance
+from .exact import DEFAULT_CAP_N, _kfgc_lower_bound, exact_kecss, kecss_instance
 from .feasibility import Solution, check_kfgc, predicates_for, prune_minimal
 from .graph import LabeledGraph, contract_edges, max_safe_forest
 
@@ -39,7 +39,7 @@ class KecssSolverHandle:
     vertices `exact_kecss`, above it the prune heuristic; both decide
     kECSS as k-FGC at k - 1 with every edge unsafe (`kecss_instance`), and
     either result is inclusion-minimal (an optimum, or a pruned set)."""
-    cap_n: int = 10
+    cap_n: int = DEFAULT_CAP_N
 
     def kind(self, n: int) -> str:
         return "exact" if n <= self.cap_n else "prune_heuristic"
@@ -59,7 +59,7 @@ def solve_kfgc(g: LabeledGraph, k: int,
     # the forest is maximum, so every safe edge became a loop and was dropped
     require(not any(core_graph.edge_safe),
             "contracted core must contain only unsafe edges")
-    sub = sub or KecssSolverHandle(cap_n=10)
+    sub = sub or KecssSolverHandle()
     core = sub.solve(core_graph, k + 1) if core_graph.n > 1 else frozenset()
     alg = frozenset(forest | core)
     require(check_kfgc(g, alg, k), "k-FGC result failed the checker")

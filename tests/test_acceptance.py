@@ -115,7 +115,8 @@ def test_criterion_4_ear_invariants():
         for piece in pieces:
             if piece.n < 5:
                 continue
-            assert not cut_vertices(piece) and find_forbidden_cycle(piece) is None
+            assert not cut_vertices(piece)
+            assert find_forbidden_cycle(piece, frozenset(range(piece.n))) is None
             dec = build_long_ear_decomposition(piece)
             if 3 * dec.edge_count > 4 * (len(dec.vertices) - 1):
                 violations += 1

@@ -2,10 +2,10 @@ import random
 
 from flexconn.cycles import GoodCycleSearch, find_good_cycle, is_good_cycle
 from flexconn.fvc import algorithm1_buy_good_cycles
-from flexconn.graph import connected_components, is_connected
+from flexconn.graph import is_connected
 from flexconn.rainbow import solve_rainbow
 
-from conftest import apx2_inputs, build, cut_vertices, random_connected
+from conftest import apx2_inputs, build, connected_components, cut_vertices, random_connected
 
 
 def triples_of(g, eids):

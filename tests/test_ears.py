@@ -73,7 +73,7 @@ class TestInvariants:
             triples = [(e, u, v) for e, (u, v) in zip(g.eids, g.ends)]
             if not is_connected(range(g.n), triples) or cut_vertices(g):
                 continue
-            if find_forbidden_cycle(g) is not None:
+            if find_forbidden_cycle(g, frozenset(range(g.n))) is not None:
                 continue
             dec = build_long_ear_decomposition(g)
             assert 3 * dec.edge_count <= 4 * (len(dec.vertices) - 1)
@@ -94,7 +94,7 @@ class TestInvariants:
             n = rng.randint(5, 45)
             p = min(0.6, (math.log(n) + 1.5) / n + 0.06)
             g = random_connected(rng, n, p, vertex_safe_prob=0.15)
-            if cut_vertices(g) or find_forbidden_cycle(g) is not None:
+            if cut_vertices(g) or find_forbidden_cycle(g, frozenset(range(g.n))) is not None:
                 continue
             dec = build_long_ear_decomposition(g)
             assert leftover_is_matching(g, dec.vertices), g.ends
@@ -216,7 +216,7 @@ class TestForbiddenCycles:
         # u-w-v-z square with deg(w)=deg(z)=2, plus a handle making it bigger
         pairs = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (2, 4), (0, 5), (2, 5)]
         g = build(6, pairs)
-        found = find_forbidden_cycle(g)
+        found = find_forbidden_cycle(g, frozenset(range(g.n)))
         assert found is not None
         u, w, v, z = found
         assert {g.degree(w), g.degree(z)} == {2}
@@ -224,4 +224,4 @@ class TestForbiddenCycles:
         assert g.neighbor_sets[w] == g.neighbor_sets[z] == {u, v}
 
     def test_fix_a_is_clean(self, fix_a):
-        assert find_forbidden_cycle(fix_a) is None
+        assert find_forbidden_cycle(fix_a, frozenset(range(fix_a.n))) is None

@@ -3,7 +3,9 @@ definitions.
 
 `reference_shortest_long_cycle` is the exhaustive search: one unbounded BFS
 per (vertex, neighbour pair), followed by a recursive lexicographic DFS.
-`reference_find_forbidden_cycle` compares every pair of degree-2 vertices.
+`reference_find_forbidden_cycle` compares every pair of degree-2 vertices,
+and a frozen copy of the whole-graph finder, run on `g.induced(vs)`, checks
+the finder's scan of a vertex set vs inside g.
 `reference_long_ear_decomposition` is the ear loop as it was before it kept
 state between ears: it rebuilds V(D) for every ear and scans every vertex of
 V(D) as a start, lowest first, and its first cycle comes from the
@@ -284,10 +286,48 @@ def test_shortest_long_cycle_matches_reference(seed):
 def test_find_forbidden_cycle_matches_reference(seed):
     found = 0
     for g in _graphs(seed, 800):
-        got = _outcome(find_forbidden_cycle, g)
+        got = _outcome(lambda h: find_forbidden_cycle(h, frozenset(range(h.n))), g)
         assert got == _outcome(reference_find_forbidden_cycle, g), g
         found += got[1] is not None
     assert found >= 50
+
+
+def _whole_graph_find_forbidden_cycle(g):
+    """`find_forbidden_cycle` as it was when it scanned all of g."""
+    groups = {}
+    for v in range(g.n):
+        if g.degree(v) == 2:
+            groups.setdefault(g.neighbors(v), []).append(v)
+    best = min(((ws[0], ws[1], nbrs) for nbrs, ws in groups.items()
+                if len(ws) >= 2 and len(nbrs) == 2), default=None)
+    if best is None:
+        return None
+    w, z, (u, v) = best
+    return (u, w, v, z)
+
+
+def test_find_forbidden_cycle_on_a_vertex_set_matches_whole_graph_finder():
+    """The scan of g[vs] inside g finds what the whole-graph finder finds
+    on g.induced(vs), mapped back to g's labels, for three random vertex
+    subsets of each graph of the five families, every other one with
+    parallel copies of about a fifth of its edges, which count apiece in
+    a degree."""
+    rng = random.Random(25_2026)
+    cases = found = multi = 0
+    for i, g in enumerate(_graphs(10, 3000)):
+        if i % 2:
+            g = build(g.n, list(g.ends) + [uv for uv in g.ends if rng.random() < 0.2])
+        for _ in range(3):
+            keep = rng.uniform(0.5, 1.0)
+            vs = frozenset(v for v in range(g.n) if rng.random() < keep)
+            labels = sorted(vs)
+            want = _whole_graph_find_forbidden_cycle(g.induced(vs))
+            got = find_forbidden_cycle(g, vs)
+            assert got == (want and tuple(labels[x] for x in want)), (g, labels)
+            cases += 1
+            found += got is not None
+            multi += got is not None and not g.is_simple
+    assert cases == 9000 and found >= 500 and multi >= 100, (found, multi)
 
 
 def _relabel(rng, g):

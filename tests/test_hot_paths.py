@@ -16,14 +16,16 @@ three pin the apx2 stages to work proportional to what changes: Algorithm
 1 coarsens its partition once per piece and builds each vertex's cross
 edges at most once, the ear loop tests each start at most once after it
 fails, and the lexicographic cycle search runs one breadth-first search.
-Three more pin FVC preprocessing: one low-link DFS per call, however many
-graphs its splits and forbidden-cycle steps make; no components search for
-the split that follows a forbidden-safe step; and one whole-graph DFS per
-piece, counted across `preprocess` and the ear builder.
+Four more pin FVC preprocessing: one low-link DFS per call, however many
+pieces its splits and forbidden-cycle steps make; no components walk for
+the split that follows a forbidden-safe step; one graph built per reduced
+piece and none in between; and one whole-graph DFS per piece, counted
+across `preprocess` and the ear builder.
 """
 
 import json
 import math
+import operator
 import os
 import random
 import sys
@@ -402,22 +404,50 @@ def test_preprocess_runs_one_dfs(monkeypatch):
 
 def test_forbidden_safe_step_builds_its_split(monkeypatch):
     """Dropping the edge uw of a forbidden cycle leaves w a leaf on v, so
-    the step builds the split at v itself, G - w and the edge piece {v, w},
-    with no components search.  A ring of 200 diamonds on safe hubs makes
-    200 such steps and no search; a safe path of 100 vertices still makes
-    one search per split."""
-    real, calls = fvc.connected_components, []
+    the step makes the split at v itself, g[vs - w] and the edge piece
+    {v, w}, with no components walk.  A ring of 200 diamonds on safe hubs
+    makes 200 such steps and no walk; a safe path of 100 vertices still
+    makes one walk per split."""
+    real, calls = fvc.components, []
 
     def components(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(fvc, "connected_components", components)
+    monkeypatch.setattr(fvc, "components", components)
     _, _, events = fvc.preprocess(diamond_necklace(200, hubs_safe=True))
     assert calls == []
     assert Counter(ev[0] for ev in events) == {"forbidden_safe": 200, "split": 200}
     _, _, events = fvc.preprocess(build(100, [(i, i + 1) for i in range(99)]))
     assert len(calls) == len(events) == 96
+
+
+def test_preprocess_builds_each_piece_once(monkeypatch):
+    """The worklist holds vertex sets of the input g, so `preprocess`
+    builds no graph between steps and each final piece once, as
+    `g.induced(vs)`; a piece that nothing reduced is g itself.  A safe
+    path of 1,000 vertices gives 997 pieces, a ring of 200 all-unsafe
+    diamonds one, a ring of 200 diamonds on safe hubs 201, and a 6-cycle
+    is its own one piece."""
+    real, built = LabeledGraph.induced, []
+
+    def induced(self, vertices):
+        built.append(real(self, vertices))
+        return built[-1]
+
+    monkeypatch.setattr(LabeledGraph, "induced", induced)
+    hosts = {"path": build(1000, [(i, i + 1) for i in range(999)]),
+             "unsafe ring": diamond_necklace(200),
+             "safe ring": diamond_necklace(200, hubs_safe=True),
+             "6-cycle": build(6, [(i, (i + 1) % 6) for i in range(6)])}
+    counts = {}
+    for name, g in hosts.items():
+        del built[:]
+        pieces, _, _ = fvc.preprocess(g)
+        reduced = [p for p in pieces if p is not g]
+        assert len(reduced) == len(built) and all(map(operator.is_, reduced, built)), name
+        counts[name] = len(built)
+    assert counts == {"path": 997, "unsafe ring": 1, "safe ring": 201, "6-cycle": 0}
 
 
 def test_one_whole_graph_dfs_per_piece(monkeypatch):

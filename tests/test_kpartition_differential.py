@@ -31,10 +31,9 @@ from flexconn.errors import InputError, require
 from flexconn.feasibility import check_fvc
 from flexconn.fvc import (build_apx1, build_pseudo_edges, partition_k_sets, preprocess,
                           realize_sp, solve_tree_case)
-from flexconn.graph import connected_components
 from flexconn.rainbow import PseudoEdge, solve_rainbow
 
-from conftest import build
+from conftest import build, connected_components
 
 
 # ---------------------------------------------------------------------------

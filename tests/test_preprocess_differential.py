@@ -5,8 +5,11 @@ that a split or a forbidden-cycle step made.  The current one carries each
 graph's cut vertices on the worklist: an x-closure gets its parent's cut
 vertices inside the component and G - w gets none, and a forbidden-safe
 step builds the split at v that the copy makes of G - uw, so one low-link
-DFS runs per call.  The copy takes its cut vertices from
-networkx (`conftest.cut_vertices`), so it shares no search with the library.
+DFS runs per call.  It also keeps each piece as a vertex set of the input
+and builds the piece's graph once, at the end.  The copy takes its cut
+vertices from networkx (`conftest.cut_vertices`) and its components from a
+union-find (`conftest.connected_components`), so it shares no search with
+the library.
 The hosts are FVC instances, most of them feasible, built from small random
 blocks and pendant chains hung from safe vertices and from planted
 diamonds, so that every step meets every other.  Both versions must return
@@ -20,9 +23,9 @@ from flexconn.ears import find_forbidden_cycle
 from flexconn.errors import InfeasibleInstanceError
 from flexconn.feasibility import check_fvc
 from flexconn.fvc import _induced_triples, preprocess
-from flexconn.graph import LabeledGraph, connected_components, low_link_incidence
+from flexconn.graph import LabeledGraph, low_link_incidence
 
-from conftest import build, cut_vertices, without_edges
+from conftest import build, connected_components, cut_vertices, without_edges
 
 
 # The earlier preprocess, with its dataclass return unpacked.
@@ -52,7 +55,7 @@ def _old_preprocess(g: LabeledGraph):
             events.append(("split", g.n, len(comps)))
             todo.extend((g.induced(comp | {x}), None) for comp in reversed(comps))
             continue
-        fc = find_forbidden_cycle(g)
+        fc = find_forbidden_cycle(g, frozenset(range(g.n)))
         if fc is None:
             pieces.append(g)
             continue
