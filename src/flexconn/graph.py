@@ -36,6 +36,8 @@ class LabeledGraph:
               eids: Optional[Sequence[int]] = None) -> "LabeledGraph":
         """The validated graph of the edges `pairs`, in that order, with ids
         `eids` (0, 1, ... by default); vertices and edges default to safe."""
+        if type(n) is not int or n < 0:    # True and 2.5 are not vertex counts
+            raise InputError("vertex count must be non-negative")
         vs = tuple(True for _ in range(n)) if vertex_safe is None else tuple(vertex_safe)
         es = tuple(True for _ in pairs) if edge_safe is None else tuple(edge_safe)
         ids = tuple(range(len(pairs))) if eids is None else tuple(eids)
@@ -129,8 +131,6 @@ class LabeledGraph:
     def _checked(self) -> "LabeledGraph":
         """This graph, once its columns pass the entry checks."""
         n = self.n
-        if n < 0:
-            raise InputError("vertex count must be non-negative")
         if len(self.vertex_safe) != n:
             raise InputError("vertex_safe length must equal n")
         seen = set()

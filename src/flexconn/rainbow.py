@@ -12,9 +12,10 @@ isolated vertices without touching the component count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .errors import InputError
+from .graph import UnionFind
 
 Colour = Tuple  # ("v", u) or ("p", u, v) with u < v
 
@@ -42,50 +43,45 @@ def max_rainbow_forest(pe: Sequence[PseudoEdge]) -> List[PseudoEdge]:
     """Maximum forest using each colour at most once: graphic x partition
     matroid intersection, augmenting along shortest exchange paths.
 
-    Each augmentation labels the trees of the forest I once.  The sources
-    are the non-members whose ends lie in two trees; the sinks those of a
-    colour I lacks; the lowest source that is a sink is taken at once.
-    Otherwise a search runs from the sources in ascending ground order.  A
-    non-member x leads to the member of its colour.  A member y leads to
-    the non-members z with I - y + z a forest: z's ends lie in one tree,
-    so z closes a fundamental cycle, which passes y iff z's ends fall on
-    the two sides of y in that tree.  These arcs are listed only when the
-    search reaches y, in ascending ground order, as Cunningham's search
-    needs only the arcs it reaches (SIAM J. Comput. 1986).
+    Each round seeds a union-find with the forest I and makes one
+    ascending pass over the rest, taking each non-member of a colour I
+    lacks whose ends lie in two trees: Kruskal's greedy (Edmonds 1971).
+    Taking the lowest such pseudo-edge, relabelling the trees and looking
+    again would pick the same sequence: a pick merges two trees and uses
+    up a colour, so a pseudo-edge that could not be taken when the pass
+    met it cannot be taken later.  Then the sources are the non-members
+    whose ends lie in two trees, all of colours I holds; the sinks those
+    of a colour I lacks.  A search runs from the sources in ascending
+    ground order.  A non-member x leads to the member of its colour.  A
+    member y leads to the non-members z with I - y + z a forest: z's ends
+    lie in one tree, so z closes a fundamental cycle, which passes y iff
+    z's ends fall on the two sides of y in that tree.  These arcs are
+    listed only when the search reaches y, in ascending ground order, as
+    Cunningham's search needs only the arcs it reaches (SIAM J. Comput.
+    1986).  A new round starts only after an exchange path; when none is
+    found, I is maximum.
     """
     ground = sorted(pe)
     in_set: List[bool] = [False] * len(ground)
+    ends = {v for p in ground for v in (p.a, p.b)}
     while True:
+        uf = UnionFind(ends)
+        colour_of_member: Dict[Colour, int] = {}
+        # members first, so the pass meets each non-member with I's trees
+        for i in sorted(range(len(ground)), key=in_set.__getitem__, reverse=True):
+            p = ground[i]
+            if (in_set[i] or p.colour not in colour_of_member) and uf.union(p.a, p.b):
+                in_set[i] = True
+                colour_of_member[p.colour] = i
         members = [i for i, flag in enumerate(in_set) if flag]
         outside = [i for i, flag in enumerate(in_set) if not flag]
-        colour_of_member: Dict[Colour, int] = {ground[i].colour: i for i in members}
         adj: Dict[int, List[Tuple[int, int]]] = {}
         for i in members:
             p = ground[i]
             adj.setdefault(p.a, []).append((p.b, i))
             adj.setdefault(p.b, []).append((p.a, i))
-
-        def reach(start: int, cut: int = -1) -> Set[int]:
-            """The vertices of start's tree, less those past member `cut`."""
-            seen, todo = {start}, [start]
-            while todo:
-                for w, i in adj.get(todo.pop(), ()):
-                    if i != cut and w not in seen:
-                        seen.add(w)
-                        todo.append(w)
-            return seen
-
-        tree: Dict[int, int] = {}
-        for v in adj:
-            if v not in tree:
-                tree.update(dict.fromkeys(reach(v), v))
-        sources = [i for i in outside
-                   if tree.get(ground[i].a, ground[i].a) != tree.get(ground[i].b, ground[i].b)]
+        sources = [i for i in outside if uf.find(ground[i].a) != uf.find(ground[i].b)]
         sinks = {i for i in outside if ground[i].colour not in colour_of_member}
-        quick = next((i for i in sources if i in sinks), None)
-        if quick is not None:
-            in_set[quick] = True
-            continue
 
         parent_arc: Dict[int, int] = dict.fromkeys(sources, -1)
         queue = list(sources)
@@ -98,9 +94,15 @@ def max_rainbow_forest(pe: Sequence[PseudoEdge]) -> List[PseudoEdge]:
                     parent_arc[y] = x
                     queue.append(y)
             else:
-                # every source is labelled, so an unlabelled z with its ends
-                # on the two sides of x has its forest cycle through x
-                side = reach(ground[x].a, x)
+                # side: what x's end a reaches in I - x.  Every source is
+                # labelled, so an unlabelled z with its ends on the two
+                # sides of x has its forest cycle through x
+                side, todo = {ground[x].a}, [ground[x].a]
+                while todo:
+                    for w, i in adj.get(todo.pop(), ()):
+                        if i != x and w not in side:
+                            side.add(w)
+                            todo.append(w)
                 for z in outside:
                     if z not in parent_arc and (ground[z].a in side) != (ground[z].b in side):
                         parent_arc[z] = x

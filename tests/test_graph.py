@@ -187,6 +187,8 @@ class TestAdjacencyView:
         (lambda: LabeledGraph.build(2, [(0, 1)], eids=[0, 1]),
          "eids length must equal number of edges"),
         (lambda: LabeledGraph.build(-1, []), "vertex count must be non-negative"),
+        (lambda: LabeledGraph.build(True, []), "vertex count must be non-negative"),
+        (lambda: LabeledGraph.build(2.5, []), "vertex count must be non-negative"),
         (lambda: LabeledGraph.build(2, [], vertex_safe=[True]), "vertex_safe length must equal n"),
         (lambda: LabeledGraph.build(2, [(0, 1), (1, 2)]), "edge 1 endpoint out of range"),
         (lambda: LabeledGraph.build(2, [(0, 1), (1, 1)]), "edge 1 is a self-loop"),

@@ -20,7 +20,8 @@ Four more pin FVC preprocessing: one low-link DFS per call, however many
 pieces its splits and forbidden-cycle steps make; no components walk for
 the split that follows a forbidden-safe step; one graph built per reduced
 piece and none in between; and one whole-graph DFS per piece, counted
-across `preprocess` and the ear builder.
+across `preprocess` and the ear builder.  The last pins the rainbow forest
+to one union-find per round, with a new round only after an exchange path.
 """
 
 import json
@@ -35,12 +36,13 @@ from functools import cached_property
 
 import pytest
 
-from flexconn import cli, cycles, ears, feasibility, fvc, graph, harness
+from flexconn import cli, cycles, ears, feasibility, fvc, graph, harness, rainbow
 from flexconn.exact import exact_kecss
 from flexconn.fgc import F1SolverHandle, double_safe_edges
 from flexconn.graph import LabeledGraph, UnionFind
 from flexconn.io import parse_instance
 from flexconn.kfgc import kecss_prune_heuristic
+from flexconn.rainbow import PseudoEdge
 
 from conftest import (apx2_inputs, build, diamond_necklace, fvc_chord_cycle, fvc_scale_pieces,
                       random_connected)
@@ -491,3 +493,58 @@ def test_one_whole_graph_dfs_per_piece(monkeypatch):
                             g.vertex_safe + g.vertex_safe[:s] + g.vertex_safe[s + 1:]))
     assert [sum(inc is piece.incidence for inc in whole) for piece in built] == [1] * len(built)
     assert unreduced >= 25 and len(built) >= 3 * unreduced, (unreduced, len(built))
+
+
+def _random_pseudo_edges(rng):
+    """2 to 12 colours of singletons and pairs, each with 1-5 candidate
+    pseudo-edges over 3 to 12 vertices, so colours compete for vertices."""
+    nv = rng.randint(3, 12)
+    pe = set()
+    for c in range(rng.randint(2, 12)):
+        colour = ("v", 100 + c) if rng.random() < 0.6 else ("p", 100 + 2 * c, 101 + 2 * c)
+        for _ in range(rng.randint(1, 5)):
+            a, b = sorted(rng.sample(range(nv), 2))
+            pe.add(PseudoEdge(a, b, colour))
+    return tuple(sorted(pe))
+
+
+def test_rainbow_forest_builds_its_trees_once_per_round(monkeypatch):
+    """`max_rainbow_forest` builds one union-find per round, and a new round
+    starts only after an exchange path.  Its first pass is the greedy
+    forest, and each exchange path adds one member, so a call builds at
+    most 1 + |forest| - |greedy forest| union-finds.  The chord-cycle
+    pieces of 1,600 and 3,200 vertices and the apx2 pieces of the seeded
+    fvc-scale corpus take no exchange path: exactly one build each,
+    however many pseudo-edges the forest takes."""
+    real, built = rainbow.UnionFind, []
+
+    def union_find(items):
+        built.append(items)
+        return real(items)
+
+    def greedy_size(pe):
+        """The size of the forest the first pass builds from no members."""
+        uf, colours = UnionFind({v for p in pe for v in (p.a, p.b)}), set()
+        for p in sorted(pe):
+            if p.colour not in colours and uf.union(p.a, p.b):
+                colours.add(p.colour)
+        return len(colours)
+
+    monkeypatch.setattr(rainbow, "UnionFind", union_find)
+    chords = [fvc_chord_cycle(n, 1) for n in (1600, 3200)]
+    pieces = [fvc.build_pseudo_edges(g, fvc.partition_k_sets(g, ears.build_long_ear_decomposition(g)))
+              for g in chords] + [pe for _, _, pe in apx2_inputs()]
+    sizes = []
+    for pe in pieces:
+        del built[:]
+        sizes.append(len(rainbow.max_rainbow_forest(pe)))
+        assert len(built) == 1, pe
+    assert min(sizes[:2]) >= 100, sizes
+    rng, exchanged = random.Random(26), 0
+    for _ in range(1000):
+        pe = _random_pseudo_edges(rng)
+        del built[:]
+        forest = rainbow.max_rainbow_forest(pe)
+        assert 1 <= len(built) <= 1 + len(forest) - greedy_size(pe), pe
+        exchanged += len(built) > 1
+    assert exchanged >= 100, exchanged

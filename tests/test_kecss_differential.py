@@ -1,8 +1,8 @@
 """Differential tests of the k-edge-connectivity predicate and of the exact
 kECSS search.
 
-`edge_connectivity_at_least` (one low-link DFS at k = 2, max-flow
-otherwise) is compared with `networkx.edge_connectivity`.
+`edge_connectivity_at_least` (a degree test, then unit max-flows from one
+vertex capped at k paths) is compared with `networkx.edge_connectivity`.
 networkx counts a parallel edge once, so each multigraph is first blown up
 into a simple graph: every vertex becomes a clique of `BLOW` vertices, and
 the c-th copy of an edge uv joins the c-th vertices of the two cliques.  A
@@ -160,7 +160,8 @@ class TestEdgeConnectivityCases:
         assert not edge_connectivity_at_least(range(6), edges, 2)
 
     def test_deep_path_and_cycle(self):
-        # iterative DFS: a 5000-vertex cycle passes, the path fails
+        # the path fails its degree test; the 5000-vertex cycle passes after
+        # 4,999 capped flows, one from vertex 0 to each other vertex
         n = 5000
         path = [(i, i, i + 1) for i in range(n - 1)]
         assert not edge_connectivity_at_least(range(n), path, 2)

@@ -82,7 +82,8 @@ def test_pipeline_picks_keep_the_minimum_component_count():
     maximum rainbow forest is a forest, and the returned picks, after the
     unused colours are filled and the singleton swaps taken, have exactly
     `alpha` = |V(D)| - |forest| components.  Checked mutant:
-    `max_rainbow_forest` taking `quick = sorted(sinks)` adds edges that
+    `max_rainbow_forest`'s greedy pass taking every pseudo-edge of a new
+    colour, whether or not `uf.union` merged two trees, adds edges that
     close cycles, and this test fails."""
     swapped = 0
     for _, kp, pe in apx2_inputs():
