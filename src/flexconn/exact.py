@@ -22,7 +22,7 @@ same set.  The prune stays sound: no twin-ordered completion of the branch
 uses the dropped twins, and the predicate is monotone.
 
 Degree and component bounds.  `req[v]` is a degree that every feasible set
-gives v (`_required_degrees`), and every feasible set is connected.  A node
+gives v (`_degree_bounds`), and every feasible set is connected.  A node
 with r edges still to pick and chosen set C is pruned when
 2r < sum_v max(0, req[v] - deg_C(v)) or when (V, C) has more than r + 1
 components: one more edge raises the degree of two vertices by one and
@@ -34,9 +34,22 @@ ceil(sum req / 2).  Every pruned subtree holds no feasible s-subset, so the
 include-first order stops at the same first hit as the search without
 them, and the twin argument above is unchanged.
 
+Unsafe-degree cap.  In FVC with n >= 3, an unsafe vertex x of a feasible
+set F is no cut vertex of (V, F), so F - x is connected on n - 1 vertices
+and keeps at least n - 2 edges: |F| - deg_F(x) >= n - 2, that is
+deg_F(x) <= s - (n - 2) for a feasible s-set.  `away[v]` is such a count
+of edges that every feasible set has off v (`_degree_bounds`): n - 2 for
+the unsafe FVC vertices, 0 for every other vertex, where the cap s is
+never binding, as no node picks more than s edges.  The search includes
+an edge, in a branch or in the last pick, only if neither endpoint is
+then above its cap s - away[v].  Each skipped subtree holds no feasible
+s-subset, so, as with the bounds above, the include-first order stops at
+the same first hit and the twin argument is unchanged.
+
 Last pick.  With one edge left to pick, the search tests the leaves
-chosen + e for the available e in id order that pass both bounds, and
-returns the first that passes; it runs no optimistic test at that level.
+chosen + e for the available e in id order that pass both bounds and the
+cap, and returns the first that passes; it runs no optimistic test at that
+level.
 Each later leaf is a subset of the optimistic graph left by excluding e; if
 that graph fails, so does each such leaf (the predicate is monotone), so
 the first hit is unchanged.  Twins give the same set.
@@ -81,13 +94,17 @@ DEFAULT_CAP_N = 10
 def _minimum_feasible(g: LabeledGraph,
                       predicate: Callable[[LabeledGraph, Set[int]], bool],
                       lower_bound: int,
-                      req: List[int]) -> Optional[Set[int]]:
+                      req: List[int],
+                      away: List[int]) -> Optional[Set[int]]:
     """Smallest, then lexicographically first, edge set passing `predicate`.
 
     The caller checks that the full edge set passes.  `req[v]` is a degree
     every feasible set gives v, and every feasible set is connected (the
-    degree and component bounds in the module docstring).  The predicate
-    must not tell twins apart (the twin ordering in the module docstring).
+    degree and component bounds in the module docstring).  Every feasible
+    s-set has at least `away[v]` edges off v, which caps v's degree at
+    s - away[v] (the unsafe-degree cap in the module docstring).  The
+    predicate must not tell twins apart (the twin ordering in the module
+    docstring).
     """
     n = g.n
     rows = sorted(zip(g.eids, g.ends, g.edge_safe))
@@ -117,6 +134,7 @@ def _minimum_feasible(g: LabeledGraph,
     def search(s: int) -> Optional[List[int]]:
         chosen: List[int] = []
         available = set(eids)
+        cap = [s - a for a in away]
 
         def rec(idx: int, deficit: int, comps: int) -> Optional[List[int]]:
             picked = len(chosen)
@@ -126,6 +144,7 @@ def _minimum_feasible(g: LabeledGraph,
                 for j in range(idx, m):
                     u, v = tails[j], heads[j]
                     if (eids[j] in available and deficit <= (deg[u] < req[u]) + (deg[v] < req[v])
+                            and deg[u] < cap[u] and deg[v] < cap[v]
                             and comps - (root(u) != root(v)) == 1
                             and predicate(g, {eids[j], *chosen})):
                         return chosen + [eids[j]]
@@ -141,9 +160,10 @@ def _minimum_feasible(g: LabeledGraph,
             left = s - picked - 1
             # include first: lexicographically smallest solution wins.  The
             # bounds skip the subtree when the edges left cannot make up
-            # the degree deficit or join the components.
+            # the degree deficit or join the components, or when the edge
+            # takes an endpoint past its cap.
             d = deficit - (du < req[u]) - (dv < req[v])
-            if 2 * left >= d:
+            if 2 * left >= d and du < cap[u] and dv < cap[v]:
                 ru, rv = root(u), root(v)
                 merge = ru != rv
                 c = comps - merge
@@ -192,8 +212,9 @@ def _minimum_feasible(g: LabeledGraph,
     return None
 
 
-def _required_degrees(inst: Instance) -> List[int]:
-    """Per vertex, a degree that every feasible edge set F gives it.
+def _degree_bounds(inst: Instance) -> Tuple[List[int], List[int]]:
+    """(req, away): per vertex v, a degree req[v] that every feasible edge
+    set F gives v, and a number away[v] of edges off v that F has at least.
 
     With n >= 2, F is connected, so every degree is at least 1.  Higher,
     computed in one pass over the edges, k + 1 (k = 1 for FVC and FGC):
@@ -201,16 +222,20 @@ def _required_degrees(inst: Instance) -> List[int]:
       would be a cut vertex;
     - FGC and k-FGC: if v has no safe edge, since removing v's at most k
       edges in F would cut v off.
+    away[v] is n - 2 for an unsafe vertex of FVC with n >= 3, since F - v
+    is connected (the unsafe-degree cap in the module docstring), else 0.
     """
     g = inst.graph
     n = g.n
+    away = [0] * n
     if n <= 1:
-        return [0] * n
+        return [0] * n, away
     if inst.problem == "fvc" and n == 2:
-        return [1, 1]
+        return [1, 1], away
     covered = [False] * n
     if inst.problem == "fvc":
         safe = g.vertex_safe
+        away = [0 if s else n - 2 for s in safe]
         for u, v in g.ends:
             if safe[v]:
                 covered[u] = True
@@ -220,7 +245,7 @@ def _required_degrees(inst: Instance) -> List[int]:
         for (u, v), s in zip(g.ends, g.edge_safe):
             if s:
                 covered[u] = covered[v] = True
-    return [1 if c else inst.k + 1 for c in covered]
+    return [1 if c else inst.k + 1 for c in covered], away
 
 
 def _fvc_tree(g: LabeledGraph) -> FrozenSet[int]:
@@ -268,7 +293,7 @@ def exact_solve(inst: Instance, cap_n: int = DEFAULT_CAP_N) -> Solution:
         lb = (g.n if inst.problem == "fvc"
               else _kfgc_lower_bound(g.n, len(tree), g.n - len(tree), inst.k))
         try:
-            best = _minimum_feasible(g, kernel, lb, _required_degrees(inst))
+            best = _minimum_feasible(g, kernel, lb, *_degree_bounds(inst))
         except RecursionError:    # the search recurses once per decided edge
             raise InputError(f"exact_solve: the search over m={g.m} edges is deeper "
                              "than the recursion limit") from None

@@ -9,7 +9,10 @@ asserts that each parsed graph holds only its columns and the cached views
 computed from them.  A second test counts the checker
 calls of each `solve`, and the whole-graph DFS runs of the FVC solve.
 Two more check that the exact search and `prune_minimal` validate their
-edge ids once and then call only the unchecked kernels, one that
+edge ids once and then call only the unchecked kernels.  One counts the
+exact search's kernel calls on a seeded n = 10 corpus: the FVC
+unsafe-degree cap keeps them under 1,000, and FGC and k-FGC make exactly
+as many as without it.  One checks that
 Algorithm 1 reads its union-find once per piece, and one that
 Algorithm 2 decomposes one graph when it has nothing to add.  The last
 three pin the apx2 stages to work proportional to what changes: Algorithm
@@ -37,7 +40,9 @@ from functools import cached_property
 import pytest
 
 from flexconn import cli, cycles, ears, feasibility, fvc, graph, harness, rainbow
-from flexconn.exact import exact_kecss
+from flexconn.errors import InfeasibleInstanceError
+from flexconn.exact import exact_kecss, exact_solve
+from flexconn.feasibility import Instance
 from flexconn.fgc import F1SolverHandle, double_safe_edges
 from flexconn.graph import LabeledGraph, UnionFind
 from flexconn.io import parse_instance
@@ -219,6 +224,36 @@ def test_exact_validates_once(tmp_path, monkeypatch, capsys, problem, match):
         searched += len(kernel) > 1
     capsys.readouterr()
     assert searched >= 1
+
+
+# (problem, k, corpus seeds, most kernel calls), the entry check counted:
+# FVC made 128,694 calls before the unsafe-degree cap and makes 818 with it.
+# FGC and k-FGC have no cap, so their counts are those from before it,
+# exactly, on the corpus less the four seeds (3, 17, 20, 25) whose k-FGC
+# searches take 50 s together.
+LIGHT_SEEDS = [s for s in range(40) if s not in (3, 17, 20, 25)]
+EXACT_CORPUS = [("fvc", 1, range(40), 1000), ("fgc", 1, LIGHT_SEEDS, 15671),
+                ("kfgc", 2, LIGHT_SEEDS, 25204)]
+
+
+@pytest.mark.parametrize("problem, k, seeds, most", EXACT_CORPUS,
+                         ids=[p for p, _, _, _ in EXACT_CORPUS])
+def test_exact_search_kernel_calls_on_the_corpus(monkeypatch, problem, k, seeds, most):
+    """The exact search's kernel calls on `random_connected(Random(1000 +
+    seed), 10, 0.6, 0.5, 0.5)`: at most `most` for FVC, exactly `most` for
+    FGC and k-FGC, where the cap never binds."""
+    kernel = []
+    _spy(monkeypatch, KERNELS[problem], kernel)
+    for seed in seeds:
+        g = random_connected(random.Random(1000 + seed), 10, 0.6, 0.5, 0.5)
+        try:
+            exact_solve(Instance(graph=g, problem=problem, k=k))
+        except InfeasibleInstanceError:
+            pass
+    if problem == "fvc":
+        assert len(kernel) <= most
+    else:
+        assert len(kernel) == most
 
 
 @pytest.mark.parametrize("n", [3, 6, 10])

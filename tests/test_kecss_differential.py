@@ -20,12 +20,13 @@ prunes only by the predicate, checks the degree and component bounds of
 the reference enumerates that level too.
 The last-pick scan, which runs no optimistic test when one edge is left to
 pick, is checked against the reference on searches whose last pick fails
-at least two candidates before its hit.
+at least two candidates before its hit, by the kernel or by the FVC
+unsafe-degree cap.
 """
 
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -352,6 +353,46 @@ def test_exact_solve_bounds_match_unbounded_search(problem, k, want):
         assert seen["safe_not_spanning"] >= want // 20, dict(seen)
 
 
+def ear_built(rng, n):
+    """A 2-vertex-connected simple graph on n vertices: a cycle, then ears of
+    one or two new vertices between two old ones, then a few chords.  Few
+    of these are Hamiltonian, so the FVC optimum often exceeds n."""
+    k = rng.randint(3, min(n, 5))
+    pairs = {(i, (i + 1) % k) for i in range(k)}
+    while k < n:
+        a, b = rng.sample(range(k), 2)
+        path = [a, *range(k, min(n, k + rng.randint(1, 2))), b]
+        k += len(path) - 2
+        pairs.update(zip(path, path[1:]))
+    pairs |= {(u, v) for u in range(n) for v in range(u + 1, n)
+              if (u, v) not in pairs and (v, u) not in pairs and rng.random() < 0.05}
+    pairs = sorted(pairs)
+    rng.shuffle(pairs)
+    return pairs
+
+
+def test_exact_solve_degree_cap_matches_unbounded_search():
+    """The FVC unsafe-degree cap (deg_F(x) <= s - (n - 2) for an unsafe x)
+    against the reference search, on ear-built graphs with few safe
+    vertices, n 4-8.  Their optima reach n + 1 and more, where the cap is 3
+    and more; the `bounds:fvc:1` corpus has 3 such cases in 200.  The
+    mutant cap s - (n - 1) returns other sets here, or none."""
+    rng = random.Random("degree-cap:fvc")
+    seen = defaultdict(int)
+    while seen["feasible"] < 1000:
+        n = rng.randint(4, 8)
+        g = build(n, ear_built(rng, n), vertex_safe=[rng.random() < 0.2 for _ in range(n)])
+        inst = Instance(graph=g, problem="fvc")
+        expected = reference_exact_solve(inst)
+        if expected is None:
+            continue
+        assert set(exact_solve(inst).edge_ids) == expected, g
+        seen["feasible"] += 1
+        seen["cap_3"] += len(expected) >= n + 1
+        seen["cap_4"] += len(expected) >= n + 2
+    assert seen["cap_3"] >= 100 and seen["cap_4"] >= 5, dict(seen)
+
+
 @pytest.mark.parametrize("problem, k, n_max", [("fgc", 1, 6), ("kfgc", 2, 5), ("kfgc", 3, 5)])
 def test_exact_solve_twin_order_matches_unordered_search(problem, k, n_max):
     """Twins are keyed by endpoint pair and safety: on multigraphs whose
@@ -398,8 +439,25 @@ def _last_pick_misses(log, hit):
             and min(ids - prefix) > max(prefix, default=-1)]
 
 
+def _cap_misses(inst, hit):
+    """The candidates that the last pick of the hit's node skips by the FVC
+    unsafe-degree cap: ids between the prefix's last and the hit's, with an
+    unsafe endpoint that the prefix already gives s - (n - 2) edges."""
+    g = inst.graph
+    if inst.problem != "fvc":
+        return []     # the cap s never binds
+    prefix = hit - {max(hit)}
+    deg = Counter(v for e in prefix for v in g.edge_ends[e])
+    cap = len(hit) - (g.n - 2)
+    return [e for e in g.eids if max(prefix, default=-1) < e < max(hit)
+            and any(not g.vertex_safe[v] and deg[v] >= cap for v in g.edge_ends[e])]
+
+
 # seeds whose search rejects at least two candidates in the last pick of
-# the node it hits at; found by scanning seeds 0, 1, ... once
+# the node it hits at; found by scanning seeds 0, 1, ... once.  The FVC
+# seeds were found before the unsafe-degree cap, when the kernel rejected
+# each; now the cap skips most of them (6, 2, 8, 2, 2 and 2 rejections in
+# all, of which 1, 0, 0, 0, 1 and 0 by the kernel)
 DEEP_LAST_PICK = {("fvc", 1): (144, 348, 373, 607, 920, 1137),
                   ("fgc", 1): (6, 43, 150, 232, 742, 1176),
                   ("kfgc", 2): (75, 286, 342, 397, 766, 1185)}
@@ -418,7 +476,7 @@ def test_exact_solve_last_pick_matches_reference(monkeypatch, problem, k):
         inst, _ = random_instance(random.Random(f"last-pick:{problem}:{k}:{seed}"), problem, k)
         del log[:]
         hit = set(exact_solve(inst).edge_ids)
-        assert len(_last_pick_misses(log, hit)) >= 2, seed
+        assert len(_last_pick_misses(log, hit)) + len(_cap_misses(inst, hit)) >= 2, seed
         assert hit == reference_exact_solve(inst), seed
 
 
@@ -456,10 +514,10 @@ def test_single_vertex_reaches_the_leaf_test():
     # s = 0: the search tests the empty set, with no last pick before it
     g = LabeledGraph.build(1, [])
     log = []
-    assert _minimum_feasible(g, _recording(lambda h, s: True, log), 0, [0]) == set()
+    assert _minimum_feasible(g, _recording(lambda h, s: True, log), 0, [0], [0]) == set()
     assert log == [(frozenset(), True)]
     del log[:]
-    assert _minimum_feasible(g, _recording(lambda h, s: False, log), 0, [0]) is None
+    assert _minimum_feasible(g, _recording(lambda h, s: False, log), 0, [0], [0]) is None
     assert log == [(frozenset(), False)]
     for problem in ("fvc", "fgc", "kfgc"):
         assert exact_solve(Instance(graph=g, problem=problem)).edge_ids == frozenset()
