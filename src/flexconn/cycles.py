@@ -317,9 +317,9 @@ def _extend_cycle(search: GoodCycleSearch, start: int, start_exit: int,
     while stack:
         for a, c, eid, r in stack[-1][0]:
             if r == start:
+                # a big start part is re-entered away from start_exit; one
+                # that is not big is an A0 singleton, entered at start_exit
                 if big_start and c == start_exit:
-                    continue
-                if not big_start and c != start_exit:
                     continue
                 if len(path) == 1 and eid == first_edge[0]:
                     continue

@@ -142,9 +142,8 @@ def _lex_smallest_cycle(g: LabeledGraph, length: int, start: int) -> Optional[Tu
             if w in on_path or dist_home.get(w, length + 1) > remaining:
                 continue
             if remaining == 1:
-                if start in g.neighbor_sets[w]:
-                    return tuple(path) + (w,)
-                continue
+                # dist_home[w] <= 1, so w is a neighbour of start
+                return tuple(path) + (w,)
             path.append(w)
             on_path.add(w)
             stack.append(iter(g.neighbors(w)))

@@ -2,9 +2,11 @@
 
 Optimal solutions are found by iterating candidate sizes s = lb, lb+1, ...
 and enumerating s-subsets of edges in lexicographic id order with pruning,
-so the first hit is both minimum and lexicographically smallest.  The main
-prune: whenever an edge is skipped, the remaining "optimistic" graph (chosen
-plus all undecided edges) must still be feasible.
+so the first hit is both minimum and lexicographically smallest.  There is
+one call per chosen edge: it tries the undecided edges in id order,
+including each and then excluding it, so the recursion is s + O(1) deep.
+The main prune: whenever an edge is excluded, the remaining "optimistic"
+graph (chosen plus all undecided edges) must still be feasible.
 
 Twin ordering.  Parallel edges of one endpoint pair and one safety are
 twins, ordered by id.  The search may include a twin only if its lower-id
@@ -46,13 +48,10 @@ then above its cap s - away[v].  Each skipped subtree holds no feasible
 s-subset, so, as with the bounds above, the include-first order stops at
 the same first hit and the twin argument is unchanged.
 
-Last pick.  With one edge left to pick, the search tests the leaves
-chosen + e for the available e in id order that pass both bounds and the
-cap, and returns the first that passes; it runs no optimistic test at that
-level.
-Each later leaf is a subset of the optimistic graph left by excluding e; if
-that graph fails, so does each such leaf (the predicate is monotone), so
-the first hit is unchanged.  Twins give the same set.
+Last pick.  With one edge left to pick, the search tests each leaf
+chosen + e in place and skips the optimistic test after excluding e: that
+test could prune only later leaves, which are subsets of the optimistic
+graph and so fail with it, as the predicate is monotone.
 
 Spanning-tree level.  Every feasible set is connected, so none has fewer
 than n - 1 edges, and the feasible (n-1)-sets are the spanning trees that
@@ -123,6 +122,8 @@ def _minimum_feasible(g: LabeledGraph,
     deg = [0] * n             # degree in the chosen set
     parent = list(range(n))   # union-find over the chosen set, undone on pop
     size = [1] * n
+    chosen: List[int] = []
+    available = set(eids)     # the optimistic graph; each call restores its exclusions
 
     def root(x: int) -> int:
         p = parent[x]
@@ -131,33 +132,17 @@ def _minimum_feasible(g: LabeledGraph,
             p = parent[x]
         return x
 
-    def search(s: int) -> Optional[List[int]]:
-        chosen: List[int] = []
-        available = set(eids)
-        cap = [s - a for a in away]
-
-        def rec(idx: int, deficit: int, comps: int) -> Optional[List[int]]:
-            picked = len(chosen)
-            if picked == s:       # only at s = 0, as the last pick tests the rest
-                return list(chosen) if predicate(g, set(chosen)) else None
-            if picked == s - 1:   # the last pick (module docstring)
-                for j in range(idx, m):
-                    u, v = tails[j], heads[j]
-                    if (eids[j] in available and deficit <= (deg[u] < req[u]) + (deg[v] < req[v])
-                            and deg[u] < cap[u] and deg[v] < cap[v]
-                            and comps - (root(u) != root(v)) == 1
-                            and predicate(g, {eids[j], *chosen})):
-                        return chosen + [eids[j]]
-                return None
-            if picked + (m - idx) < s:
-                return None
-            eid = eids[idx]
+    def rec(idx: int, deficit: int, comps: int) -> Optional[List[int]]:
+        """Each candidate j >= idx in id order: include j, then exclude it."""
+        left = s - len(chosen) - 1    # edges to pick after one more
+        excluded: List[Tuple[int, int, List[int]]] = []
+        hit = None
+        for j in range(idx, m):
+            eid = eids[j]
             if eid not in available:
-                # a lower twin was excluded, and with it this edge
-                return rec(idx + 1, deficit, comps)
-            u, v = tails[idx], heads[idx]
+                continue      # a lower twin was excluded, and with it this edge
+            u, v = tails[j], heads[j]
             du, dv = deg[u], deg[v]
-            left = s - picked - 1
             # include first: lexicographically smallest solution wins.  The
             # bounds skip the subtree when the edges left cannot make up
             # the degree deficit or join the components, or when the edge
@@ -168,21 +153,28 @@ def _minimum_feasible(g: LabeledGraph,
                 merge = ru != rv
                 c = comps - merge
                 if c - 1 <= left:
-                    chosen.append(eid)
-                    deg[u], deg[v] = du + 1, dv + 1
-                    if merge:
-                        if size[ru] < size[rv]:
-                            ru, rv = rv, ru
-                        parent[rv] = ru
-                        size[ru] += size[rv]
-                    hit = rec(idx + 1, d, c)
-                    if hit is not None:
-                        return hit
-                    if merge:
-                        parent[rv] = rv
-                        size[ru] -= size[rv]
-                    deg[u], deg[v] = du, dv
-                    chosen.pop()
+                    if left == 0:     # the last pick tests its leaf in place
+                        if predicate(g, {eid, *chosen}):
+                            hit = chosen + [eid]
+                            break
+                    else:
+                        chosen.append(eid)
+                        deg[u], deg[v] = du + 1, dv + 1
+                        if merge:
+                            if size[ru] < size[rv]:
+                                ru, rv = rv, ru
+                            parent[rv] = ru
+                            size[ru] += size[rv]
+                        hit = rec(j + 1, d, c)
+                        if hit is not None:
+                            break
+                        if merge:
+                            parent[rv] = rv
+                            size[ru] -= size[rv]
+                        deg[u], deg[v] = du, dv
+                        chosen.pop()
+            if left == 0:
+                continue      # the last pick runs no optimistic test
             dropped = [eid]
             twin = next_twin.get(eid)
             while twin is not None:
@@ -191,22 +183,22 @@ def _minimum_feasible(g: LabeledGraph,
             available.difference_update(dropped)
             room[u] -= len(dropped)
             room[v] -= len(dropped)
+            excluded.append((u, v, dropped))
             # the optimistic graph (available, a superset of chosen) shrank;
-            # prune if its degrees or the predicate rule it out
-            if room[u] >= req[u] and room[v] >= req[v] and predicate(g, available):
-                hit = rec(idx + 1, deficit, comps)
-                if hit is not None:
-                    return hit
+            # stop if its degrees or the predicate rule it out
+            if room[u] < req[u] or room[v] < req[v] or not predicate(g, available):
+                break
+        for u, v, dropped in excluded:
             room[u] += len(dropped)
             room[v] += len(dropped)
             available.update(dropped)
-            return None
-
-        return rec(0, sum(req), n)
+        return hit
 
     start = max(lower_bound, (sum(req) + 1) // 2, n - 1)
     for s in range(start, m + 1):
-        hit = search(s)
+        cap = [s - a for a in away]
+        # at s = 0 (n <= 1) the one leaf is the empty set
+        hit = rec(0, sum(req), n) if s else ([] if predicate(g, set()) else None)
         if hit is not None:
             return set(hit)
     return None
@@ -294,7 +286,7 @@ def exact_solve(inst: Instance, cap_n: int = DEFAULT_CAP_N) -> Solution:
               else _kfgc_lower_bound(g.n, len(tree), g.n - len(tree), inst.k))
         try:
             best = _minimum_feasible(g, kernel, lb, *_degree_bounds(inst))
-        except RecursionError:    # the search recurses once per decided edge
+        except RecursionError:    # the search recurses once per chosen edge
             raise InputError(f"exact_solve: the search over m={g.m} edges is deeper "
                              "than the recursion limit") from None
     if best is None:

@@ -97,9 +97,10 @@ def _cycle(n, unsafe_vertices):
     (["solve", "--problem", "fgc", "--exact-cap", "5000"], 1200, False),
 ])
 def test_a_search_deeper_than_the_stack_exits_1(tmp_path, argv, n, unsafe_vertices):
-    """The exact search recurses once per decided edge, so on a long cycle
-    it outruns Python's recursion limit.  The command, in a process of its
-    own, exits 1 with an error line, not with a traceback."""
+    """The exact search recurses once per chosen edge, and the one feasible
+    set of a cycle is all of its edges, so on a long cycle it outruns
+    Python's recursion limit.  The command, in a process of its own, exits
+    1 with an error line, not with a traceback."""
     path = tmp_path / "inst.flex"
     path.write_text(_cycle(n, unsafe_vertices))
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -2,7 +2,7 @@ import random
 
 from flexconn.cycles import GoodCycleSearch, find_good_cycle, is_good_cycle
 from flexconn.fvc import algorithm1_buy_good_cycles
-from flexconn.graph import is_connected
+from flexconn.graph import LabeledGraph, is_connected
 from flexconn.rainbow import solve_rainbow
 
 from conftest import apx2_inputs, build, connected_components, cut_vertices, random_connected
@@ -50,6 +50,19 @@ class TestFindGoodCycle:
         cyc = find_good_cycle(g, {0, 1, 2, 3}, parts)
         assert cyc is not None
         assert is_good_cycle(parts, triples_of(g, cyc))
+
+    def test_large_part_met_at_two_grabbed_singletons(self):
+        # the large part {0,1,2} grabs singletons 3 and 4, and the nice
+        # cycle leaves it at 3 and comes back at 4 through {5,6} (edges 3-5
+        # and 6-4); the good cycle hangs 3 and 4 on two vertices of the
+        # part: 3-0, then 4-1, or 4-2 when 4 also sees 0
+        parts = [frozenset({0, 1, 2}), frozenset({3}), frozenset({4}), frozenset({5, 6})]
+        for w, hit in ((1, {3, 5, 8, 9}), (0, {3, 6, 8, 9})):
+            g = LabeledGraph.build(7, [(0, 1), (1, 2), (0, 2), (3, 0), (3, 1), (4, w), (4, 2),
+                                       (5, 6), (3, 5), (6, 4)])
+            cyc = find_good_cycle(g, set(range(7)), parts)
+            assert cyc == hit
+            assert is_good_cycle(parts, triples_of(g, cyc))
 
     def test_none_when_single_large_and_independent_singletons(self):
         g = build(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])

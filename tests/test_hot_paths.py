@@ -12,7 +12,8 @@ Two more check that the exact search and `prune_minimal` validate their
 edge ids once and then call only the unchecked kernels.  One counts the
 exact search's kernel calls on a seeded n = 10 corpus: the FVC
 unsafe-degree cap keeps them under 1,000, and FGC and k-FGC make exactly
-as many as without it.  One checks that
+as many as without it.  Another pins the search's depth at each kernel
+call to s plus a constant, one frame per chosen edge.  One checks that
 Algorithm 1 reads its union-find once per piece, and one that
 Algorithm 2 decomposes one graph when it has nothing to add.  The last
 three pin the apx2 stages to work proportional to what changes: Algorithm
@@ -39,7 +40,7 @@ from functools import cached_property
 
 import pytest
 
-from flexconn import cli, cycles, ears, feasibility, fvc, graph, harness, rainbow
+from flexconn import cli, cycles, ears, exact, feasibility, fvc, graph, harness, rainbow
 from flexconn.errors import InfeasibleInstanceError
 from flexconn.exact import exact_kecss, exact_solve
 from flexconn.feasibility import Instance
@@ -254,6 +255,39 @@ def test_exact_search_kernel_calls_on_the_corpus(monkeypatch, problem, k, seeds,
         assert len(kernel) <= most
     else:
         assert len(kernel) == most
+
+
+# frames between a kernel call and `_minimum_feasible` beyond s: the search
+# takes at most s, one per chosen edge
+DEPTH_SLACK = 2
+
+
+@pytest.mark.parametrize("problem, k", [("fvc", 1), ("fgc", 1), ("kfgc", 2)])
+def test_exact_search_depth_is_s_plus_a_constant(monkeypatch, problem, k):
+    """At every kernel call of the exact search on the corpus, the frames
+    between the kernel and `_minimum_feasible` number at most s +
+    DEPTH_SLACK."""
+    real = exact._minimum_feasible
+    depths = []   # (frames, s) per kernel call
+
+    def search(g, predicate, *bounds):
+        def kernel(h, ids):
+            frame, depth = sys._getframe(1), 0
+            while frame.f_code is not real.__code__:
+                frame, depth = frame.f_back, depth + 1
+            depths.append((depth, frame.f_locals["s"]))
+            return predicate(h, ids)
+        return real(g, kernel, *bounds)
+
+    monkeypatch.setattr(exact, "_minimum_feasible", search)
+    for seed in LIGHT_SEEDS:
+        g = random_connected(random.Random(1000 + seed), 10, 0.6, 0.5, 0.5)
+        try:
+            exact_solve(Instance(graph=g, problem=problem, k=k))
+        except InfeasibleInstanceError:
+            pass
+    assert depths
+    assert max(d - s for d, s in depths) <= DEPTH_SLACK, max(depths)
 
 
 @pytest.mark.parametrize("n", [3, 6, 10])
