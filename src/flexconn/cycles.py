@@ -321,8 +321,9 @@ def _extend_cycle(search: GoodCycleSearch, start: int, start_exit: int,
                 # that is not big is an A0 singleton, entered at start_exit
                 if big_start and c == start_exit:
                     continue
-                if len(path) == 1 and eid == first_edge[0]:
-                    continue
+                # no first edge back: leaving the first part at its entry makes
+                # it A0, so the start part is big, re-entered at start_exit, or
+                # an A0 singleton next to it, which cannot be: that pair is F1
                 return path + [(eid, a, c)]
             if r in visited:
                 continue

@@ -70,7 +70,10 @@ at most the i-th smallest id of every other basis (Edmonds, "Matroids and
 the greedy algorithm", 1971).  That basis is the lexicographically first
 (n-1)-set, which is where the include-first search stops at that size.  If
 the greedy set has fewer than n - 1 edges, the matroid's rank is below
-n - 1, no (n-1)-set is feasible, and the search starts at size n.
+n - 1, no (n-1)-set is feasible, and the search starts at size n.  The
+level answers every feasible instance with n <= 1 (the empty set) and
+every feasible FVC one with n = 2 (its lowest edge), so the search runs
+only for FGC and k-FGC with n >= 2 and for FVC with n >= 3.
 
 kECSS (`exact_kecss`) is this search on `kecss_instance`: the same columns
 with every edge unsafe, as k-FGC at k - 1, whose feasible sets survive the
@@ -83,7 +86,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .errors import InfeasibleInstanceError, InputError, require_positive_k
+from .errors import InfeasibleInstanceError, InputError, require, require_positive_k
 from .feasibility import Instance, Solution, predicates_for
 from .graph import LabeledGraph, UnionFind, max_safe_forest
 
@@ -106,14 +109,11 @@ def _minimum_feasible(g: LabeledGraph,
     docstring).
     """
     n = g.n
-    rows = sorted(zip(g.eids, g.ends, g.edge_safe))
-    eids = [e for e, _, _ in rows]
+    eids, ends = g.eids, g.ends
     m = len(eids)
-    tails = [u for _, (u, _), _ in rows]
-    heads = [v for _, (_, v), _ in rows]
     next_twin: Dict[int, int] = {}    # edge id -> the id of its next higher twin
     last: Dict[Tuple[int, int, bool], int] = {}
-    for eid, (u, v), safe in rows:
+    for eid, (u, v), safe in g._rows():
         key = (u, v, safe) if u <= v else (v, u, safe)
         if key in last:
             next_twin[last[key]] = eid
@@ -141,7 +141,7 @@ def _minimum_feasible(g: LabeledGraph,
             eid = eids[j]
             if eid not in available:
                 continue      # a lower twin was excluded, and with it this edge
-            u, v = tails[j], heads[j]
+            u, v = ends[j]
             du, dv = deg[u], deg[v]
             # include first: lexicographically smallest solution wins.  The
             # bounds skip the subtree when the edges left cannot make up
@@ -197,8 +197,7 @@ def _minimum_feasible(g: LabeledGraph,
     start = max(lower_bound, (sum(req) + 1) // 2, n - 1)
     for s in range(start, m + 1):
         cap = [s - a for a in away]
-        # at s = 0 (n <= 1) the one leaf is the empty set
-        hit = rec(0, sum(req), n) if s else ([] if predicate(g, set()) else None)
+        hit = rec(0, sum(req), n)
         if hit is not None:
             return set(hit)
     return None
@@ -208,22 +207,19 @@ def _degree_bounds(inst: Instance) -> Tuple[List[int], List[int]]:
     """(req, away): per vertex v, a degree req[v] that every feasible edge
     set F gives v, and a number away[v] of edges off v that F has at least.
 
-    With n >= 2, F is connected, so every degree is at least 1.  Higher,
+    The search runs only with n >= 2, n >= 3 for FVC (module docstring),
+    so F is connected and every degree is at least 1.  Higher,
     computed in one pass over the edges, k + 1 (k = 1 for FVC and FGC):
-    - FVC, n >= 3: if v has no safe neighbour, since v's one neighbour in F
-      would be a cut vertex;
+    - FVC: if v has no safe neighbour, since v's one neighbour in F would
+      be a cut vertex;
     - FGC and k-FGC: if v has no safe edge, since removing v's at most k
       edges in F would cut v off.
-    away[v] is n - 2 for an unsafe vertex of FVC with n >= 3, since F - v
-    is connected (the unsafe-degree cap in the module docstring), else 0.
+    away[v] is n - 2 for an unsafe vertex of FVC, since F - v is
+    connected (the unsafe-degree cap in the module docstring), else 0.
     """
     g = inst.graph
     n = g.n
     away = [0] * n
-    if n <= 1:
-        return [0] * n, away
-    if inst.problem == "fvc" and n == 2:
-        return [1, 1], away
     covered = [False] * n
     if inst.problem == "fvc":
         safe = g.vertex_safe
@@ -249,7 +245,7 @@ def _fvc_tree(g: LabeledGraph) -> FrozenSet[int]:
     uf = UnionFind(range(g.n))
     hung = [False] * g.n
     tree = set()
-    for eid, (u, v) in sorted(zip(g.eids, g.ends)):
+    for eid, (u, v) in zip(g.eids, g.ends):
         if safe[u] and safe[v]:
             if uf.union(u, v):
                 tree.add(eid)
@@ -278,7 +274,7 @@ def exact_solve(inst: Instance, cap_n: int = DEFAULT_CAP_N) -> Solution:
     if not checker(g, set(g.eids)):
         raise InfeasibleInstanceError("instance is infeasible even with all edges")
     tree = _fvc_tree(g) if inst.problem == "fvc" else max_safe_forest(g)
-    if len(tree) == g.n - 1:
+    if len(tree) >= g.n - 1:      # n = 0 too, whose tree is empty
         best: Optional[Set[int]] = set(tree)
     else:
         # contracting a spanning forest leaves one vertex per tree; n at k = 1
@@ -289,8 +285,9 @@ def exact_solve(inst: Instance, cap_n: int = DEFAULT_CAP_N) -> Solution:
         except RecursionError:    # the search recurses once per chosen edge
             raise InputError(f"exact_solve: the search over m={g.m} edges is deeper "
                              "than the recursion limit") from None
-    if best is None:
-        raise InfeasibleInstanceError("instance is infeasible")
+    # the entry check passed, the first size tried is at most OPT and every
+    # bound prunes only infeasible subtrees: a miss is a fault, not infeasibility
+    require(best is not None, "exact_solve: the search found no feasible edge set")
     return Solution(edge_ids=frozenset(best),
                     meta={"problem": inst.problem, "k": inst.k,
                           "apx_size": len(best), "exact": True})

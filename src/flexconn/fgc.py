@@ -40,14 +40,14 @@ class F1SolverHandle:
 def double_safe_edges(g: LabeledGraph) -> LabeledGraph:
     """Add a parallel copy of every safe edge; copies get fresh ids that map
     back to the original by subtracting the offset."""
-    offset = (max(g.eids) + 1) if g.eids else 0
+    offset = g.eids[-1] + 1 if g.eids else 0
     safe = [i for i, s in enumerate(g.edge_safe) if s]
     return LabeledGraph(g.n, g.vertex_safe, g.eids + tuple(offset + g.eids[i] for i in safe),
                         g.ends + tuple(g.ends[i] for i in safe), g.edge_safe + (True,) * len(safe))
 
 
 def undouble(g: LabeledGraph, eids: Iterable[int]) -> FrozenSet[int]:
-    offset = (max(g.eids) + 1) if g.eids else 0
+    offset = g.eids[-1] + 1 if g.eids else 0
     return frozenset(eid % offset if offset else eid for eid in eids)
 
 

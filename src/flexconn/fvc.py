@@ -118,13 +118,13 @@ def solve_tree_case(g: LabeledGraph) -> Optional[FrozenSet[int]]:
     if g.n <= 1:
         return frozenset()
     if g.n == 2:
-        return frozenset({min(g.eids)}) if g.eids else None
+        return frozenset({g.eids[0]}) if g.eids else None
     safe = [v for v in range(g.n) if g.vertex_safe[v]]
     if not safe:
         return None
     uf = UnionFind(safe)
     out: Set[int] = set()
-    for e, (u, v) in sorted(zip(g.eids, g.ends)):
+    for e, (u, v) in zip(g.eids, g.ends):
         if g.vertex_safe[u] and g.vertex_safe[v] and uf.union(u, v):
             out.add(e)
     if len(out) < len(safe) - 1:    # the safe vertices are not connected
@@ -395,7 +395,7 @@ def algorithm2_make_2vc(g: LabeledGraph, vd: FrozenSet[int],
                       if any(not (h_touching[u] & h_touching[w])
                              for u, w in combinations(g.neighbor_sets[v] & cur, 2))), None)
             require(v is not None, "no block-reducing vertex found")
-            incident = sorted((e, w) for w, e in g.incidence[v] if w in cur)
+            incident = [(e, w) for w, e in g.incidence[v] if w in cur]
             pair = next(((eid1, eid2) for i, (eid1, u) in enumerate(incident)
                          for eid2, w in incident[i + 1:]
                          if u != w and not (touching[u] & touching[w])), None)
@@ -403,9 +403,9 @@ def algorithm2_make_2vc(g: LabeledGraph, vd: FrozenSet[int],
             cur.add(v)
             s2.update(pair)
         else:
-            key = min((e for e, (u, v) in zip(g.eids, g.ends)
-                       if u in cur and v in cur and e not in s1 and e not in s2
-                       and not (touching[u] & touching[v])), default=None)
+            key = next((e for e, (u, v) in zip(g.eids, g.ends)
+                        if u in cur and v in cur and e not in s1 and e not in s2
+                        and not (touching[u] & touching[v])), None)
             require(key is not None, "a block-reducing edge must exist")
             s2.add(key)
 

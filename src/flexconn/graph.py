@@ -4,9 +4,9 @@ Vertices are 0..n-1.  Edge ids are non-negative ints, assigned once
 (typically in input file order); they survive contraction, so solutions can
 always be reported in original-instance ids.  Graphs are immutable; every
 operation here is a pure function returning new values.  Edges are parallel
-columns in edge order (`eids`, `ends`, `edge_safe`).  A graph is validated
-once, on entry (`build`, `io.parse_instance`); graphs derived from it are
-not checked.
+columns (`eids`, `ends`, `edge_safe`) in ascending id order, the order every
+greedy and tie-break reads.  A graph is validated once, on entry (`build`,
+`io.parse_instance`); graphs derived from it keep the order, unchecked.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ class LabeledGraph:
               edge_safe: Optional[Sequence[bool]] = None,
               eids: Optional[Sequence[int]] = None) -> "LabeledGraph":
         """The validated graph of the edges `pairs`, in that order, with ids
-        `eids` (0, 1, ... by default); vertices and edges default to safe."""
+        `eids` (0, 1, ... by default), which must strictly ascend; vertices
+        and edges default to safe."""
         if type(n) is not int or n < 0:    # True and 2.5 are not vertex counts
             raise InputError("vertex count must be non-negative")
         vs = tuple(True for _ in range(n)) if vertex_safe is None else tuple(vertex_safe)
@@ -100,11 +101,10 @@ class LabeledGraph:
 
     def edge_between(self, u: int, v: int) -> Optional[int]:
         """Lowest id of an edge joining u and v, or None."""
-        best = None
         for w, e in self.incidence[u]:
-            if w == v and (best is None or e < best):
-                best = e
-        return best
+            if w == v:
+                return e
+        return None
 
     @cached_property
     def is_simple(self) -> bool:
@@ -133,7 +133,7 @@ class LabeledGraph:
         n = self.n
         if len(self.vertex_safe) != n:
             raise InputError("vertex_safe length must equal n")
-        seen = set()
+        prev = -1
         for eid, (u, v) in zip(self.eids, self.ends):
             if type(eid) is not int or eid < 0:    # True and 2.0 are not read as 1 and 2
                 raise InputError(f"edge id {eid!r} is not a non-negative integer")
@@ -141,9 +141,10 @@ class LabeledGraph:
                 raise InputError(f"edge {eid} endpoint out of range")
             if u == v:
                 raise InputError(f"edge {eid} is a self-loop")
-            if eid in seen:
-                raise InputError(f"duplicate edge id {eid}")
-            seen.add(eid)
+            if eid <= prev:
+                raise InputError(f"duplicate edge id {eid}" if eid == prev
+                                 else f"edge id {eid} follows the higher id {prev}")
+            prev = eid
         return self
 
 
@@ -205,7 +206,7 @@ class UnionFind:
 def max_safe_forest(g: LabeledGraph) -> FrozenSet[int]:
     """Maximum spanning forest of the safe subgraph, greedy by ascending id."""
     uf = UnionFind(range(g.n))
-    return frozenset(e for e, (u, v), s in sorted(g._rows()) if s and uf.union(u, v))
+    return frozenset(e for e, (u, v), s in g._rows() if s and uf.union(u, v))
 
 
 def components(nbr: Union[Sequence[Iterable[int]], Mapping[int, Iterable[int]]],

@@ -19,7 +19,13 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from flexconn import cli
+from flexconn import cli, exact
+from flexconn.errors import InvariantViolation
+from flexconn.exact import exact_solve
+from flexconn.feasibility import Instance
+from flexconn.io import write_instance
+
+from conftest import build
 
 
 def _run(argv):
@@ -119,6 +125,26 @@ def test_a_500_vertex_cycle_solves_exactly(tmp_path):
     code, out, err = _run(["exact", "--problem", "fvc", "--cap", "5000", "-i", str(path)])
     assert (code, err) == (0, "")
     assert json.loads(out)["exact_opt"] == 500
+
+
+def test_a_search_that_finds_nothing_is_an_internal_error(tmp_path, monkeypatch):
+    """Past the entry check the search hits by s = m at the latest, so a
+    miss can only be a faulty prune: `exact_solve` raises
+    `InvariantViolation`, and `flexconn exact` exits 1, not 2 with a false
+    `infeasible`, on a golden FVC instance whose optimum is not a tree."""
+    golden = json.loads((Path(__file__).resolve().parent / "data" / "solver_golden.json").read_text())
+    insts = (Instance(build(e["n"], [(u, v) for u, v, _ in e["edges"]],
+                            vertex_safe=[v not in e["unsafe"] for v in range(e["n"])]), "fvc")
+             for e in golden["instances"] if (e["kind"], e["problem"]) == ("exact", "fvc"))
+    inst = next(i for i in insts if exact_solve(i).size > i.graph.n - 1)
+    monkeypatch.setattr(exact, "_minimum_feasible", lambda *args: None)
+    with pytest.raises(InvariantViolation, match="search found no feasible edge set"):
+        exact_solve(inst)
+    path = tmp_path / "inst.flex"
+    path.write_text(write_instance(inst))
+    code, out, err = _run(["exact", "--problem", "fvc", "-i", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "flexconn: internal error: exact_solve: the search found no feasible edge set\n"
 
 
 # ---------------------------------------------------------------------------

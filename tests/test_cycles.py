@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from flexconn.cycles import GoodCycleSearch, find_good_cycle, is_good_cycle
 from flexconn.fvc import algorithm1_buy_good_cycles
 from flexconn.graph import LabeledGraph, is_connected
@@ -12,7 +14,29 @@ def triples_of(g, eids):
     return [(eid, *g.edge_ends[eid]) for eid in sorted(eids)]
 
 
+A, B, C, D, E, F = (frozenset(p) for p in ({0, 1}, {2}, {3}, {4, 5}, {6}, {7}))
+
+
 class TestChecker:
+    # one hand-built bad cycle, as (parts, (eid, u, v) triples), per
+    # rejection that the tests below do not reach.  The edge-count test gets
+    # none: with every touched part of degree 2, the edges number the parts.
+    @pytest.mark.parametrize("parts, edges", [
+        pytest.param([A, B], [(0, 0, 2)], id="one edge"),
+        pytest.param([A, D], [(0, 0, 4), (0, 1, 5)], id="repeated id"),
+        pytest.param([A, B, C], [(0, 0, 1), (1, 1, 2), (2, 2, 0)], id="edge inside a part"),
+        pytest.param([A, B], [(0, 0, 2), (1, 1, 9)], id="edge outside the partition"),
+        pytest.param([A, B, C], [(0, 0, 2), (1, 2, 3)], id="part of degree 1"),
+        pytest.param([A, B, C, D], [(0, 0, 2), (1, 1, 3), (2, 0, 4), (3, 2, 5), (4, 3, 4)],
+                     id="part of degree 3"),
+        pytest.param([A, B, C, D, E, F],
+                     [(0, 0, 2), (1, 2, 3), (2, 3, 1), (3, 4, 6), (4, 6, 7), (5, 7, 5)],
+                     id="two disjoint cycles"),
+        pytest.param([B, C, E], [(0, 2, 3), (1, 3, 6), (2, 6, 2)], id="singletons only"),
+    ])
+    def test_rejects(self, parts, edges):
+        assert not is_good_cycle(parts, edges)
+
     def test_two_edge_cycle_between_large_parts(self):
         g = build(4, [(0, 2), (1, 3), (0, 1), (2, 3)])
         parts = [frozenset({0, 1}), frozenset({2, 3})]

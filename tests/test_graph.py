@@ -3,13 +3,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flexconn.errors import InputError
+from flexconn.errors import InfeasibleInstanceError, InputError
+from flexconn.exact import kecss_instance
+from flexconn.feasibility import Instance
 from flexconn.fgc import double_safe_edges
+from flexconn.fvc import preprocess
 from flexconn.graph import (LabeledGraph, UnionFind, block_decomposition_edges,
                             contract_edges, is_k_edge_connected)
+from flexconn.io import parse_instance, write_instance
 
 from conftest import (brute_force_blocks, brute_force_k_edge_connected, build,
-                      random_connected, without_edges)
+                      diamond_necklace, random_connected, without_edges)
 
 
 def _pairs(g):
@@ -108,8 +112,7 @@ class TestAdjacencyView:
     """`edge_between`, `degree` and `neighbors` read `incidence`, and every
     view and derived graph is computed from the edge columns; compare them
     with a scan of the (id, ends, safe) rows on multigraphs whose ids are
-    sparse and out of edge order, so the lowest id of a parallel class is
-    not its first copy."""
+    sparse and ascend with the columns, as `build` requires."""
 
     @staticmethod
     def _random_records(rng):
@@ -117,7 +120,7 @@ class TestAdjacencyView:
         n = rng.randint(1, 8)
         pairs = [(u, v) for u in range(n) for v in range(n)
                  if u != v and rng.random() < 0.3 for _ in range(rng.choice((1, 1, 2, 3)))]
-        ids = rng.sample(range(3 * len(pairs) + 1), len(pairs))
+        ids = sorted(rng.sample(range(3 * len(pairs) + 1), len(pairs)))
         return n, [(i, uv, rng.random() < 0.5) for i, uv in zip(ids, pairs)]
 
     @classmethod
@@ -197,6 +200,12 @@ class TestAdjacencyView:
         (lambda: LabeledGraph.build(2, [(0, -1)], eids=[7]), "edge 7 endpoint out of range"),
         (lambda: LabeledGraph.build(2, [(1, 1)], eids=[7]), "edge 7 is a self-loop"),
         (lambda: LabeledGraph.build(3, [(0, 1), (1, 2)], eids=[7, 7]), "duplicate edge id 7"),
+        (lambda: LabeledGraph.build(3, [(0, 1), (1, 2), (0, 2)], eids=[2, 5, 5]),
+         "duplicate edge id 5"),
+        (lambda: LabeledGraph.build(3, [(0, 1), (1, 2)], eids=[7, 2]),
+         "edge id 2 follows the higher id 7"),
+        (lambda: LabeledGraph.build(3, [(0, 1), (1, 2), (0, 2)], eids=[3, 5, 3]),
+         "edge id 3 follows the higher id 5"),
         (lambda: LabeledGraph.build(3, [(0, 1), (1, 2)], eids=[-1, 2]),
          "edge id -1 is not a non-negative integer"),
         (lambda: LabeledGraph.build(2, [(0, 1)], eids=[True]),
@@ -211,12 +220,46 @@ class TestAdjacencyView:
             make()
 
     def test_parallel_copies_count_toward_degree(self):
-        g = LabeledGraph.build(3, [(0, 1), (1, 0), (1, 2)], eids=[7, 2, 5])
+        g = LabeledGraph.build(3, [(0, 1), (1, 0), (1, 2)], eids=[2, 5, 7])
         assert [g.degree(v) for v in range(3)] == [2, 3, 1]
         assert g.neighbors(1) == (0, 2)
         assert g.edge_between(0, 1) == g.edge_between(1, 0) == 2
         assert g.edge_between(0, 2) is None
         assert g.edge_between(0, 0) is None
+
+
+class TestIdOrder:
+    """Ids ascend with the columns of every graph that the library parses,
+    builds or derives, so no routine sorts them again."""
+
+    @staticmethod
+    def _sparse(rng, g):
+        """g with ascending ids drawn sparse from 0..3m."""
+        ids = sorted(rng.sample(range(3 * g.m + 1), g.m))
+        return _graph(g.n, g.vertex_safe, list(zip(ids, g.ends, g.edge_safe)))
+
+    def test_every_graph_ascends(self):
+        rng = random.Random(37)
+        graphs, pieces = [], 0
+        for _ in range(200):
+            n, rows = TestAdjacencyView._random_records(rng)
+            g = _graph(n, [rng.random() < 0.7 for _ in range(n)], rows)
+            b = build(n, [uv for _, uv, _ in rows])
+            graphs += [g, b, parse_instance(write_instance(Instance(b, "kfgc", 2)), "kfgc").graph,
+                       g.induced(v for v in range(n) if rng.random() < 0.7),
+                       contract_edges(g, {e for e in g.eids if rng.random() < 0.4}),
+                       double_safe_edges(g), kecss_instance(g, 1).graph,
+                       kecss_instance(g, 3).graph]
+            h = self._sparse(rng, random_connected(rng, rng.randint(2, 9), 0.5, 0.8))
+            for fvc in (h, self._sparse(rng, diamond_necklace(rng.randint(2, 4)))):
+                try:
+                    found = preprocess(fvc)[0]
+                except InfeasibleInstanceError:
+                    continue
+                pieces += sum(piece is not fvc for piece in found)
+                graphs += found
+        assert pieces
+        assert all(a < b for g in graphs for a, b in zip(g.eids, g.eids[1:]))
 
 
 def _blocks(g):

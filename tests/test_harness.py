@@ -71,6 +71,22 @@ class TestExperiment:
         assert captured.out == ""
         assert re.search(match, captured.err)
 
+    def test_timing_fills_only_wall_ms(self, capsys):
+        argv = ["bench", "--problem", "fgc", "--trials", "4", "--n-min", "4",
+                "--n-max", "6", "--exact-cap", "6", "--seed", "3"]
+        tables = []
+        for extra in ([], ["--timing"]):
+            assert main(argv + extra) == 0
+            tables.append([line.split(",") for line in capsys.readouterr().out.splitlines()])
+        plain, timed = tables
+        wall = plain[0].index("wall_ms")
+        assert len(timed) == len(plain) == 1 + 4 + 1
+        for row in timed[1:-1]:
+            assert float(row[wall]) >= 0
+        assert all(row[wall] == "" for row in plain[1:])
+        assert [row[:wall] + row[wall + 1:] for row in timed] == \
+            [row[:wall] + row[wall + 1:] for row in plain]
+
     def test_config_refuses_what_instance_refuses(self):
         for problem, k in (("fgc", 2), ("fvc", 2), ("kfgc", 0), ("kfgc", True), ("mst", 1)):
             with pytest.raises(InputError):

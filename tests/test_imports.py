@@ -5,7 +5,8 @@ function parameter is read, every module-level private function has a
 caller in the library, every nested function is read by the function
 that encloses it, and every module-level constant is read by library code.
 Every public name is one that something reads: the library, the README or
-the benchmark tracer."""
+the benchmark tracer.  No module re-sorts a graph's edge ids, which ascend
+with its columns."""
 
 import ast
 import importlib.util
@@ -70,6 +71,26 @@ def test_no_unused_import():
 def _trees():
     return {path.name: ast.parse(path.read_text(), str(path))
             for path in sorted((SRC / "flexconn").glob("*.py"))}
+
+
+def _id_order_reworked(name, tree):
+    """Calls of `sorted`, `min` or `max` on anything that reads a graph's
+    `eids` or `_rows()`: the columns ascend by id, so such a call works out
+    again what the graph already guarantees."""
+    for call in ast.walk(tree):
+        if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id in ("sorted", "min", "max")):
+            args = call.args + [kw.value for kw in call.keywords]
+            if any(isinstance(n, ast.Attribute) and n.attr in ("eids", "_rows")
+                   for a in args for n in ast.walk(a)):
+                yield f"{name}:{call.lineno} {call.func.id}"
+
+
+def test_no_routine_resorts_edge_ids():
+    """Checked mutant: the library before ids ascended with the columns, with
+    its eight sorts and scans of `eids` and `_rows()`, fails on all eight."""
+    trees = _trees()
+    assert [hit for name, tree in trees.items() for hit in _id_order_reworked(name, tree)] == []
 
 
 def _unread_parameters(name, tree):

@@ -32,7 +32,7 @@ import pytest
 
 from flexconn import exact
 from flexconn.errors import InfeasibleInstanceError
-from flexconn.exact import _minimum_feasible, exact_kecss, exact_solve, kecss_instance
+from flexconn.exact import exact_kecss, exact_solve, kecss_instance
 from flexconn.feasibility import Instance, predicates_for
 from flexconn.fvc import solve_tree_case
 from flexconn.graph import (LabeledGraph, edge_connectivity_at_least,
@@ -510,15 +510,27 @@ def test_exact_kecss_last_pick_rejects_twins_of_a_miss(monkeypatch, k, seed):
     assert hit == reference_exact_kecss(g, k)
 
 
-def test_single_vertex_reaches_the_leaf_test():
-    # s = 0: the search tests the empty set, with no last pick before it
-    g = LabeledGraph.build(1, [])
-    log = []
-    assert _minimum_feasible(g, _recording(lambda h, s: True, log), 0, [0], [0]) == set()
-    assert log == [(frozenset(), True)]
-    del log[:]
-    assert _minimum_feasible(g, _recording(lambda h, s: False, log), 0, [0], [0]) is None
-    assert log == [(frozenset(), False)]
-    for problem in ("fvc", "fgc", "kfgc"):
-        assert exact_solve(Instance(graph=g, problem=problem)).edge_ids == frozenset()
-    assert exact_kecss(g, 2).edge_ids == frozenset()
+def test_tiny_instances_skip_the_search(monkeypatch):
+    """The spanning-tree level answers n <= 1 and FVC at n = 2, so the
+    search, which has no branches for them, never runs there; FGC
+    and k-FGC at n = 2 without a safe edge still search."""
+    calls = []
+    real = exact._minimum_feasible
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(exact, "_minimum_feasible", counted)
+    for n in (0, 1):
+        g = LabeledGraph.build(n, [])
+        for problem in ("fvc", "fgc", "kfgc"):
+            assert exact_solve(Instance(graph=g, problem=problem)).edge_ids == frozenset()
+        assert exact_kecss(g, 2).edge_ids == frozenset()
+    for safe in ((True, True), (True, False), (False, False)):
+        g = LabeledGraph.build(2, [(0, 1)], vertex_safe=safe, eids=[4])
+        assert exact_solve(Instance(graph=g, problem="fvc")).edge_ids == {4}
+    assert calls == []
+    g = LabeledGraph.build(2, [(0, 1), (1, 0), (0, 1)], edge_safe=[False] * 3)
+    assert exact_solve(Instance(graph=g, problem="kfgc", k=2)).edge_ids == {0, 1, 2}
+    assert calls == [g]
